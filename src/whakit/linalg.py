@@ -6,12 +6,20 @@ Fraction or Cyclo entries with no tolerance anywhere.
 
 Tensor index convention, used by every module in the package: the basis
 of M tensor N is ordered lexicographically with the M index major, so
-the pair (i, j) flattens to i * dim(N) + j.
+the pair (i, j) flattens to i * dim(N) + j.  A k-leg tensor is a dict
+keyed by k-tuples of basis indices; flatten and unflatten convert.
+
+Every multilinear identity in the package is written with two
+contraction primitives over such tensors: act contracts one tensor into
+another leg by leg through bilinear tables (algebra products, module
+actions), and on_leg applies a linear map to a single leg (coproduct,
+counit, antipode).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .scalars import invert
 
@@ -68,18 +76,127 @@ def vec_tensor(u: dict, v: dict, second_dim: int) -> dict:
     return out
 
 
-def flatten_pairs(pairs: dict, second_dim: int) -> dict:
-    return {i * second_dim + j: c for (i, j), c in pairs.items()}
+def flatten(t: dict, dims) -> dict:
+    """A k-leg tensor as a flat vector; dims are the k leg dimensions."""
+    out = {}
+    for key, c in t.items():
+        k = 0
+        for i, d in zip(key, dims):
+            k = k * d + i
+        out[k] = c
+    return out
 
 
-def split_pairs(flat: dict, second_dim: int) -> dict:
-    return {divmod(k, second_dim): c for k, c in flat.items()}
+def unflatten(flat: dict, dims) -> dict:
+    """The inverse of flatten: a flat vector as a k-leg tensor."""
+    out = {}
+    rev = dims[:0:-1]
+    for k, c in flat.items():
+        key = []
+        for d in rev:
+            k, i = divmod(k, d)
+            key.append(i)
+        key.append(k)
+        out[tuple(key[::-1])] = c
+    return out
+
+
+def act(tables, x: dict, y: dict) -> dict:
+    """Contract x into y leg by leg.
+
+    tables holds one entry per leg of y: a bilinear table
+    {(p, a): {r: c}} (c is the coefficient of e_r in e_p . e_a), or
+    None, which lets that leg of y pass through untouched.  x has one
+    leg per table that is not None.  The result is the sum over the
+    terms of x and y of x[p] y[a] times the product of the table rows,
+    keyed like y.  With the product table of an algebra on every leg,
+    act(tables, x, y) is the product x y in the tensor power; with
+    module actions, it is x acting on y.
+    """
+    out = {}
+    get = out.get
+    through = None in tables
+    if through:
+        legs = [k for k, t in enumerate(tables) if t is not None]
+        tables = [tables[k] for k in legs]
+    for yk, yc in y.items():
+        ya = [yk[k] for k in legs] if through else yk
+        for xk, xc in x.items():
+            rows = []
+            for t, p, a in zip(tables, xk, ya):
+                row = t.get((p, a))
+                if not row:
+                    break
+                rows.append(row.items())
+            else:
+                c0 = xc * yc
+                for combo in product(*rows):
+                    key, vals = zip(*combo)
+                    if through:
+                        full = list(yk)
+                        for k, r in zip(legs, key):
+                            full[k] = r
+                        key = tuple(full)
+                    c = c0
+                    for v in vals:
+                        c = c * v
+                    cur = get(key)
+                    if cur is None:
+                        out[key] = c
+                    else:
+                        cur = cur + c
+                        if cur:
+                            out[key] = cur
+                        else:
+                            del out[key]
+    return out
+
+
+def on_leg(t: dict, leg, op: dict) -> dict:
+    """Apply a linear map {i: {j: c}} to one leg of a tuple-keyed tensor.
+
+    A tuple j splices its legs in place of the old one (a coproduct
+    {i: {(j, k): c}} turns one leg into two), the empty tuple drops the
+    leg (a counit {i: {(): c}}), and any other j replaces the index.
+    leg may also be a slice of adjacent legs, which op reads as one tuple
+    index: with an algebra's product table {(a, b): {k: c}} it multiplies
+    two legs together, with a module's action it lets one leg act on the
+    next.
+    """
+    span = leg if type(leg) is slice else slice(leg, leg + 1)
+    out = {}
+    for key, c in t.items():
+        row = op.get(key[leg])
+        if row:
+            head, tail = key[:span.start], key[span.stop:]
+            for j, v in row.items():
+                add_term(out, head + (j if type(j) is tuple else (j,)) + tail,
+                         c * v)
+    return out
+
+
+def permute(t: dict, order) -> dict:
+    """Reorder the legs of a tuple-keyed tensor: leg k of the result is
+    leg order[k] of t."""
+    return {tuple(key[i] for i in order): c for key, c in t.items()}
+
+
+def check_keys(table, name: str, dims) -> None:
+    """Raise DimensionMismatch, naming the table and the key, unless every
+    key of table is a tuple of len(dims) indices with 0 <= key[k] < dims[k];
+    a one-leg table may key by bare indices."""
+    for key in table:
+        idx = key if type(key) is tuple else (key,)
+        if len(idx) != len(dims) or not all(
+                type(i) is int and 0 <= i < d for i, d in zip(idx, dims)):
+            raise DimensionMismatch(
+                f"{name}: key {key!r} out of range for dimensions {tuple(dims)}")
 
 
 class VectorSpace:
     """A finite dimensional space with a distinguished labeled basis."""
 
-    __slots__ = ("dim", "labels", "_index")
+    __slots__ = ("dim", "labels")
 
     def __init__(self, dim: int, labels=None):
         if dim < 0:
@@ -94,12 +211,6 @@ class VectorSpace:
             raise DimensionMismatch("basis labels must be distinct")
         self.dim = dim
         self.labels = labels
-        self._index = None
-
-    def index(self, label: str) -> int:
-        if self._index is None:
-            self._index = {lab: i for i, lab in enumerate(self.labels)}
-        return self._index[label]
 
     def tensor(self, other: "VectorSpace") -> "VectorSpace":
         labels = [f"{a}(x){b}" for a in self.labels for b in other.labels]
@@ -155,20 +266,27 @@ class LinMap:
                     entries[(r, c)] = v
         return LinMap(domain, codomain, entries)
 
-    def _columns(self):
+    def columns(self) -> dict:
+        """The map as a table {col: {row: c}}, the shape on_leg applies."""
         if self._bycol is None:
             bycol = {}
             for (r, c), v in self.entries.items():
-                bycol.setdefault(c, []).append((r, v))
+                bycol.setdefault(c, {})[r] = v
             self._bycol = bycol
         return self._bycol
 
+    def column(self, c: int) -> dict:
+        """The image of the c-th basis vector."""
+        return dict(self.columns().get(c, {}))
+
     def __call__(self, vec: dict) -> dict:
-        bycol = self._columns()
+        bycol = self.columns()
         out = {}
         for c, x in vec.items():
-            for r, v in bycol.get(c, ()):
-                add_term(out, r, v * x)
+            col = bycol.get(c)
+            if col:
+                for r, v in col.items():
+                    add_term(out, r, v * x)
         return out
 
     def compose(self, g: "LinMap") -> "LinMap":
@@ -238,18 +356,6 @@ class LinMap:
     def __repr__(self):
         return (f"LinMap({self.domain.dim}->{self.codomain.dim}, "
                 f"nnz={len(self.entries)})")
-
-
-def tensor(f: LinMap, g: LinMap) -> LinMap:
-    return f.tensor(g)
-
-
-def compose(f: LinMap, g: LinMap) -> LinMap:
-    return f.compose(g)
-
-
-def map_eq(f: LinMap, g: LinMap) -> bool:
-    return f == g
 
 
 def _rref(rows, forbid=None):

@@ -17,32 +17,34 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
-from .linalg import (LinMap, NotIdempotent, Subspace, VectorSpace, add_term,
-                     split_idempotent)
-from .weak_hopf import VerificationReport, map_witness
+from .linalg import (LinMap, Subspace, VectorSpace, act, add_term, check_keys,
+                     flatten, on_leg, permute, split_idempotent, unflatten)
+from .weak_hopf import VerificationReport, first_unequal, map_witness
 
-IdempotentFailure = NotIdempotent
+ONE = Fraction(1)
 
 
 class HModule:
-    """A left module presented by one sparse operator per algebra basis index.
+    """A left module over an algebra, given by its action table.
 
     action maps (i, row, col) to the coefficient of e_row in e_i . e_col.
-    Operators are stored column-major for fast application to sparse
-    vectors.
+    It is stored flat as {(i, col): {row: c}}, the shape of an algebra's
+    product table, so that linalg.act applies both the same way.
     """
 
     def __init__(self, algebra, space, action):
         self.algebra = algebra
         self.space = space
+        check_keys(action, "action", (algebra.dim, space.dim, space.dim))
         co = algebra.field.coerce
-        self.ops = {}
+        self.action = {}
         for (i, r, c), v in action.items():
             v = co(v)
             if v != 0:
-                self.ops.setdefault(i, {}).setdefault(c, {})[r] = v
-        self._rho = {}
+                self.action.setdefault((i, c), {})[r] = v
+        self._rho = None
 
     @property
     def dim(self):
@@ -50,26 +52,20 @@ class HModule:
 
     def rho(self, i) -> LinMap:
         """The operator for the i-th algebra basis vector."""
-        cached = self._rho.get(i)
-        if cached is None:
-            entries = {}
-            for c, rows in self.ops.get(i, {}).items():
+        if self._rho is None:
+            entries = {k: {} for k in range(self.algebra.dim)}
+            for (k, c), rows in self.action.items():
                 for r, v in rows.items():
-                    entries[(r, c)] = v
-            cached = LinMap(self.space, self.space, entries)
-            self._rho[i] = cached
-        return cached
+                    entries[k][(r, c)] = v
+            self._rho = {k: LinMap(self.space, self.space, e)
+                         for k, e in entries.items()}
+        return self._rho[i]
 
     def act_basis(self, i, m: dict) -> dict:
-        cols = self.ops.get(i)
-        if not cols:
-            return {}
         out = {}
         for c, x in m.items():
-            rows = cols.get(c)
-            if rows:
-                for r, v in rows.items():
-                    add_term(out, r, v * x)
+            for r, v in self.action.get((i, c), {}).items():
+                add_term(out, r, v * x)
         return out
 
     def act(self, h: dict, m: dict) -> dict:
@@ -86,11 +82,9 @@ class HModule:
 def regular_module(H) -> HModule:
     """H acting on itself by left multiplication."""
     H.require_certified()
-    action = {}
-    for (i, j), prod in H.mult.items():
-        for k, c in prod.items():
-            action[(i, k, j)] = c
-    M = HModule(H, H.space, action)
+    M = HModule(H, H.space, {})
+    # left multiplication is the product table itself
+    M.action = H.mult
     M.is_regular_module = True
     return M
 
@@ -104,10 +98,9 @@ def unit_object(H) -> HModule:
     """
     H.require_certified()
     tgt = H.target_space()
-    one = Fraction(1)
     action = {}
     for j in range(tgt.dim):
-        z = tgt.inclusion({j: one})
+        z = tgt.inclusion.column(j)
         for i in range(H.dim):
             out = H.epsilon_t(H.multiply(H.basis(i), z))
             for r, c in tgt.projection(out).items():
@@ -121,39 +114,22 @@ def check_module(M: HModule) -> VerificationReport:
     """Verify the unit and product laws of the action."""
     H = M.algebra
     report = VerificationReport(subject=f"module over {H.name}")
-    acc = {}
-    for i, c in H.unit.items():
-        for col, rows in M.ops.get(i, {}).items():
-            for r, v in rows.items():
-                add_term(acc, (r, col), c * v)
+
+    def operator(h):
+        """The entries of the operator of the algebra vector h."""
+        out = {}
+        for i, c in h.items():
+            for key, v in M.rho(i).entries.items():
+                add_term(out, key, c * v)
+        return out
+
+    acc = operator(H.unit)
     unit_ok = LinMap(M.space, M.space, acc).is_identity()
     report.add("action_of_unit", unit_ok, None if unit_ok else ((), acc, {}))
-    bad = None
-    d = H.dim
-    for i in range(d):
-        cols_i = M.ops.get(i, {})
-        for j in range(d):
-            cols_j = M.ops.get(j, {})
-            lhs = {}
-            for col, rows in cols_j.items():
-                for m, c in rows.items():
-                    upper = cols_i.get(m)
-                    if upper:
-                        for r, v in upper.items():
-                            add_term(lhs, (r, col), c * v)
-            rhs = {}
-            prod = H.mult.get((i, j))
-            if prod:
-                for k, c in prod.items():
-                    for col, rows in M.ops.get(k, {}).items():
-                        for r, v in rows.items():
-                            add_term(rhs, (r, col), c * v)
-            if lhs != rhs:
-                bad = ((i, j), lhs, rhs)
-                break
-        if bad:
-            break
-    report.record("action_respects_products", bad)
+    report.record("action_respects_products", first_unequal(
+        product(range(H.dim), repeat=2), lambda i, j: (
+            M.rho(i).compose(M.rho(j)).entries,
+            operator(H.mult.get((i, j), {})))))
     return report
 
 
@@ -170,136 +146,39 @@ def h_linear_mismatch(f: LinMap, M: HModule, N: HModule):
 
 def act_pair(M: HModule, N: HModule, terms: dict, pd: dict) -> dict:
     """Apply a pair-keyed algebra tensor legwise to a pair-keyed vector."""
-    out = {}
-    for (a, b), xv in pd.items():
-        for (p, q), w in terms.items():
-            cols1 = M.ops.get(p)
-            if not cols1:
-                continue
-            rows1 = cols1.get(a)
-            if not rows1:
-                continue
-            cols2 = N.ops.get(q)
-            if not cols2:
-                continue
-            rows2 = cols2.get(b)
-            if not rows2:
-                continue
-            wx = w * xv
-            for r1, c1 in rows1.items():
-                for r2, c2 in rows2.items():
-                    add_term(out, (r1, r2), wx * c1 * c2)
-    return out
+    return act((M.action, N.action), terms, pd)
 
 
-def act_triple(M: HModule, N: HModule, P: HModule, terms: dict, td: dict) -> dict:
-    """Apply a triple-keyed algebra tensor legwise to a triple-keyed vector."""
-    out = {}
-    for (a, b, c), xv in td.items():
-        for (p, q, s), w in terms.items():
-            cols1 = M.ops.get(p)
-            if not cols1:
-                continue
-            rows1 = cols1.get(a)
-            if not rows1:
-                continue
-            cols2 = N.ops.get(q)
-            if not cols2:
-                continue
-            rows2 = cols2.get(b)
-            if not rows2:
-                continue
-            cols3 = P.ops.get(s)
-            if not cols3:
-                continue
-            rows3 = cols3.get(c)
-            if not rows3:
-                continue
-            wx = w * xv
-            for r1, c1 in rows1.items():
-                for r2, c2 in rows2.items():
-                    c12 = c1 * c2
-                    for r3, c3 in rows3.items():
-                        add_term(out, (r1, r2, r3), wx * c12 * c3)
-    return out
-
-
-def _pair_entries_to_map(entries_by_col, flatspace, dn):
-    out = {}
-    for (a, b), vec in entries_by_col.items():
-        col = a * dn + b
-        for (r1, r2), v in vec.items():
-            out[(r1 * dn + r2, col)] = v
-    return LinMap(flatspace, flatspace, out)
+def _projector(modules, d: dict) -> LinMap:
+    """The action of a k-leg algebra tensor d, leg by leg, on the flattened
+    tensor product of k modules."""
+    dims = [M.dim for M in modules]
+    n = 1
+    for m in dims:
+        n *= m
+    # the basis tensors some term of d acts on, first seen first, each
+    # carrying its flat index as a pass-through leg
+    cols = {}
+    for key in d:
+        cols.update(dict.fromkeys(product(*(
+            [a for (p, a) in M.action if p == i]
+            for M, i in zip(modules, key)))))
+    cols = {col + (k,): ONE for col, k in zip(cols, flatten(
+        dict.fromkeys(cols, ONE), dims))}
+    out = act([M.action for M in modules] + [None], d, cols)
+    space = VectorSpace(n)
+    return LinMap(space, space, {divmod(k, n): c for k, c in
+                                 flatten(out, dims + [n]).items()})
 
 
 def truncation_projector(M: HModule, N: HModule) -> LinMap:
     """The action of the coproduct of 1 on the flattened tensor square."""
-    H = M.algebra
-    d1 = H.delta_one()
-    dn = N.dim
-    flat = VectorSpace(M.dim * dn)
-    cols = {}
-    for (x, y), v in d1.items():
-        cols1 = M.ops.get(x)
-        cols2 = N.ops.get(y)
-        if not cols1 or not cols2:
-            continue
-        for a, rows1 in cols1.items():
-            for b, rows2 in cols2.items():
-                acc = cols.setdefault((a, b), {})
-                for r1, c1 in rows1.items():
-                    for r2, c2 in rows2.items():
-                        add_term(acc, (r1, r2), v * c1 * c2)
-    return _pair_entries_to_map(cols, flat, dn)
+    return _projector((M, N), M.algebra.delta_one())
 
 
 def triple_projector(M: HModule, N: HModule, P: HModule) -> LinMap:
     """The action of the twice-iterated coproduct of 1 on M tensor N tensor P."""
-    H = M.algebra
-    d2 = H.delta2_one()
-    dn, dp = N.dim, P.dim
-    flat = VectorSpace(M.dim * dn * dp)
-    entries = {}
-    for (x, y, z), v in d2.items():
-        cols1 = M.ops.get(x)
-        cols2 = N.ops.get(y)
-        cols3 = P.ops.get(z)
-        if not cols1 or not cols2 or not cols3:
-            continue
-        for a, rows1 in cols1.items():
-            for b, rows2 in cols2.items():
-                for c, rows3 in cols3.items():
-                    col = (a * dn + b) * dp + c
-                    for r1, c1 in rows1.items():
-                        for r2, c2 in rows2.items():
-                            c12 = v * c1 * c2
-                            for r3, c3 in rows3.items():
-                                add_term(entries,
-                                         ((r1 * dn + r2) * dp + r3, col),
-                                         c12 * c3)
-    return LinMap(flat, flat, entries)
-
-
-def pairs_of(flat: dict, dn: int) -> dict:
-    return {divmod(k, dn): v for k, v in flat.items()}
-
-
-def flat_of_pairs(pd: dict, dn: int) -> dict:
-    return {a * dn + b: v for (a, b), v in pd.items()}
-
-
-def triples_of(flat: dict, dn: int, dp: int) -> dict:
-    out = {}
-    for k, v in flat.items():
-        ab, c = divmod(k, dp)
-        a, b = divmod(ab, dn)
-        out[(a, b, c)] = v
-    return out
-
-
-def flat_of_triples(td: dict, dn: int, dp: int) -> dict:
-    return {(a * dn + b) * dp + c: v for (a, b, c), v in td.items()}
+    return _projector((M, N, P), M.algebra.delta2_one())
 
 
 class TruncatedTensor(HModule):
@@ -317,29 +196,42 @@ class TruncatedTensor(HModule):
         H.require_certified()
         proj_map = truncation_projector(left, right)
         carrier = split_idempotent(proj_map)
-        dn = right.dim
+        self.left = left
+        self.right = right
+        self.carrier = carrier
+        embedded = self.inclusion_table()
         action = {}
         for i in range(H.dim):
             cop = H.comult.get(i)
             if not cop:
                 continue
             for j in range(carrier.dim):
-                pd = pairs_of(carrier.inclusion({j: Fraction(1)}), dn)
-                out = act_pair(left, right, cop, pd)
-                for r, v in carrier.projection(flat_of_pairs(out, dn)).items():
+                out = act_pair(left, right, cop, embedded[j])
+                for r, v in self.project_pairs(out).items():
                     action[(i, r, j)] = v
         super().__init__(H, VectorSpace(carrier.dim), action)
-        self.left = left
-        self.right = right
-        self.carrier = carrier
+
+    def inclusion_table(self) -> dict:
+        """The carrier inclusion as a splice table {j: {(a, b): c}}."""
+        dims = (self.left.dim, self.right.dim)
+        return {j: unflatten(self.carrier.inclusion.column(j), dims)
+                for j in range(self.carrier.dim)}
+
+    def projection_table(self) -> dict:
+        """The carrier projection as a table {(a, b): {j: c}} on pairs."""
+        n = self.right.dim
+        return {divmod(k, n): col for k, col in
+                self.carrier.projection.columns().items()}
 
     def embed_pairs(self, coords: dict) -> dict:
         """Carrier coordinates to a pair-keyed ambient vector."""
-        return pairs_of(self.carrier.inclusion(coords), self.right.dim)
+        return unflatten(self.carrier.inclusion(coords),
+                         (self.left.dim, self.right.dim))
 
     def project_pairs(self, pd: dict) -> dict:
         """Pair-keyed ambient vector to carrier coordinates."""
-        return self.carrier.projection(flat_of_pairs(pd, self.right.dim))
+        return self.carrier.projection(
+            flatten(pd, (self.left.dim, self.right.dim)))
 
     def __repr__(self):
         return (f"TruncatedTensor(dim={self.dim} inside "
@@ -351,6 +243,40 @@ def truncated_tensor(M: HModule, N: HModule) -> TruncatedTensor:
     return TruncatedTensor(M, N)
 
 
+def _map_of_columns(dom: VectorSpace, cod: VectorSpace, column, n) -> LinMap:
+    """The map whose j-th column is the vector column(j), for j < n."""
+    return LinMap(dom, cod, {(r, j): c for j in range(n)
+                             for r, c in column(j).items()})
+
+
+def _unitor(M: HModule, unit: HModule, tt: TruncatedTensor, unit_leg: int):
+    """The unitor pair between M and its truncated product tt with the unit
+    object, the unit on leg unit_leg.  A target element z on the unit leg
+    acts on M as z (left) or as S(z) (right); the inverse sends m to the
+    coproduct of 1 acting on m in its M leg, with eps_t applied to the
+    other leg."""
+    H = M.algebra
+    tgt = unit.target
+    incl = tgt.inclusion.columns()
+    if unit_leg == 1:
+        incl = {a: H.antipode(z) for a, z in incl.items()}
+    # move the unit leg in front and let it act on the M leg
+    order = (unit_leg, 1 - unit_leg)
+    l = _map_of_columns(tt.space, M.space, lambda j: {
+        r: c for (r,), c in on_leg(on_leg(permute(tt.inclusion_table()[j], order), 0,
+                                          incl), slice(0, 2), M.action).items()},
+                        tt.dim)
+    eps = {k[unit_leg]: tgt.projection(H.epsilon_t(H.basis(k[unit_leg])))
+           for k in H.delta_one()}
+    split = on_leg(H.delta_one(), unit_leg, eps)
+    m_leg = 1 - unit_leg
+    l_inv = _map_of_columns(M.space, tt.space, lambda m: tt.project_pairs(
+        on_leg({k[:m_leg + 1] + (m,) + k[m_leg + 1:]: c
+                for k, c in split.items()}, slice(m_leg, m_leg + 2),
+               M.action)), M.dim)
+    return l, l_inv
+
+
 def left_unitor(M: HModule, unit: HModule | None = None,
                 tt: TruncatedTensor | None = None):
     """The unit-object unitor and its inverse, in carrier coordinates.
@@ -358,80 +284,21 @@ def left_unitor(M: HModule, unit: HModule | None = None,
     Returns (l, l_inv) with l mapping the truncated product of the unit
     object and M onto M by acting with the target-subalgebra leg.
     """
-    H = M.algebra
     if unit is None:
-        unit = unit_object(H)
+        unit = unit_object(M.algebra)
     if tt is None:
         tt = truncated_tensor(unit, M)
-    tgt = unit.target
-    one = Fraction(1)
-    entries = {}
-    for j in range(tt.dim):
-        for (a, m), v in tt.embed_pairs({j: one}).items():
-            z = tgt.inclusion({a: v})
-            for r, c in M.act(z, {m: one}).items():
-                add_term(entries, (r, j), c)
-    l = LinMap(tt.space, M.space, entries)
-    d1 = H.delta_one()
-    # ambient form of the inverse: m goes to eps_t(1_1) tensor 1_2 . m
-    first_leg = {}
-    for (x, y), v in d1.items():
-        coords = tgt.projection(H.epsilon_t(H.basis(x)))
-        if coords:
-            first_leg[(x, y)] = (v, coords)
-    inv_entries = {}
-    for m in range(M.dim):
-        pd = {}
-        for (x, y), (v, coords) in first_leg.items():
-            acted = M.act_basis(y, {m: v})
-            if not acted:
-                continue
-            for a, ca in coords.items():
-                for r, cr in acted.items():
-                    add_term(pd, (a, r), ca * cr)
-        for r, c in tt.project_pairs(pd).items():
-            inv_entries[(r, m)] = c
-    l_inv = LinMap(M.space, tt.space, inv_entries)
-    return l, l_inv
+    return _unitor(M, unit, tt, 0)
 
 
 def right_unitor(M: HModule, unit: HModule | None = None,
                  tt: TruncatedTensor | None = None):
     """The right unitor pair: acting with the antipode of the target leg."""
-    H = M.algebra
     if unit is None:
-        unit = unit_object(H)
+        unit = unit_object(M.algebra)
     if tt is None:
         tt = truncated_tensor(M, unit)
-    tgt = unit.target
-    one = Fraction(1)
-    entries = {}
-    for j in range(tt.dim):
-        for (m, a), v in tt.embed_pairs({j: one}).items():
-            sz = H.antipode(tgt.inclusion({a: v}))
-            for r, c in M.act(sz, {m: one}).items():
-                add_term(entries, (r, j), c)
-    r_map = LinMap(tt.space, M.space, entries)
-    d1 = H.delta_one()
-    second_leg = {}
-    for (x, y), v in d1.items():
-        coords = tgt.projection(H.epsilon_t(H.basis(y)))
-        if coords:
-            second_leg[(x, y)] = (v, coords)
-    inv_entries = {}
-    for m in range(M.dim):
-        pd = {}
-        for (x, y), (v, coords) in second_leg.items():
-            acted = M.act_basis(x, {m: v})
-            if not acted:
-                continue
-            for a, ca in coords.items():
-                for r, cr in acted.items():
-                    add_term(pd, (r, a), cr * ca)
-        for r, c in tt.project_pairs(pd).items():
-            inv_entries[(r, m)] = c
-    r_inv = LinMap(M.space, tt.space, inv_entries)
-    return r_map, r_inv
+    return _unitor(M, unit, tt, 1)
 
 
 def braiding_c(M: HModule, N: HModule, R, source: TruncatedTensor | None = None,
@@ -442,15 +309,10 @@ def braiding_c(M: HModule, N: HModule, R, source: TruncatedTensor | None = None,
         source = truncated_tensor(M, N)
     if target is None:
         target = truncated_tensor(N, M)
-    one = Fraction(1)
-    entries = {}
-    for j in range(source.dim):
-        pd = source.embed_pairs({j: one})
-        swapped = {(b, a): v
-                   for (a, b), v in act_pair(M, N, R.r, pd).items()}
-        for r, c in target.project_pairs(swapped).items():
-            entries[(r, j)] = c
-    return LinMap(source.space, target.space, entries)
+    embedded = source.inclusion_table()
+    return _map_of_columns(source.space, target.space, lambda j: (
+        target.project_pairs(permute(act_pair(M, N, R.r, embedded[j]),
+                                     (1, 0)))), source.dim)
 
 
 def braiding_c_inv(M: HModule, N: HModule, R,
@@ -462,34 +324,20 @@ def braiding_c_inv(M: HModule, N: HModule, R,
         source = truncated_tensor(N, M)
     if target is None:
         target = truncated_tensor(M, N)
-    one = Fraction(1)
-    entries = {}
-    for j in range(source.dim):
-        pd = source.embed_pairs({j: one})
-        flipped = {(a, b): v for (b, a), v in pd.items()}
-        out = act_pair(M, N, R.r_bar, flipped)
-        for r, c in target.project_pairs(out).items():
-            entries[(r, j)] = c
-    return LinMap(source.space, target.space, entries)
+    embedded = source.inclusion_table()
+    return _map_of_columns(source.space, target.space, lambda j: (
+        target.project_pairs(act_pair(M, N, R.r_bar,
+                                      permute(embedded[j], (1, 0))))),
+                           source.dim)
 
 
 def truncated_morphism(tt_dom: TruncatedTensor, tt_cod: TruncatedTensor,
                        f: LinMap, g: LinMap) -> LinMap:
     """The tensor of two morphisms, conjugated onto the carriers."""
-    one = Fraction(1)
-    entries = {}
-    for j in range(tt_dom.dim):
-        pd = tt_dom.embed_pairs({j: one})
-        out = {}
-        for (a, b), v in pd.items():
-            fa = f({a: v})
-            gb = g({b: one})
-            for r1, c1 in fa.items():
-                for r2, c2 in gb.items():
-                    add_term(out, (r1, r2), c1 * c2)
-        for r, c in tt_cod.project_pairs(out).items():
-            entries[(r, j)] = c
-    return LinMap(tt_dom.space, tt_cod.space, entries)
+    embedded = tt_dom.inclusion_table()
+    return _map_of_columns(tt_dom.space, tt_cod.space, lambda j: (
+        tt_cod.project_pairs(on_leg(on_leg(embedded[j], 0, f.columns()), 1,
+                                    g.columns()))), tt_dom.dim)
 
 
 def sample_endomorphisms(M: HModule, rng, count: int = 2):
@@ -513,122 +361,42 @@ def sample_endomorphisms(M: HModule, rng, count: int = 2):
     return out
 
 
-def _hexagon_forward_mismatch(H, R, M, N, P, carrier: Subspace):
-    """Braid the truncated product of M and N past P, leg by leg."""
-    dn, dp = N.dim, P.dim
-    one = Fraction(1)
-    terms = {}
-    for (p, q), v in R.r.items():
-        for (p1, p2), w in H.comult.get(p, {}).items():
-            add_term(terms, (p1, p2, q), v * w)
-    for j in range(carrier.dim):
-        x = triples_of(carrier.inclusion({j: one}), dn, dp)
-        lhs = {(c, a, b): v
-               for (a, b, c), v in act_triple(M, N, P, terms, x).items()}
-        step = {}
-        for (a, b, c), xv in x.items():
-            for (p, q), w in R.r.items():
-                cols2 = N.ops.get(p)
-                cols3 = P.ops.get(q)
-                if not cols2 or not cols3:
-                    continue
-                rows2 = cols2.get(b)
-                rows3 = cols3.get(c)
-                if not rows2 or not rows3:
-                    continue
-                wx = w * xv
-                for r2, c2 in rows2.items():
-                    for r3, c3 in rows3.items():
-                        add_term(step, (a, r3, r2), wx * c2 * c3)
-        rhs = {}
-        for (a, c, b), xv in step.items():
-            for (p, q), w in R.r.items():
-                cols1 = M.ops.get(p)
-                cols3 = P.ops.get(q)
-                if not cols1 or not cols3:
-                    continue
-                rows1 = cols1.get(a)
-                rows3 = cols3.get(c)
-                if not rows1 or not rows3:
-                    continue
-                wx = w * xv
-                for r1, c1 in rows1.items():
-                    for r3, c3 in rows3.items():
-                        add_term(rhs, (r3, r1, b), wx * c1 * c3)
-        if lhs != rhs:
-            return ((j,), lhs, rhs)
-    return None
+def carrier_mismatch(carrier: Subspace, dims, lhs, rhs):
+    """None if lhs(x) == rhs(x) for every basis vector x of the carrier,
+    unflattened to a tensor with legs of the given dims, else the witness
+    ((j,), lhs, rhs) of the first basis index j where they differ.
+
+    This is the skeleton of every hexagon check: lhs braids in one step,
+    rhs in two."""
+    def sides(j):
+        x = unflatten(carrier.inclusion.column(j), dims)
+        return lhs(x), rhs(x)
+    return first_unequal(product(range(carrier.dim)), sides)
 
 
-def _hexagon_backward_mismatch(H, R, M, N, P, carrier: Subspace):
-    """Braid M past the truncated product of N and P, leg by leg."""
-    dn, dp = N.dim, P.dim
-    one = Fraction(1)
-    terms = {}
-    for (p, q), v in R.r.items():
-        for (q1, q2), w in H.comult.get(q, {}).items():
-            add_term(terms, (p, q1, q2), v * w)
-    for j in range(carrier.dim):
-        x = triples_of(carrier.inclusion({j: one}), dn, dp)
-        lhs = {(b, c, a): v
-               for (a, b, c), v in act_triple(M, N, P, terms, x).items()}
-        step = {}
-        for (a, b, c), xv in x.items():
-            for (p, q), w in R.r.items():
-                cols1 = M.ops.get(p)
-                cols2 = N.ops.get(q)
-                if not cols1 or not cols2:
-                    continue
-                rows1 = cols1.get(a)
-                rows2 = cols2.get(b)
-                if not rows1 or not rows2:
-                    continue
-                wx = w * xv
-                for r1, c1 in rows1.items():
-                    for r2, c2 in rows2.items():
-                        add_term(step, (r2, r1, c), wx * c1 * c2)
-        rhs = {}
-        for (b, a, c), xv in step.items():
-            for (p, q), w in R.r.items():
-                cols1 = M.ops.get(p)
-                cols3 = P.ops.get(q)
-                if not cols1 or not cols3:
-                    continue
-                rows1 = cols1.get(a)
-                rows3 = cols3.get(c)
-                if not rows1 or not rows3:
-                    continue
-                wx = w * xv
-                for r1, c1 in rows1.items():
-                    for r3, c3 in rows3.items():
-                        add_term(rhs, (b, r3, r1), wx * c1 * c3)
-        if lhs != rhs:
-            return ((j,), lhs, rhs)
-    return None
+def _hexagon_braids(H, R, M, N, P):
+    """The one-step and two-step braids of both hexagons on M, N and P.
 
-
-def _nested_carrier_mismatch(split3: Subspace, outer: TruncatedTensor,
-                             inner_first: bool, dn: int, dp: int):
-    """Check one nesting order spans exactly the triple projector image."""
-    if outer.dim != split3.dim:
-        return ((), {0: outer.dim}, {0: split3.dim})
-    one = Fraction(1)
-    for j in range(outer.dim):
-        td = {}
-        if inner_first:
-            inner = outer.left
-            for (u, c), v in outer.embed_pairs({j: one}).items():
-                for (a, b), w in inner.embed_pairs({u: v}).items():
-                    add_term(td, (a, b, c), w)
-        else:
-            inner = outer.right
-            for (a, u), v in outer.embed_pairs({j: one}).items():
-                for (b, c), w in inner.embed_pairs({u: v}).items():
-                    add_term(td, (a, b, c), w)
-        flat = flat_of_triples(td, dn, dp)
-        if not split3.contains(flat):
-            return ((j,), flat, {})
-    return None
+    Forward braids the product of M and N past P, against first N then M
+    past P; backward braids M past the product of N and P, against M
+    first past N, then past P.
+    """
+    legs = (M.action, N.action, P.action)
+    r = R.r
+    forward_terms = on_leg(r, 0, H.comult)
+    backward_terms = on_leg(r, 1, H.comult)
+    return {
+        "hexagon_forward": (
+            lambda x: permute(act(legs, forward_terms, x), (2, 0, 1)),
+            lambda x: permute(act((M.action, P.action, None), r, permute(
+                act((None, N.action, P.action), r, x), (0, 2, 1))),
+                              (1, 0, 2))),
+        "hexagon_backward": (
+            lambda x: permute(act(legs, backward_terms, x), (1, 2, 0)),
+            lambda x: permute(act((None, M.action, P.action), r, permute(
+                act((M.action, N.action, None), r, x), (1, 0, 2))),
+                              (0, 2, 1))),
+    }
 
 
 def check_monoidal_coherence(H, R, modules, rng=None,
@@ -640,7 +408,6 @@ def check_monoidal_coherence(H, R, modules, rng=None,
         rng = random.Random(0)
     report = VerificationReport(subject=f"{H.name} monoidal coherence")
     unit = unit_object(H)
-    ident = LinMap.identity
 
     bad = None
     for idx, M in enumerate(modules):
@@ -651,6 +418,9 @@ def check_monoidal_coherence(H, R, modules, rng=None,
             break
     report.record("module_axioms", bad)
 
+    tgt = unit.target
+    incl = tgt.inclusion.columns()
+    s_incl = {a: H.antipode(z) for a, z in incl.items()}
     bad_inv = bad_tri = bad_lin = None
     for idx, M in enumerate(modules):
         tt_l = truncated_tensor(unit, M)
@@ -677,27 +447,15 @@ def check_monoidal_coherence(H, R, modules, rng=None,
             # triangle: collapsing the middle unit leg on either side of
             # the triple carrier gives the same map to M tensor_t N
             for jdx, N in enumerate(modules):
-                p3 = triple_projector(M, unit, N)
-                split3 = split_idempotent(p3)
-                tgt = unit.target
-                mism = None
-                for j in range(split3.dim):
-                    td = triples_of(split3.inclusion({j: Fraction(1)}),
-                                    unit.dim, N.dim)
-                    lhs = {}
-                    rhs = {}
-                    for (a, u, b), v in td.items():
-                        z = tgt.inclusion({u: v})
-                        for rn, cn in N.act(z, {b: Fraction(1)}).items():
-                            add_term(lhs, (a, rn), cn)
-                        sz = H.antipode(z)
-                        for rm, cm in M.act(sz, {a: Fraction(1)}).items():
-                            add_term(rhs, (rm, b), cm)
-                    if lhs != rhs:
-                        mism = ((idx, jdx, j), lhs, rhs)
-                        break
-                if mism is not None:
-                    bad_tri = mism
+                split3 = split_idempotent(triple_projector(M, unit, N))
+                w = carrier_mismatch(
+                    split3, (M.dim, unit.dim, N.dim),
+                    lambda x: on_leg(on_leg(x, 1, incl), slice(1, 3),
+                                     N.action),
+                    lambda x: on_leg(permute(on_leg(x, 1, s_incl), (1, 0, 2)),
+                                     slice(0, 2), M.action))
+                if w is not None:
+                    bad_tri = ((idx, jdx) + w[0], w[1], w[2])
                     break
     report.record("unitors_mutually_inverse", bad_inv)
     report.record("unitors_h_linear", bad_lin)
@@ -713,16 +471,14 @@ def check_monoidal_coherence(H, R, modules, rng=None,
     bad_well = None
     for (i, j), tt in tts.items():
         flat = tt.carrier.inclusion.codomain
+        dims = (tt.left.dim, tt.right.dim)
+        embedded = tt.inclusion_table()
         for h in range(H.dim):
             lhs = tt.carrier.inclusion.compose(tt.rho(h))
             cop = H.comult.get(h, {})
-            entries = {}
-            for col in range(tt.dim):
-                pd = tt.embed_pairs({col: Fraction(1)})
-                out = act_pair(tt.left, tt.right, cop, pd)
-                for k, v in flat_of_pairs(out, tt.right.dim).items():
-                    entries[(k, col)] = v
-            rhs = LinMap(tt.space, flat, entries)
+            rhs = _map_of_columns(tt.space, flat, lambda col: flatten(
+                act_pair(tt.left, tt.right, cop, embedded[col]), dims),
+                                  tt.dim)
             if lhs != rhs:
                 w = map_witness(lhs, rhs)
                 bad_well = ((i, j, h) + w[0], w[1], w[2])
@@ -764,31 +520,42 @@ def check_monoidal_coherence(H, R, modules, rng=None,
     report.record("braiding_h_linear", bad_blin)
     report.record("braiding_natural", bad_nat)
 
-    bad_nest = bad_hex_f = bad_hex_b = None
+    bad_nest = None
+    bad_hex = dict.fromkeys(("hexagon_forward", "hexagon_backward"))
     for i, M in enumerate(modules):
         for j, N in enumerate(modules):
             for k, P in enumerate(modules):
-                p3 = triple_projector(M, N, P)
-                split3 = split_idempotent(p3)
+                split3 = split_idempotent(triple_projector(M, N, P))
+                dims = (M.dim, N.dim, P.dim)
                 if bad_nest is None:
-                    left_nested = truncated_tensor(tts[(i, j)], P)
-                    w = _nested_carrier_mismatch(split3, left_nested, True,
-                                                 N.dim, P.dim)
+                    w = _nested_carrier_mismatch(
+                        split3, truncated_tensor(tts[(i, j)], P), 0, dims)
                     if w is None:
-                        right_nested = truncated_tensor(M, tts[(j, k)])
-                        w = _nested_carrier_mismatch(split3, right_nested,
-                                                     False, N.dim, P.dim)
+                        w = _nested_carrier_mismatch(
+                            split3, truncated_tensor(M, tts[(j, k)]), 1, dims)
                     if w is not None:
                         bad_nest = ((i, j, k) + w[0], w[1], w[2])
-                if bad_hex_f is None:
-                    w = _hexagon_forward_mismatch(H, R, M, N, P, split3)
-                    if w is not None:
-                        bad_hex_f = ((i, j, k) + w[0], w[1], w[2])
-                if bad_hex_b is None:
-                    w = _hexagon_backward_mismatch(H, R, M, N, P, split3)
-                    if w is not None:
-                        bad_hex_b = ((i, j, k) + w[0], w[1], w[2])
+                for name, braids in _hexagon_braids(H, R, M, N, P).items():
+                    if bad_hex[name] is None:
+                        w = carrier_mismatch(split3, dims, *braids)
+                        if w is not None:
+                            bad_hex[name] = ((i, j, k) + w[0], w[1], w[2])
     report.record("nested_carriers_coincide", bad_nest)
-    report.record("hexagon_forward", bad_hex_f)
-    report.record("hexagon_backward", bad_hex_b)
+    for name, w in bad_hex.items():
+        report.record(name, w)
     return report
+
+
+def _nested_carrier_mismatch(split3: Subspace, outer: TruncatedTensor,
+                             inner_leg: int, dims):
+    """Check that one nesting order, with the inner truncated product on
+    leg inner_leg of outer, spans exactly the triple projector image."""
+    if outer.dim != split3.dim:
+        return ((), {0: outer.dim}, {0: split3.dim})
+    inner = (outer.left, outer.right)[inner_leg].inclusion_table()
+    embedded = outer.inclusion_table()
+    for j in range(outer.dim):
+        flat = flatten(on_leg(embedded[j], inner_leg, inner), dims)
+        if not split3.contains(flat):
+            return ((j,), flat, {})
+    return None

@@ -12,11 +12,12 @@ those axioms, so its failures are flagged as internal errors.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from .linalg import (LinMap, VectorSpace, add_term, flatten_pairs, solve,
-                     split_pairs)
-from .weak_hopf import (NotCertified, VerificationReport, pair_mult,
-                        scalar_table_mismatch)
+from .linalg import (LinMap, VectorSpace, check_keys, flatten, on_leg, solve,
+                     unflatten)
+from .weak_hopf import (NotCertified, VerificationReport, first_unequal,
+                        pair_mult, scalar_table_mismatch)
 
 
 def flip_pairs(pd: dict) -> dict:
@@ -35,16 +36,16 @@ class RMatrix:
     def __init__(self, algebra, r, r_bar):
         co = algebra.field.coerce
         self.algebra = algebra
-        self.r = {}
-        for (i, j), c in r.items():
-            c = co(c)
-            if c != 0:
-                self.r[(i, j)] = c
-        self.r_bar = {}
-        for (i, j), c in r_bar.items():
-            c = co(c)
-            if c != 0:
-                self.r_bar[(i, j)] = c
+        tables = []
+        for name, table in (("r", r), ("r_bar", r_bar)):
+            check_keys(table, name, (algebra.dim, algebra.dim))
+            coerced = {}
+            for key, c in table.items():
+                c = co(c)
+                if c != 0:
+                    coerced[key] = c
+            tables.append(coerced)
+        self.r, self.r_bar = tables
         self.certified = False
 
     def require_certified(self):
@@ -58,135 +59,44 @@ class RMatrix:
                 f"{flag})")
 
 
-def _leg1_left(H, x, pd):
-    """(x tensor 1) times a pair-keyed tensor."""
-    out = {}
-    for (a, b), v in pd.items():
-        for t, c in H.multiply(x, {a: v}).items():
-            add_term(out, (t, b), c)
-    return out
-
-
-def _leg1_right(H, pd, x):
-    """A pair-keyed tensor times (x tensor 1)."""
-    out = {}
-    for (a, b), v in pd.items():
-        for t, c in H.multiply({a: v}, x).items():
-            add_term(out, (t, b), c)
-    return out
-
-
-def _leg2_left(H, x, pd):
-    """(1 tensor x) times a pair-keyed tensor."""
-    out = {}
-    for (a, b), v in pd.items():
-        for t, c in H.multiply(x, {b: v}).items():
-            add_term(out, (a, t), c)
-    return out
-
-
-def _leg2_right(H, pd, x):
-    """A pair-keyed tensor times (1 tensor x)."""
-    out = {}
-    for (a, b), v in pd.items():
-        for t, c in H.multiply({b: v}, x).items():
-            add_term(out, (a, t), c)
-    return out
-
-
 def _comult_second_leg_mismatch(H, r):
     """Coproduct applied to the second leg of R against R13 R12."""
-    lhs = {}
-    for (a, b), v in r.items():
-        for (c, d), w in H.comult.get(b, {}).items():
-            add_term(lhs, (a, c, d), v * w)
-    rhs = {}
-    for (a, b), v in r.items():
-        for (c, d), w in r.items():
-            prod = H.mult.get((a, c))
-            if prod:
-                vw = v * w
-                for x, cx in prod.items():
-                    add_term(rhs, (x, d, b), vw * cx)
-    return scalar_table_mismatch(lhs, rhs)
+    rhs = on_leg({(a, c, d, b): v * w for (a, b), v in r.items()
+                  for (c, d), w in r.items()}, slice(0, 2), H.mult)
+    return scalar_table_mismatch(on_leg(r, 1, H.comult), rhs)
 
 
 def _comult_first_leg_mismatch(H, r):
     """Coproduct applied to the first leg of R against R13 R23."""
-    lhs = {}
-    for (a, b), v in r.items():
-        for (c, d), w in H.comult.get(a, {}).items():
-            add_term(lhs, (c, d, b), v * w)
-    rhs = {}
-    for (a, b), v in r.items():
-        for (c, d), w in r.items():
-            prod = H.mult.get((b, d))
-            if prod:
-                vw = v * w
-                for x, cx in prod.items():
-                    add_term(rhs, (a, c, x), vw * cx)
-    return scalar_table_mismatch(lhs, rhs)
+    rhs = on_leg({(a, c, b, d): v * w for (a, b), v in r.items()
+                  for (c, d), w in r.items()}, slice(2, 4), H.mult)
+    return scalar_table_mismatch(on_leg(r, 0, H.comult), rhs)
 
 
 def _intertwine_mismatch(H, r):
     """Flipped coproduct times R against R times the coproduct, per basis."""
-    for i in range(H.dim):
-        cop = H.comult.get(i, {})
-        lhs = pair_mult(H, flip_pairs(cop), r)
-        rhs = pair_mult(H, r, cop)
-        if lhs != rhs:
-            return ((i,), lhs, rhs)
-    return None
+    return first_unequal(product(range(H.dim)), lambda i: (
+        pair_mult(H, flip_pairs(H.comult.get(i, {})), r),
+        pair_mult(H, r, H.comult.get(i, {}))))
 
 
 def _yang_baxter_mismatch(H, r):
     """R12 R13 R23 against R23 R13 R12, contracted leg by leg.
 
     The padded identity legs drop out because the algebra is unital, so
-    each double product needs only one structure-constant lookup.
+    each product multiplies only the legs both factors occupy.
     """
-    t1 = {}
-    for (a, b), v in r.items():
-        for (c, d), w in r.items():
-            prod = H.mult.get((a, c))
-            if prod:
-                vw = v * w
-                for x, cx in prod.items():
-                    add_term(t1, (x, b, d), vw * cx)
-    lhs = {}
-    for (x, y, z), v in t1.items():
-        for (u, t), w in r.items():
-            p1 = H.mult.get((y, u))
-            if not p1:
-                continue
-            p2 = H.mult.get((z, t))
-            if not p2:
-                continue
-            vw = v * w
-            for m, cm in p1.items():
-                for n, cn in p2.items():
-                    add_term(lhs, (x, m, n), vw * cm * cn)
-    t2 = {}
-    for (a, b), v in r.items():
-        for (c, d), w in r.items():
-            prod = H.mult.get((b, d))
-            if prod:
-                vw = v * w
-                for x, cx in prod.items():
-                    add_term(t2, (c, a, x), vw * cx)
-    rhs = {}
-    for (x, y, z), v in t2.items():
-        for (c, d), w in r.items():
-            p1 = H.mult.get((x, c))
-            if not p1:
-                continue
-            p2 = H.mult.get((y, d))
-            if not p2:
-                continue
-            vw = v * w
-            for m, cm in p1.items():
-                for n, cn in p2.items():
-                    add_term(rhs, (m, n, z), vw * cm * cn)
+    def legs(t, leg):
+        return on_leg(t, slice(leg, leg + 2), H.mult)
+
+    t1 = legs({(a, c, b, d): v * w for (a, b), v in r.items()
+               for (c, d), w in r.items()}, 0)
+    lhs = legs(legs({(x, y, u, z, t): v * w for (x, y, z), v in t1.items()
+                     for (u, t), w in r.items()}, 3), 1)
+    t2 = legs({(c, a, b, d): v * w for (a, b), v in r.items()
+               for (c, d), w in r.items()}, 2)
+    rhs = legs(legs({(x, c, y, d, z): v * w for (x, y, z), v in t2.items()
+                     for (c, d), w in r.items()}, 2), 0)
     return scalar_table_mismatch(lhs, rhs)
 
 
@@ -252,96 +162,45 @@ def check_derived_r_identities(H, R: RMatrix) -> VerificationReport:
     sev = "internal"
     r = R.r
     S = H.antipode
-    one = Fraction(1)
 
-    found = {
-        "slide_target_across_r": None,
-        "antipode_swaps_target_before_r": None,
-        "antipode_swaps_target_after_r": None,
-        "slide_source_across_r": None,
-        "antipode_swaps_source_before_r": None,
-        "antipode_swaps_source_after_r": None,
-    }
+    def mul(z, pos, leg):
+        """z inserted as leg pos of R, then multiplied into leg `leg`."""
+        return on_leg({k[:pos] + (p,) + k[pos:]: v * c
+                       for k, v in r.items() for p, c in z.items()},
+                      slice(leg, leg + 2), H.mult)
+
     tgt = H.target_space()
-    for j in range(tgt.dim):
-        z = tgt.inclusion({j: one})
-        sz = S(z)
-        if found["slide_target_across_r"] is None:
-            lhs = _leg2_left(H, z, r)
-            rhs = _leg1_right(H, r, z)
-            if lhs != rhs:
-                found["slide_target_across_r"] = ((j,), lhs, rhs)
-        if found["antipode_swaps_target_before_r"] is None:
-            lhs = _leg1_left(H, z, r)
-            rhs = _leg2_left(H, sz, r)
-            if lhs != rhs:
-                found["antipode_swaps_target_before_r"] = ((j,), lhs, rhs)
-        if found["antipode_swaps_target_after_r"] is None:
-            lhs = _leg2_right(H, r, z)
-            rhs = _leg1_right(H, r, sz)
-            if lhs != rhs:
-                found["antipode_swaps_target_after_r"] = ((j,), lhs, rhs)
     src = H.source_space()
-    for j in range(src.dim):
-        y = src.inclusion({j: one})
-        sy = S(y)
-        if found["slide_source_across_r"] is None:
-            lhs = _leg1_left(H, y, r)
-            rhs = _leg2_right(H, r, y)
-            if lhs != rhs:
-                found["slide_source_across_r"] = ((j,), lhs, rhs)
-        if found["antipode_swaps_source_before_r"] is None:
-            lhs = _leg2_left(H, y, r)
-            rhs = _leg1_left(H, sy, r)
-            if lhs != rhs:
-                found["antipode_swaps_source_before_r"] = ((j,), lhs, rhs)
-        if found["antipode_swaps_source_after_r"] is None:
-            lhs = _leg1_right(H, r, y)
-            rhs = _leg2_right(H, r, sy)
-            if lhs != rhs:
-                found["antipode_swaps_source_after_r"] = ((j,), lhs, rhs)
-    for name, witness in found.items():
-        report.record(name, witness, severity=sev)
+    for name, sub, sides in (
+            ("slide_target_across_r", tgt,
+             lambda z: (mul(z, 1, 1), mul(z, 1, 0))),
+            ("antipode_swaps_target_before_r", tgt,
+             lambda z: (mul(z, 0, 0), mul(S(z), 1, 1))),
+            ("antipode_swaps_target_after_r", tgt,
+             lambda z: (mul(z, 2, 1), mul(S(z), 1, 0))),
+            ("slide_source_across_r", src,
+             lambda y: (mul(y, 0, 0), mul(y, 2, 1))),
+            ("antipode_swaps_source_before_r", src,
+             lambda y: (mul(y, 1, 1), mul(S(y), 0, 0))),
+            ("antipode_swaps_source_after_r", src,
+             lambda y: (mul(y, 1, 0), mul(S(y), 2, 1)))):
+        report.record(name, first_unequal(
+            product(range(sub.dim)),
+            lambda j: sides(sub.inclusion.column(j))), severity=sev)
 
     d1 = H.delta_one()
-    es = H.epsilon_s_map()
-    et = H.epsilon_t_map()
-
-    lhs = {}
-    for (a, b), v in r.items():
-        for u, c in es({a: v}).items():
-            add_term(lhs, (u, b), c)
-    report.record("source_counit_collapses_first_leg",
-                  scalar_table_mismatch(lhs, d1), severity=sev)
-
-    lhs = {}
-    for (a, b), v in r.items():
-        for u, c in es({b: v}).items():
-            add_term(lhs, (a, u), c)
-    rhs = {}
-    for (x, y), v in d1.items():
-        for u, c in S({y: v}).items():
-            add_term(rhs, (u, x), c)
-    report.record("source_counit_collapses_second_leg",
-                  scalar_table_mismatch(lhs, rhs), severity=sev)
-
-    lhs = {}
-    for (a, b), v in r.items():
-        for u, c in et({a: v}).items():
-            add_term(lhs, (u, b), c)
-    report.record("target_counit_collapses_first_leg",
-                  scalar_table_mismatch(lhs, flip_pairs(d1)), severity=sev)
-
-    lhs = {}
-    for (a, b), v in r.items():
-        for u, c in et({b: v}).items():
-            add_term(lhs, (a, u), c)
-    rhs = {}
-    for (x, y), v in d1.items():
-        for u, c in S({x: v}).items():
-            add_term(rhs, (u, y), c)
-    report.record("target_counit_collapses_second_leg",
-                  scalar_table_mismatch(lhs, rhs), severity=sev)
+    es = H.epsilon_s_map().columns()
+    et = H.epsilon_t_map().columns()
+    s_table = H.antipode_map.columns()
+    for name, lhs, rhs in (
+            ("source_counit_collapses_first_leg", on_leg(r, 0, es), d1),
+            ("source_counit_collapses_second_leg", on_leg(r, 1, es),
+             flip_pairs(on_leg(d1, 1, s_table))),
+            ("target_counit_collapses_first_leg", on_leg(r, 0, et),
+             flip_pairs(d1)),
+            ("target_counit_collapses_second_leg", on_leg(r, 1, et),
+             on_leg(d1, 0, s_table))):
+        report.record(name, scalar_table_mismatch(lhs, rhs), severity=sev)
     return report
 
 
@@ -357,25 +216,21 @@ def solve_r_bar(H, r: dict):
     H.require_certified()
     d = H.dim
     sq = d * d
-    domain = VectorSpace(sq)
-    codomain = VectorSpace(2 * sq)
     entries = {}
-    for i in range(d):
-        for j in range(d):
-            col = i * d + j
-            basis_pair = {(i, j): Fraction(1)}
-            for (x, y), c in pair_mult(H, r, basis_pair).items():
-                add_term(entries, (x * d + y, col), c)
-            for (x, y), c in pair_mult(H, basis_pair, r).items():
-                add_term(entries, (sq + x * d + y, col), c)
-    system = LinMap(domain, codomain, entries)
+    for col, pair in enumerate(product(range(d), repeat=2)):
+        basis_pair = {pair: Fraction(1)}
+        for k, c in flatten(pair_mult(H, r, basis_pair), (d, d)).items():
+            entries[(k, col)] = c
+        for k, c in flatten(pair_mult(H, basis_pair, r), (d, d)).items():
+            entries[(sq + k, col)] = c
+    system = LinMap(VectorSpace(sq), VectorSpace(2 * sq), entries)
     d1 = H.delta_one()
-    target = flatten_pairs(flip_pairs(d1), d)
-    target.update({sq + k: c for k, c in flatten_pairs(d1, d).items()})
+    target = flatten(flip_pairs(d1), (d, d))
+    target.update({sq + k: c for k, c in flatten(d1, (d, d)).items()})
     flat = solve(system, target)
     if flat is None:
         return None
-    candidate = split_pairs(flat, d)
+    candidate = unflatten(flat, (d, d))
     corner = pair_mult(H, d1, pair_mult(H, candidate, flip_pairs(d1)))
     if pair_mult(H, r, corner) != flip_pairs(d1):
         return None

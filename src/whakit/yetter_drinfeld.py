@@ -15,13 +15,15 @@ module braiding.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from .linalg import LinMap, VectorSpace, add_term, split_idempotent
-from .module_cat import (HModule, pairs_of, regular_module, triple_projector,
-                         triples_of, truncation_projector, truncated_tensor,
-                         unit_object)
+from .linalg import (LinMap, VectorSpace, act, flatten, on_leg, permute,
+                     split_idempotent, unflatten)
+from .module_cat import (HModule, _map_of_columns, carrier_mismatch,
+                         regular_module, triple_projector, truncation_projector,
+                         truncated_tensor, unit_object)
 from .transmutation import BraidedHopfAlgebra, transmute
-from .weak_hopf import VerificationReport
+from .weak_hopf import VerificationReport, first_unequal
 
 ONE = Fraction(1)
 
@@ -32,6 +34,13 @@ class CoactionEscapesCarrier(RuntimeError):
 
 class AntipodeNotInvertible(RuntimeError):
     """The inverse braiding needs an antipode inverse the algebra lacks."""
+
+
+def _coaction_table(coaction: LinMap, first_dim: int) -> dict:
+    """A flattened coaction as a splice table {j: {(a, m): c}}."""
+    dims = (first_dim, coaction.domain.dim)
+    return {j: unflatten(coaction.column(j), dims)
+            for j in range(coaction.domain.dim)}
 
 
 class YDModule:
@@ -49,13 +58,20 @@ class YDModule:
         if coaction_h.codomain.dim != self.algebra.dim * module.dim:
             raise ValueError("coaction codomain is not the tensor square")
         self.coaction_h = coaction_h
+        self._table = None
 
     @property
     def dim(self):
         return self.module.dim
 
     def coaction_pairs(self, vec: dict) -> dict:
-        return pairs_of(self.coaction_h(vec), self.module.dim)
+        return unflatten(self.coaction_h(vec), (self.algebra.dim, self.dim))
+
+    def table(self) -> dict:
+        """The coaction as a splice table {j: {(a, m): c}}."""
+        if self._table is None:
+            self._table = _coaction_table(self.coaction_h, self.algebra.dim)
+        return self._table
 
 
 class RHComodule:
@@ -75,13 +91,26 @@ class RHComodule:
         if coaction_rh.codomain.dim != braided.dim * module.dim:
             raise ValueError("coaction codomain is not carrier by module")
         self.coaction_rh = coaction_rh
+        self._table = None
 
     @property
     def dim(self):
         return self.module.dim
 
     def coaction_pairs(self, vec: dict) -> dict:
-        return pairs_of(self.coaction_rh(vec), self.module.dim)
+        return unflatten(self.coaction_rh(vec), (self.braided.dim, self.dim))
+
+    def table(self) -> dict:
+        """The coaction as a splice table {j: {(a, m): c}}."""
+        if self._table is None:
+            self._table = _coaction_table(self.coaction_rh, self.braided.dim)
+        return self._table
+
+
+def _coassociative(table: dict, comult: dict, dim: int):
+    """The coassociativity witness of a coaction table over comult."""
+    return first_unequal(product(range(dim)), lambda j: (
+        on_leg(table[j], 0, comult), on_leg(table[j], 1, table)))
 
 
 def check_yd(Y: YDModule) -> VerificationReport:
@@ -96,72 +125,34 @@ def check_yd(Y: YDModule) -> VerificationReport:
     ok = P.compose(Y.coaction_h) == Y.coaction_h
     report.add("coaction_lands_in_truncated", ok)
 
-    bad = None
-    for j in range(M.dim):
-        out = {}
-        for (a, m), v in Y.coaction_pairs({j: ONE}).items():
-            c = H.counit.get(a)
-            if c:
-                add_term(out, m, v * c)
-        if out != {j: ONE}:
-            bad = ((j,), out, {j: ONE})
-            break
-    report.record("coaction_counital", bad)
+    table = Y.table()
+    eps = {i: {(): c} for i, c in H.counit.items()}
+    report.record("coaction_counital", first_unequal(
+        product(range(M.dim)), lambda j: (
+            {m: c for (m,), c in on_leg(table[j], 0, eps).items()}, {j: ONE})))
+    report.record("coaction_coassociative",
+                  _coassociative(table, H.comult, M.dim))
 
-    bad = None
-    for j in range(M.dim):
-        lhs = {}
-        rhs = {}
-        for (a, m), v in Y.coaction_pairs({j: ONE}).items():
-            for (a1, a2), w in H.comult.get(a, {}).items():
-                add_term(lhs, (a1, a2, m), v * w)
-            for (b, m2), w in Y.coaction_pairs({m: ONE}).items():
-                add_term(rhs, (a, b, m2), v * w)
-        if lhs != rhs:
-            bad = ((j,), lhs, rhs)
-            break
-    report.record("coaction_coassociative", bad)
+    # rho(i . m) = i_1 m_(-1) S(i_3) (x) i_2 . m_(0)
+    S = H.antipode_map.columns()
 
-    bad = None
-    for i in range(H.dim):
-        if bad is not None:
-            break
-        for j in range(M.dim):
-            lhs = Y.coaction_pairs(M.act_basis(i, {j: ONE}))
-            rhs = {}
-            for (i1, i2, i3), w in H.comult2(i).items():
-                s3 = H.antipode(H.basis(i3))
-                for (a, m), v in Y.coaction_pairs({j: ONE}).items():
-                    first = H.multiply(H.multiply({i1: w}, {a: v}), s3)
-                    if not first:
-                        continue
-                    moved = M.act_basis(i2, {m: ONE})
-                    for t, c in first.items():
-                        for m2, cm in moved.items():
-                            add_term(rhs, (t, m2), c * cm)
-            if lhs != rhs:
-                bad = ((i, j), lhs, rhs)
-                break
-    report.record("action_coaction_compatible", bad)
+    def compatible(i, j):
+        t = {(i1, a, i3, i2, m): w * v for (i1, i2, i3), w in
+             H.comult2(i).items() for (a, m), v in table[j].items()}
+        t = on_leg(on_leg(on_leg(t, 2, S), slice(0, 2), H.mult), slice(0, 2),
+                   H.mult)
+        return (Y.coaction_pairs(M.rho(i).column(j)),
+                on_leg(t, slice(1, 3), M.action))
+    report.record("action_coaction_compatible", first_unequal(
+        product(range(H.dim), range(M.dim)), compatible))
 
+    # m_(-1) S(1_2) (x) 1_1 . m_(0) = rho(m)
     d1 = H.delta_one()
-    bad = None
-    for j in range(M.dim):
-        cur = Y.coaction_pairs({j: ONE})
-        out = {}
-        for (a, m), v in cur.items():
-            for (x, y), w in d1.items():
-                first = H.multiply({a: v * w}, H.antipode(H.basis(y)))
-                if not first:
-                    continue
-                moved = M.act_basis(x, {m: ONE})
-                for t, c in first.items():
-                    for m2, cm in moved.items():
-                        add_term(out, (t, m2), c * cm)
-        if out != cur:
-            bad = ((j,), out, cur)
-            break
-    report.record("split_unit_absorbed", bad)
+    report.record("split_unit_absorbed", first_unequal(
+        product(range(M.dim)), lambda j: (on_leg(on_leg(on_leg(
+            {(a, y, x, m): v * w for (a, m), v in table[j].items()
+             for (x, y), w in d1.items()}, 1, S), slice(0, 2), H.mult),
+            slice(1, 3), M.action), table[j])))
     return report
 
 
@@ -170,14 +161,11 @@ def induced_yd(M: HModule, R) -> YDModule:
     and expose the other."""
     R.require_certified()
     H = M.algebra
-    entries = {}
-    for j in range(M.dim):
-        for (p, q), v in R.r.items():
-            for m, c in M.act_basis(p, {j: ONE}).items():
-                add_term(entries, (q * M.dim + m, j), v * c)
-    entries = {k: v for k, v in entries.items() if v}
-    cod = VectorSpace(H.dim * M.dim)
-    return YDModule(M, LinMap(M.space, cod, entries))
+    dims = (H.dim, M.dim)
+    return YDModule(M, _map_of_columns(
+        M.space, VectorSpace(H.dim * M.dim), lambda j: flatten(on_leg(
+            {(q, p, j): v for (p, q), v in R.r.items()}, slice(1, 3),
+            M.action), dims), M.dim))
 
 
 def check_rh_comodule(N: RHComodule) -> VerificationReport:
@@ -191,55 +179,19 @@ def check_rh_comodule(N: RHComodule) -> VerificationReport:
     ok = P.compose(N.coaction_rh) == N.coaction_rh
     report.add("coaction_lands_in_truncated", ok)
 
-    bad = None
-    for j in range(M.dim):
-        lhs = {}
-        rhs = {}
-        for (a, m), v in N.coaction_pairs({j: ONE}).items():
-            for (a1, a2), w in B.comult.get(a, {}).items():
-                add_term(lhs, (a1, a2, m), v * w)
-            for (b, m2), w in N.coaction_pairs({m: ONE}).items():
-                add_term(rhs, (a, b, m2), v * w)
-        if lhs != rhs:
-            bad = ((j,), lhs, rhs)
-            break
-    report.record("coaction_coassociative_deformed", bad)
+    table = N.table()
+    report.record("coaction_coassociative_deformed",
+                  _coassociative(table, B.comult, M.dim))
 
-    bad = None
-    for j in range(M.dim):
-        out = {}
-        for (a, m), v in N.coaction_pairs({j: ONE}).items():
-            amb = B.carrier.inclusion({a: v})
-            for t, c in M.act(H.epsilon_t(amb), {m: ONE}).items():
-                add_term(out, t, c)
-        if out != {j: ONE}:
-            bad = ((j,), out, {j: ONE})
-            break
-    report.record("coaction_counital_target", bad)
+    eps_t = {a: H.epsilon_t(z) for a, z in B.carrier.inclusion.columns().items()}
+    report.record("coaction_counital_target", first_unequal(
+        product(range(M.dim)), lambda j: ({m: c for (m,), c in on_leg(on_leg(
+            table[j], 0, eps_t), slice(0, 2), M.action).items()}, {j: ONE})))
 
-    bad = None
-    for i in range(H.dim):
-        if bad is not None:
-            break
-        for j in range(M.dim):
-            lhs = N.coaction_pairs(M.act_basis(i, {j: ONE}))
-            rhs = {}
-            for (i1, i2), w in H.comult.get(i, {}).items():
-                for (a, m), v in N.coaction_pairs({j: ONE}).items():
-                    moved_a = B.module.act_basis(i1, {a: ONE})
-                    if not moved_a:
-                        continue
-                    moved_m = M.act_basis(i2, {m: ONE})
-                    if not moved_m:
-                        continue
-                    wv = w * v
-                    for t, c in moved_a.items():
-                        for m2, cm in moved_m.items():
-                            add_term(rhs, (t, m2), wv * c * cm)
-            if lhs != rhs:
-                bad = ((i, j), lhs, rhs)
-                break
-    report.record("coaction_h_linear", bad)
+    report.record("coaction_h_linear", first_unequal(
+        product(range(H.dim), range(M.dim)), lambda i, j: (
+            N.coaction_pairs(M.rho(i).column(j)),
+            act((B.module.action, M.action), H.comult.get(i, {}), table[j]))))
     return report
 
 
@@ -247,82 +199,76 @@ def functor_G(Y: YDModule, B: BraidedHopfAlgebra) -> RHComodule:
     """Translate an ambient coaction into a carrier coaction by absorbing
     one antipode-twisted R-matrix leg."""
     H = Y.algebra
-    R = B.rmatrix
     M = Y.module
-    entries = {}
-    for j in range(M.dim):
-        pd = {}
-        for (a, m), v in Y.coaction_pairs({j: ONE}).items():
-            for (p, q), w in R.r.items():
-                first = H.multiply({a: v * w}, H.antipode(H.basis(q)))
-                if not first:
-                    continue
-                moved = M.act_basis(p, {m: ONE})
-                for t, c in first.items():
-                    for m2, cm in moved.items():
-                        add_term(pd, (t, m2), c * cm)
-        for (t, m2), c in pd.items():
-            coords = B.carrier.projection({t: c})
-            if B.carrier.inclusion(coords) != {t: c}:
-                raise CoactionEscapesCarrier(
-                    f"translated coaction of basis {j} left the carrier")
-            for r, cc in coords.items():
-                add_term(entries, (r * M.dim + m2, j), cc)
-    entries = {k: v for k, v in entries.items() if v}
-    cod = VectorSpace(B.dim * M.dim)
-    return RHComodule(B, M, LinMap(M.space, cod, entries))
+    S = H.antipode_map.columns()
+    proj = B.carrier.projection.columns()
+    outside = {t for t in range(H.dim) if not B.carrier.contains({t: ONE})}
+    table = Y.table()
+
+    def column(j):
+        # m_(-1) S(R^2) (x) R^1 . m_(0)
+        pd = {(a, q, p, m): v * w for (a, m), v in table[j].items()
+              for (p, q), w in B.rmatrix.r.items()}
+        pd = on_leg(on_leg(on_leg(pd, 1, S), slice(0, 2), H.mult),
+                    slice(1, 3), M.action)
+        if any(t in outside for t, _ in pd):
+            raise CoactionEscapesCarrier(
+                f"translated coaction of basis {j} left the carrier")
+        return flatten(on_leg(pd, 0, proj), (B.dim, M.dim))
+    return RHComodule(B, M, _map_of_columns(
+        M.space, VectorSpace(B.dim * M.dim), column, M.dim))
 
 
 def functor_F(N: RHComodule) -> YDModule:
     """Translate a carrier coaction back by restoring the R-matrix leg."""
     B = N.braided
     H = N.algebra
-    R = B.rmatrix
     M = N.module
-    entries = {}
-    for j in range(M.dim):
-        for (a, m), v in N.coaction_pairs({j: ONE}).items():
-            amb = B.carrier.inclusion({a: v})
-            for (p, q), w in R.r.items():
-                first = H.multiply(amb, {q: w})
-                if not first:
-                    continue
-                moved = M.act_basis(p, {m: ONE})
-                for t, c in first.items():
-                    for m2, cm in moved.items():
-                        add_term(entries, (t * M.dim + m2, j), c * cm)
-    entries = {k: v for k, v in entries.items() if v}
-    cod = VectorSpace(H.dim * M.dim)
-    return YDModule(M, LinMap(M.space, cod, entries))
+    incl = B.carrier.inclusion.columns()
+    table = N.table()
+    # m_(-1) R^2 (x) R^1 . m_(0), the carrier leg read in the algebra
+    return YDModule(M, _map_of_columns(
+        M.space, VectorSpace(H.dim * M.dim), lambda j: flatten(on_leg(on_leg(
+            on_leg({(a, q, p, m): v * w for (a, m), v in table[j].items()
+                    for (p, q), w in B.rmatrix.r.items()}, 0, incl),
+            slice(0, 2), H.mult), slice(1, 3), M.action), (H.dim, M.dim)),
+        M.dim))
 
 
 def trivial_comodule(B: BraidedHopfAlgebra, M: HModule) -> RHComodule:
     """The coaction pairing each vector with the truncated unit."""
     H = B.algebra
     one_c = B.carrier.projection(dict(H.unit))
-    entries = {}
-    for j in range(M.dim):
-        for (x, y), v in H.delta_one().items():
-            moved_one = B.module.act_basis(x, one_c)
-            if not moved_one:
-                continue
-            moved = M.act_basis(y, {j: ONE})
-            for a, c in moved_one.items():
-                for m, cm in moved.items():
-                    add_term(entries, (a * M.dim + m, j), v * c * cm)
-    entries = {k: v for k, v in entries.items() if v}
-    cod = VectorSpace(B.dim * M.dim)
-    return RHComodule(B, M, LinMap(M.space, cod, entries))
+    return RHComodule(B, M, _map_of_columns(
+        M.space, VectorSpace(B.dim * M.dim), lambda j: flatten(act(
+            (B.module.action, M.action), H.delta_one(),
+            {(a, j): c for a, c in one_c.items()}), (B.dim, M.dim)), M.dim))
 
 
 def regular_rh_comodule(B: BraidedHopfAlgebra) -> RHComodule:
     """The carrier coacting on itself through the deformed coproduct."""
-    entries = {}
-    for i in range(B.dim):
-        for (a, b), c in B.comult.get(i, {}).items():
-            entries[(a * B.dim + b, i)] = c
-    cod = VectorSpace(B.dim * B.dim)
-    return RHComodule(B, B.module, LinMap(B.space, cod, entries))
+    return RHComodule(B, B.module, _map_of_columns(
+        B.space, VectorSpace(B.dim * B.dim),
+        lambda i: flatten(B.comult.get(i, {}), (B.dim, B.dim)), B.dim))
+
+
+def _tensor_coaction(tt, first_dim: int, coact) -> LinMap:
+    """The coaction on a truncated tensor tt whose column j, keyed
+    (coacting leg, left module leg, right module leg), is coact(pairs)
+    for the pair-keyed embedding of carrier basis j; the module legs are
+    projected back onto the carrier, which they must not leave."""
+    proj = tt.projection_table()
+    incl = tt.inclusion_table()
+
+    def column(j):
+        raw = coact(incl[j])
+        coords = on_leg(raw, slice(1, 3), proj)
+        if on_leg(coords, 1, incl) != raw:
+            raise CoactionEscapesCarrier(
+                f"tensor coaction of basis {j} missed the truncated square")
+        return flatten(coords, (first_dim, tt.dim))
+    return _map_of_columns(tt.space, VectorSpace(first_dim * tt.dim), column,
+                           tt.dim)
 
 
 def yd_tensor(Y1: YDModule, Y2: YDModule) -> YDModule:
@@ -330,31 +276,10 @@ def yd_tensor(Y1: YDModule, Y2: YDModule) -> YDModule:
     multiply the ambient legs, pair the module legs."""
     H = Y1.algebra
     tt = truncated_tensor(Y1.module, Y2.module)
-    entries = {}
-    for j in range(tt.dim):
-        raw = {}
-        for (u, v), c in tt.embed_pairs({j: ONE}).items():
-            for (a, u0), v1 in Y1.coaction_pairs({u: c}).items():
-                for (b, v0), v2 in Y2.coaction_pairs({v: ONE}).items():
-                    prod = H.mult.get((a, b))
-                    if not prod:
-                        continue
-                    cc = v1 * v2
-                    for t, w in prod.items():
-                        add_term(raw, (t, (u0, v0)), cc * w)
-        by_first = {}
-        for (t, uv), c in raw.items():
-            by_first.setdefault(t, {})[uv] = c
-        for t, pd in by_first.items():
-            coords = tt.project_pairs(pd)
-            if tt.embed_pairs(coords) != pd:
-                raise CoactionEscapesCarrier(
-                    f"tensor coaction of basis {j} missed the truncated square")
-            for r, c in coords.items():
-                add_term(entries, (t * tt.dim + r, j), c)
-    entries = {k: v for k, v in entries.items() if v}
-    cod = VectorSpace(H.dim * tt.dim)
-    return YDModule(tt, LinMap(tt.space, cod, entries))
+    t1, t2 = Y1.table(), Y2.table()
+    return YDModule(tt, _tensor_coaction(tt, H.dim, lambda pd: on_leg(
+        permute(on_leg(on_leg(pd, 0, t1), 2, t2), (0, 2, 1, 3)),
+        slice(0, 2), H.mult)))
 
 
 def comodule_tensor(M: RHComodule, N: RHComodule) -> RHComodule:
@@ -363,43 +288,12 @@ def comodule_tensor(M: RHComodule, N: RHComodule) -> RHComodule:
     B = M.braided
     if N.braided is not B:
         raise ValueError("comodules live over different transmutations")
-    R = B.rmatrix
     tt = truncated_tensor(M.module, N.module)
-    entries = {}
-    for j in range(tt.dim):
-        raw = {}
-        for (u, v), c in tt.embed_pairs({j: ONE}).items():
-            for (a, u0), v1 in M.coaction_pairs({u: c}).items():
-                for (b, v0), v2 in N.coaction_pairs({v: ONE}).items():
-                    cc = v1 * v2
-                    for (p, q), w in R.r.items():
-                        moved_b = B.module.act_basis(q, {b: ONE})
-                        if not moved_b:
-                            continue
-                        moved_u0 = M.module.act_basis(p, {u0: ONE})
-                        if not moved_u0:
-                            continue
-                        for b2, cb in moved_b.items():
-                            prod = B.mult.get((a, b2))
-                            if not prod:
-                                continue
-                            for u1, cu in moved_u0.items():
-                                c3 = cc * w * cb * cu
-                                for t, ct in prod.items():
-                                    add_term(raw, (t, (u1, v0)), c3 * ct)
-        by_first = {}
-        for (t, uv), c in raw.items():
-            by_first.setdefault(t, {})[uv] = c
-        for t, pd in by_first.items():
-            coords = tt.project_pairs(pd)
-            if tt.embed_pairs(coords) != pd:
-                raise CoactionEscapesCarrier(
-                    f"tensor coaction of basis {j} missed the truncated square")
-            for r, c in coords.items():
-                add_term(entries, (t * tt.dim + r, j), c)
-    entries = {k: v for k, v in entries.items() if v}
-    cod = VectorSpace(B.dim * tt.dim)
-    return RHComodule(B, tt, LinMap(tt.space, cod, entries))
+    t1, t2 = M.table(), N.table()
+    inner = (None, M.module.action, B.module.action, None)
+    return RHComodule(B, tt, _tensor_coaction(tt, B.dim, lambda pd: on_leg(
+        permute(act(inner, B.rmatrix.r, on_leg(on_leg(pd, 0, t1), 2, t2)),
+                (0, 2, 1, 3)), slice(0, 2), B.mult)))
 
 
 def check_equivalence_roundtrip(H, R, samples=None,
@@ -473,19 +367,36 @@ def yd_braiding(V: YDModule, W: YDModule,
         source = truncated_tensor(V.module, W.module)
     if target is None:
         target = truncated_tensor(W.module, V.module)
-    dn = W.module.dim
-    entries = {}
-    for j in range(source.dim):
-        out = {}
-        for (v, w), c in pairs_of(source.carrier.inclusion({j: ONE}),
-                                  dn).items():
-            for (a, v0), cv in V.coaction_pairs({v: c}).items():
-                moved = W.module.act_basis(a, {w: ONE})
-                for w2, cw in moved.items():
-                    add_term(out, (w2, v0), cv * cw)
-        for r, c in target.project_pairs(out).items():
-            entries[(r, j)] = c
-    return LinMap(source.space, target.space, entries)
+    incl = source.inclusion_table()
+    table = V.table()
+    return _map_of_columns(source.space, target.space, lambda j: (
+        target.project_pairs(on_leg(permute(on_leg(incl[j], 0, table),
+                                            (0, 2, 1)),
+                                    slice(0, 2), W.module.action))),
+                           source.dim)
+
+
+def _braid_step(com: RHComodule, other: HModule, t: dict, leg: int,
+                twist) -> dict:
+    """One comodule braiding step on legs leg (in com) and leg + 1 (in
+    other) of t; the other legs pass through.
+
+    The coaction leg of com, read in the algebra and times the second
+    R-matrix leg (then mapped through the table twist, if one is given),
+    acts on leg + 1; the first R-matrix leg acts on what is left of leg;
+    the two outputs swap places.
+    """
+    B = com.braided
+    t = on_leg(on_leg(t, leg, com.table()), leg,
+               B.carrier.inclusion.columns())
+    # (.., h, x, y, ..) -> (.., h, R^2, y, R^1, x, ..)
+    t = {k[:leg] + (k[leg], q, k[leg + 2], p, k[leg + 1]) + k[leg + 3:]: c * w
+         for k, c in t.items() for (p, q), w in B.rmatrix.r.items()}
+    t = on_leg(t, slice(leg, leg + 2), com.algebra.mult)
+    if twist is not None:
+        t = on_leg(t, leg, twist)
+    t = on_leg(t, slice(leg, leg + 2), other.action)
+    return on_leg(t, slice(leg + 1, leg + 3), com.module.action)
 
 
 def comodule_braiding(U: RHComodule, V: RHComodule,
@@ -493,44 +404,21 @@ def comodule_braiding(U: RHComodule, V: RHComodule,
     """Braid carrier comodules: the coaction leg of u, pushed through an
     R-matrix leg, acts on v; the other R-matrix leg acts on what is left
     of u, and the two outputs swap places."""
-    B = U.braided
-    H = U.algebra
-    R = B.rmatrix
     if source is None:
         source = truncated_tensor(U.module, V.module)
     if target is None:
         target = truncated_tensor(V.module, U.module)
-    dn = V.module.dim
-    entries = {}
-    for j in range(source.dim):
-        out = {}
-        for (u, v), c in pairs_of(source.carrier.inclusion({j: ONE}),
-                                  dn).items():
-            for (a, u0), cu in U.coaction_pairs({u: c}).items():
-                amb = B.carrier.inclusion({a: cu})
-                for (p, q), w in R.r.items():
-                    mover = H.multiply(amb, {q: w})
-                    if not mover:
-                        continue
-                    moved_v = V.module.act(mover, {v: ONE})
-                    if not moved_v:
-                        continue
-                    moved_u0 = U.module.act_basis(p, {u0: ONE})
-                    for v2, cv in moved_v.items():
-                        for u1, cu1 in moved_u0.items():
-                            add_term(out, (v2, u1), cv * cu1)
-        for r, c in target.project_pairs(out).items():
-            entries[(r, j)] = c
-    return LinMap(source.space, target.space, entries)
+    incl = source.inclusion_table()
+    return _map_of_columns(source.space, target.space, lambda j: (
+        target.project_pairs(_braid_step(U, V.module, incl[j], 0, None))),
+                           source.dim)
 
 
 def comodule_braiding_inv(U: RHComodule, V: RHComodule,
                           source=None, target=None) -> LinMap:
     """The inverse braiding; needs the antipode inverse to untwist the
     coaction leg."""
-    B = U.braided
     H = U.algebra
-    R = B.rmatrix
     if H.antipode_inverse_map is None:
         raise AntipodeNotInvertible(
             f"{H.name} carries no antipode inverse")
@@ -538,37 +426,19 @@ def comodule_braiding_inv(U: RHComodule, V: RHComodule,
         source = truncated_tensor(V.module, U.module)
     if target is None:
         target = truncated_tensor(U.module, V.module)
-    dn = U.module.dim
-    entries = {}
-    for j in range(source.dim):
-        out = {}
-        for (v, u), c in pairs_of(source.carrier.inclusion({j: ONE}),
-                                  dn).items():
-            for (a, u0), cu in U.coaction_pairs({u: c}).items():
-                amb = B.carrier.inclusion({a: cu})
-                for (p, q), w in R.r.items():
-                    mover = H.antipode_inv(H.multiply(amb, {q: w}))
-                    if not mover:
-                        continue
-                    moved_v = V.module.act(mover, {v: ONE})
-                    if not moved_v:
-                        continue
-                    moved_u0 = U.module.act_basis(p, {u0: ONE})
-                    for u1, cu1 in moved_u0.items():
-                        for v2, cv in moved_v.items():
-                            add_term(out, (u1, v2), cu1 * cv)
-        for r, c in target.project_pairs(out).items():
-            entries[(r, j)] = c
-    return LinMap(source.space, target.space, entries)
+    incl = source.inclusion_table()
+    untwist = H.antipode_inverse_map.columns()
+    return _map_of_columns(source.space, target.space, lambda j: (
+        target.project_pairs(permute(_braid_step(
+            U, V.module, permute(incl[j], (1, 0)), 0, untwist), (1, 0)))),
+                           source.dim)
 
 
 def check_comodule_braiding(U: RHComodule, V: RHComodule,
                             P: RHComodule | None = None) -> VerificationReport:
     """Invertibility, agreement with the translated module braiding, and,
     given a third comodule, both hexagon identities."""
-    B = U.braided
     H = U.algebra
-    R = B.rmatrix
     report = VerificationReport(subject=f"{H.name} comodule braiding")
 
     uv = truncated_tensor(U.module, V.module)
@@ -583,138 +453,47 @@ def check_comodule_braiding(U: RHComodule, V: RHComodule,
     report.add("matches_translated_module_braiding", forward == translated)
 
     if P is not None:
-        report.record("hexagon_forward",
-                      _hexagon_forward_mismatch(U, V, P))
-        report.record("hexagon_backward",
-                      _hexagon_backward_mismatch(U, V, P))
+        split3 = split_idempotent(triple_projector(U.module, V.module,
+                                                   P.module))
+        dims = (U.dim, V.dim, P.dim)
+        for name, braids in _hexagon_braids(U, V, P).items():
+            report.record(name, carrier_mismatch(split3, dims, *braids))
     return report
 
 
-def _split3(M1: HModule, M2: HModule, M3: HModule):
-    return split_idempotent(triple_projector(M1, M2, M3))
+def _hexagon_braids(U, V, P):
+    """The one-step and two-step braids of both comodule hexagons.
 
-
-def _triples_of_carrier(split3, j, dn, dp):
-    return triples_of(split3.inclusion({j: ONE}), dn, dp)
-
-
-def _braid_coacting_leg(com: RHComodule, other: HModule, x, y):
-    """One braiding step on a leg pair: coact on x, act on y, swap."""
-    B = com.braided
-    H = com.algebra
-    R = B.rmatrix
-    out = {}
-    for (a, x0), cx in com.coaction_pairs(x).items():
-        amb = B.carrier.inclusion({a: cx})
-        for (p, q), w in R.r.items():
-            mover = H.multiply(amb, {q: w})
-            if not mover:
-                continue
-            moved_y = other.act(mover, y)
-            if not moved_y:
-                continue
-            moved_x0 = com.module.act_basis(p, {x0: ONE})
-            for y2, cy in moved_y.items():
-                for x1, cx1 in moved_x0.items():
-                    add_term(out, (y2, x1), cy * cx1)
-    return out
-
-
-def _hexagon_forward_mismatch(U, V, P):
-    """Braiding the tensor of U and V past P must equal braiding in two
-    steps, first the V leg, then the U leg."""
-    B = U.braided
-    H = U.algebra
-    R = B.rmatrix
+    Forward braids the tensor of U and V past P, against first the V leg,
+    then the U leg; backward braids U past the tensor of V and P, against
+    first past V, then past P.
+    """
     UV = comodule_tensor(U, V)
-    split3 = _split3(U.module, V.module, P.module)
-    dn, dp = V.module.dim, P.module.dim
-    tt_uv = UV.module
-    for j in range(split3.dim):
-        td = _triples_of_carrier(split3, j, dn, dp)
-        rhs = {}
-        for (u, v, p), c in td.items():
-            step = _braid_coacting_leg(V, P.module, {v: c}, {p: ONE})
-            for (p2, v2), cc in step.items():
-                step2 = _braid_coacting_leg(U, P.module, {u: ONE}, {p2: cc})
-                for (p3, u2), c3 in step2.items():
-                    add_term(rhs, (p3, u2, v2), c3)
-        lhs = {}
-        by_pair = {}
-        for (u, v, p), c in td.items():
-            by_pair.setdefault(p, {})[(u, v)] = c
-        for p, pd in by_pair.items():
-            coords = tt_uv.project_pairs(pd)
-            for (a, j2), cu in pairs_of(UV.coaction_rh(coords),
-                                        tt_uv.dim).items():
-                amb = B.carrier.inclusion({a: cu})
-                for (rp, rq), w in R.r.items():
-                    mover = H.multiply(amb, {rq: w})
-                    if not mover:
-                        continue
-                    moved_p = P.module.act(mover, {p: ONE})
-                    if not moved_p:
-                        continue
-                    inner = pairs_of(
-                        tt_uv.carrier.inclusion(tt_uv.rho(rp)({j2: ONE})), dn)
-                    for p3, cp in moved_p.items():
-                        for (u2, v2), cin in inner.items():
-                            add_term(lhs, (p3, u2, v2), cp * cin)
-        if lhs != rhs:
-            return ((j,), lhs, rhs)
-    return None
-
-
-def _hexagon_backward_mismatch(U, V, P):
-    """Braiding U past the tensor of V and P must equal braiding in two
-    steps, first past V, then past P."""
-    B = U.braided
+    uv = UV.module
     H = U.algebra
-    R = B.rmatrix
-    VP = comodule_tensor(V, P)
-    split3 = _split3(U.module, V.module, P.module)
-    dn, dp = V.module.dim, P.module.dim
-    tt_vp = VP.module
-    for j in range(split3.dim):
-        td = _triples_of_carrier(split3, j, dn, dp)
-        rhs = {}
-        for (u, v, p), c in td.items():
-            step = _braid_coacting_leg(U, V.module, {u: c}, {v: ONE})
-            for (v2, u2), cc in step.items():
-                step2 = _braid_coacting_leg(U, P.module, {u2: cc}, {p: ONE})
-                for (p2, u3), c3 in step2.items():
-                    add_term(rhs, (v2, p2, u3), c3)
-        lhs = {}
-        for (u, v, p), c in td.items():
-            for (a, u0), cu in U.coaction_pairs({u: c}).items():
-                amb = B.carrier.inclusion({a: cu})
-                for (rp, rq), w in R.r.items():
-                    mover = H.multiply(amb, {rq: w})
-                    if not mover:
-                        continue
-                    moved_u0 = U.module.act_basis(rp, {u0: ONE})
-                    if not moved_u0:
-                        continue
-                    for (h1, h2), ch in _comult_vec(H, mover).items():
-                        moved_v = V.module.act_basis(h1, {v: ONE})
-                        if not moved_v:
-                            continue
-                        moved_p = P.module.act_basis(h2, {p: ONE})
-                        if not moved_p:
-                            continue
-                        for v2, cv in moved_v.items():
-                            for p2, cp in moved_p.items():
-                                cc = ch * cv * cp
-                                for u3, cu3 in moved_u0.items():
-                                    add_term(lhs, (v2, p2, u3), cc * cu3)
-        if lhs != rhs:
-            return ((j,), lhs, rhs)
-    return None
+    R = U.braided.rmatrix
 
-
-def _comult_vec(H, vec):
-    out = {}
-    for i, c in vec.items():
-        for jk, w in H.comult.get(i, {}).items():
-            add_term(out, jk, c * w)
-    return out
+    def backward(x):
+        # the coaction leg of u, times R^2, acts on v and p through its
+        # coproduct; R^1 acts on what is left of u
+        t = on_leg(on_leg(x, 0, U.table()), 0,
+                   U.braided.carrier.inclusion.columns())
+        t = {(h, q, y, z, p, u): c * w for (h, u, y, z), c in t.items()
+             for (p, q), w in R.r.items()}
+        t = on_leg(on_leg(t, slice(0, 2), H.mult), 0, H.comult)
+        t = on_leg(permute(t, (0, 2, 1, 3, 4, 5)), slice(0, 2),
+                   V.module.action)
+        t = on_leg(t, slice(1, 3), P.module.action)
+        return on_leg(t, slice(2, 4), U.module.action)
+    return {
+        "hexagon_forward": (
+            lambda x: on_leg(_braid_step(UV, P.module, on_leg(
+                x, slice(0, 2), uv.projection_table()), 0, None), 1,
+                uv.inclusion_table()),
+            lambda x: _braid_step(U, P.module, _braid_step(
+                V, P.module, x, 1, None), 0, None)),
+        "hexagon_backward": (
+            backward,
+            lambda x: _braid_step(U, P.module, _braid_step(
+                U, V.module, x, 0, None), 1, None)),
+    }

@@ -7,13 +7,12 @@ import pytest
 
 from whakit.examples import group_algebra_zn, sweedler
 from whakit.linalg import LinMap, VectorSpace
-from whakit.module_cat import (HModule, IdempotentFailure, braiding_c,
+from whakit.module_cat import (HModule, braiding_c,
                                braiding_c_inv, check_module,
                                check_monoidal_coherence, h_linear_mismatch,
                                left_unitor, regular_module, right_unitor,
                                truncated_tensor, truncation_projector,
                                unit_object)
-from whakit.linalg import NotIdempotent
 from whakit.quasitriangular import certify_quasitriangular
 from whakit.weak_hopf import NotCertified, certify
 
@@ -192,7 +191,3 @@ def test_coherence_catches_corrupted_braiding(z3_pair):
     modules = [regular_module(H)]
     report = check_monoidal_coherence(H, bad, modules)
     assert not report.passed
-
-
-def test_idempotent_failure_alias():
-    assert IdempotentFailure is NotIdempotent
