@@ -1,12 +1,18 @@
-"""Built-in sample algebras used across the test suite and the CLI.
+"""Built-in sample algebras used across the test suite.
 
 sweedler() builds the four dimensional Hopf algebra generated by a
 grouplike g and a skew-primitive h with g*g = 1, h*h = 0, h*g = -g*h,
 carrying its standard triangular R-matrix.  group_algebra_zn(n) builds
 the group algebra of the cyclic group of order n with the identity
-R-matrix.  Both are ordinary Hopf algebras, which makes them useful
-degenerate cases: the coproduct of 1 is 1 tensor 1, so every truncation
-in the weak theory collapses.
+R-matrix.  Both are ordinary Hopf algebras: the coproduct of 1 is
+1 tensor 1, so every truncation in the weak theory collapses.
+
+group_algebra_zn_anyonic(n) is the same group algebra over Q(w), w a
+primitive n-th root of unity, with a non-triangular R-matrix.
+groupoid_algebra(k, G) is a genuinely weak Hopf algebra, the algebra of
+the pair groupoid on k objects times Z_G, after Nikshych and Vainerman,
+"Finite quantum groupoids and their applications" (2002): there the
+coproduct of 1 is not 1 tensor 1, and truncation is real.
 
 Constructors return unverified values; callers certify.
 """
@@ -65,6 +71,24 @@ def sweedler():
     return H, RMatrix(H, r0, dict(r0))
 
 
+def _cyclic_group_algebra(name, field, n):
+    if n < 1:
+        raise ValueError("group order must be positive")
+    one = Fraction(1)
+    antipode = {(i, (-i) % n): one for i in range(n)}
+    return WeakHopfAlgebra(
+        name=name,
+        field=field,
+        labels=tuple(f"g^{i}" for i in range(n)),
+        mult={(i, j, (i + j) % n): one for i in range(n) for j in range(n)},
+        unit={0: one},
+        comult={(i, i, i): one for i in range(n)},
+        counit={i: one for i in range(n)},
+        antipode=antipode,
+        antipode_inverse=dict(antipode),
+    )
+
+
 def group_algebra_zn(n: int):
     """The group algebra of the cyclic group of order n over the rationals.
 
@@ -72,23 +96,68 @@ def group_algebra_zn(n: int):
     R-matrix is 1 tensor 1, making the structure triangular.  Returns an
     uncertified (algebra, rmatrix) pair.
     """
-    if n < 1:
-        raise ValueError("group order must be positive")
+    H = _cyclic_group_algebra(f"group_algebra_z{n}", Field(), n)
     one = Fraction(1)
-    mult = {(i, j, (i + j) % n): one for i in range(n) for j in range(n)}
-    comult = {(i, i, i): one for i in range(n)}
-    counit = {i: one for i in range(n)}
-    antipode = {(i, (-i) % n): one for i in range(n)}
+    return H, RMatrix(H, {(0, 0): one}, {(0, 0): one})
+
+
+def group_algebra_zn_anyonic(n: int):
+    """The group algebra of Z_n over Q(w) with the anyonic R-matrix.
+
+    R = (1/n) sum w^{ab} g^a (x) g^b and its inverse
+    R_bar = (1/n) sum w^{-ab} g^a (x) g^b, with w a primitive n-th root
+    of unity.  For n > 2, R_bar is not the flip of R, so the structure is
+    not triangular.  Returns an uncertified (algebra, rmatrix) pair.
+    """
+    field = Field(n)
+    H = _cyclic_group_algebra(f"group_algebra_z{n}_anyonic", field, n)
+    powers = [Fraction(1)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * field.omega())
+    r = {(a, b): Fraction(1, n) * powers[(a * b) % n]
+         for a in range(n) for b in range(n)}
+    r_bar = {(a, b): Fraction(1, n) * powers[(-a * b) % n]
+             for a in range(n) for b in range(n)}
+    return H, RMatrix(H, r, r_bar)
+
+
+def groupoid_algebra(k: int, G: int):
+    """The algebra of the pair groupoid on k objects times Z_G.
+
+    The basis element (x, y, g) is the arrow y -> x carrying g, labelled
+    "x<-y:g^g", and (x, y, g)(y, z, h) = (x, z, g + h); other products
+    vanish.  The unit is the sum of the identity arrows (x, x, 0); every
+    arrow is group-like with counit 1, and S(x, y, g) = (y, x, -g).
+    R = R_bar = Delta(1), the sum of the identity arrows tensored with
+    themselves.  For k > 1 this is a weak Hopf algebra that is not a Hopf
+    algebra.  Returns an uncertified (algebra, rmatrix) pair.
+    """
+    if k < 1 or G < 1:
+        raise ValueError("object count and group order must be positive")
+    one = Fraction(1)
+    index = {}
+    for x in range(k):
+        for y in range(k):
+            for g in range(G):
+                index[(x, y, g)] = len(index)
+    mult = {}
+    for (x, y, g), i in index.items():
+        for z in range(k):
+            for h in range(G):
+                mult[(i, index[(y, z, h)], index[(x, z, (g + h) % G)])] = one
+    antipode = {(i, index[(y, x, (-g) % G)]): one
+                for (x, y, g), i in index.items()}
+    units = [index[(x, x, 0)] for x in range(k)]
     H = WeakHopfAlgebra(
-        name=f"group_algebra_z{n}",
+        name=f"groupoid_algebra_{k}x{G}",
         field=Field(),
-        labels=tuple(f"g^{i}" for i in range(n)),
+        labels=tuple(f"{x}<-{y}:g^{g}" for (x, y, g) in index),
         mult=mult,
-        unit={0: one},
-        comult=comult,
-        counit=counit,
+        unit={i: one for i in units},
+        comult={(i, i, i): one for i in index.values()},
+        counit={i: one for i in index.values()},
         antipode=antipode,
         antipode_inverse=dict(antipode),
     )
-    r = {(0, 0): one}
-    return H, RMatrix(H, r, {(0, 0): one})
+    r = {(i, i): one for i in units}
+    return H, RMatrix(H, r, dict(r))

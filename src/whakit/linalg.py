@@ -140,6 +140,7 @@ def act(tables, x: dict, y: dict) -> dict:
                     c = c0
                     for v in vals:
                         c = c * v
+                    # add_term, inlined: this loop runs for every term
                     cur = get(key)
                     if cur is None:
                         out[key] = c

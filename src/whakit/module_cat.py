@@ -15,6 +15,7 @@ H-linear, natural, and obeys both hexagons.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -60,20 +61,6 @@ class HModule:
             self._rho = {k: LinMap(self.space, self.space, e)
                          for k, e in entries.items()}
         return self._rho[i]
-
-    def act_basis(self, i, m: dict) -> dict:
-        out = {}
-        for c, x in m.items():
-            for r, v in self.action.get((i, c), {}).items():
-                add_term(out, r, v * x)
-        return out
-
-    def act(self, h: dict, m: dict) -> dict:
-        out = {}
-        for i, c in h.items():
-            for r, v in self.act_basis(i, m).items():
-                add_term(out, r, c * v)
-        return out
 
     def __repr__(self):
         return (f"HModule(over {self.algebra.name!r}, dim={self.dim})")
@@ -153,9 +140,7 @@ def _projector(modules, d: dict) -> LinMap:
     """The action of a k-leg algebra tensor d, leg by leg, on the flattened
     tensor product of k modules."""
     dims = [M.dim for M in modules]
-    n = 1
-    for m in dims:
-        n *= m
+    n = math.prod(dims)
     # the basis tensors some term of d acts on, first seen first, each
     # carrying its flat index as a pass-through leg
     cols = {}
@@ -167,8 +152,7 @@ def _projector(modules, d: dict) -> LinMap:
         dict.fromkeys(cols, ONE), dims))}
     out = act([M.action for M in modules] + [None], d, cols)
     space = VectorSpace(n)
-    return LinMap(space, space, {divmod(k, n): c for k, c in
-                                 flatten(out, dims + [n]).items()})
+    return LinMap(space, space, unflatten(flatten(out, dims + [n]), (n, n)))
 
 
 def truncation_projector(M: HModule, N: HModule) -> LinMap:
@@ -219,9 +203,8 @@ class TruncatedTensor(HModule):
 
     def projection_table(self) -> dict:
         """The carrier projection as a table {(a, b): {j: c}} on pairs."""
-        n = self.right.dim
-        return {divmod(k, n): col for k, col in
-                self.carrier.projection.columns().items()}
+        return unflatten(self.carrier.projection.columns(),
+                         (self.left.dim, self.right.dim))
 
     def embed_pairs(self, coords: dict) -> dict:
         """Carrier coordinates to a pair-keyed ambient vector."""
@@ -243,12 +226,6 @@ def truncated_tensor(M: HModule, N: HModule) -> TruncatedTensor:
     return TruncatedTensor(M, N)
 
 
-def _map_of_columns(dom: VectorSpace, cod: VectorSpace, column, n) -> LinMap:
-    """The map whose j-th column is the vector column(j), for j < n."""
-    return LinMap(dom, cod, {(r, j): c for j in range(n)
-                             for r, c in column(j).items()})
-
-
 def _unitor(M: HModule, unit: HModule, tt: TruncatedTensor, unit_leg: int):
     """The unitor pair between M and its truncated product tt with the unit
     object, the unit on leg unit_leg.  A target element z on the unit leg
@@ -257,24 +234,28 @@ def _unitor(M: HModule, unit: HModule, tt: TruncatedTensor, unit_leg: int):
     other leg."""
     H = M.algebra
     tgt = unit.target
-    incl = tgt.inclusion.columns()
+    m_leg = 1 - unit_leg
+    acting = tgt.inclusion.columns()
     if unit_leg == 1:
-        incl = {a: H.antipode(z) for a, z in incl.items()}
-    # move the unit leg in front and let it act on the M leg
-    order = (unit_leg, 1 - unit_leg)
-    l = _map_of_columns(tt.space, M.space, lambda j: {
-        r: c for (r,), c in on_leg(on_leg(permute(tt.inclusion_table()[j], order), 0,
-                                          incl), slice(0, 2), M.action).items()},
-                        tt.dim)
+        acting = {a: H.antipode(z) for a, z in acting.items()}
+    embedded = tt.inclusion_table()
+
+    def collapse(j):
+        # the unit leg, moved in front and read in H, acts on the M leg
+        t = on_leg(permute(embedded[j], (unit_leg, m_leg)), 0, acting)
+        return {r: c for (r,), c in on_leg(t, slice(0, 2), M.action).items()}
+
     eps = {k[unit_leg]: tgt.projection(H.epsilon_t(H.basis(k[unit_leg])))
            for k in H.delta_one()}
     split = on_leg(H.delta_one(), unit_leg, eps)
-    m_leg = 1 - unit_leg
-    l_inv = _map_of_columns(M.space, tt.space, lambda m: tt.project_pairs(
-        on_leg({k[:m_leg + 1] + (m,) + k[m_leg + 1:]: c
-                for k, c in split.items()}, slice(m_leg, m_leg + 2),
-               M.action)), M.dim)
-    return l, l_inv
+
+    def expand(m):
+        # e_m inserted after the M leg of the split unit, which acts on it
+        t = {k[:m_leg + 1] + (m,) + k[m_leg + 1:]: c for k, c in split.items()}
+        return tt.project_pairs(on_leg(t, slice(m_leg, m_leg + 2), M.action))
+
+    return (LinMap.from_function(tt.space, M.space, collapse),
+            LinMap.from_function(M.space, tt.space, expand))
 
 
 def left_unitor(M: HModule, unit: HModule | None = None,
@@ -310,9 +291,9 @@ def braiding_c(M: HModule, N: HModule, R, source: TruncatedTensor | None = None,
     if target is None:
         target = truncated_tensor(N, M)
     embedded = source.inclusion_table()
-    return _map_of_columns(source.space, target.space, lambda j: (
+    return LinMap.from_function(source.space, target.space, lambda j: (
         target.project_pairs(permute(act_pair(M, N, R.r, embedded[j]),
-                                     (1, 0)))), source.dim)
+                                     (1, 0)))))
 
 
 def braiding_c_inv(M: HModule, N: HModule, R,
@@ -325,19 +306,18 @@ def braiding_c_inv(M: HModule, N: HModule, R,
     if target is None:
         target = truncated_tensor(M, N)
     embedded = source.inclusion_table()
-    return _map_of_columns(source.space, target.space, lambda j: (
+    return LinMap.from_function(source.space, target.space, lambda j: (
         target.project_pairs(act_pair(M, N, R.r_bar,
-                                      permute(embedded[j], (1, 0))))),
-                           source.dim)
+                                      permute(embedded[j], (1, 0))))))
 
 
 def truncated_morphism(tt_dom: TruncatedTensor, tt_cod: TruncatedTensor,
                        f: LinMap, g: LinMap) -> LinMap:
     """The tensor of two morphisms, conjugated onto the carriers."""
     embedded = tt_dom.inclusion_table()
-    return _map_of_columns(tt_dom.space, tt_cod.space, lambda j: (
+    return LinMap.from_function(tt_dom.space, tt_cod.space, lambda j: (
         tt_cod.project_pairs(on_leg(on_leg(embedded[j], 0, f.columns()), 1,
-                                    g.columns()))), tt_dom.dim)
+                                    g.columns()))))
 
 
 def sample_endomorphisms(M: HModule, rng, count: int = 2):
@@ -383,20 +363,26 @@ def _hexagon_braids(H, R, M, N, P):
     """
     legs = (M.action, N.action, P.action)
     r = R.r
+    # R with the coproduct applied to its first, then to its second leg
     forward_terms = on_leg(r, 0, H.comult)
     backward_terms = on_leg(r, 1, H.comult)
-    return {
-        "hexagon_forward": (
-            lambda x: permute(act(legs, forward_terms, x), (2, 0, 1)),
-            lambda x: permute(act((M.action, P.action, None), r, permute(
-                act((None, N.action, P.action), r, x), (0, 2, 1))),
-                              (1, 0, 2))),
-        "hexagon_backward": (
-            lambda x: permute(act(legs, backward_terms, x), (1, 2, 0)),
-            lambda x: permute(act((None, M.action, P.action), r, permute(
-                act((M.action, N.action, None), r, x), (1, 0, 2))),
-                              (0, 2, 1))),
-    }
+
+    def forward_one(x):
+        return permute(act(legs, forward_terms, x), (2, 0, 1))
+
+    def forward_two(x):
+        step = permute(act((None, N.action, P.action), r, x), (0, 2, 1))
+        return permute(act((M.action, P.action, None), r, step), (1, 0, 2))
+
+    def backward_one(x):
+        return permute(act(legs, backward_terms, x), (1, 2, 0))
+
+    def backward_two(x):
+        step = permute(act((M.action, N.action, None), r, x), (1, 0, 2))
+        return permute(act((None, M.action, P.action), r, step), (0, 2, 1))
+
+    return {"hexagon_forward": (forward_one, forward_two),
+            "hexagon_backward": (backward_one, backward_two)}
 
 
 def check_monoidal_coherence(H, R, modules, rng=None,
@@ -476,9 +462,8 @@ def check_monoidal_coherence(H, R, modules, rng=None,
         for h in range(H.dim):
             lhs = tt.carrier.inclusion.compose(tt.rho(h))
             cop = H.comult.get(h, {})
-            rhs = _map_of_columns(tt.space, flat, lambda col: flatten(
-                act_pair(tt.left, tt.right, cop, embedded[col]), dims),
-                                  tt.dim)
+            rhs = LinMap.from_function(tt.space, flat, lambda col: flatten(
+                act_pair(tt.left, tt.right, cop, embedded[col]), dims))
             if lhs != rhs:
                 w = map_witness(lhs, rhs)
                 bad_well = ((i, j, h) + w[0], w[1], w[2])

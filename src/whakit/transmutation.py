@@ -23,7 +23,7 @@ from itertools import product
 
 from .linalg import (LinMap, Subspace, VectorSpace, act, on_leg, permute,
                      split_idempotent)
-from .module_cat import (HModule, _map_of_columns, carrier_mismatch,
+from .module_cat import (HModule, carrier_mismatch,
                          h_linear_mismatch, left_unitor, right_unitor,
                          triple_projector, truncated_tensor, unit_object)
 from .weak_hopf import (NotCertified, VerificationReport, WeakHopfAlgebra,
@@ -40,12 +40,12 @@ class ComultiplicationEscapesCarrier(CarrierInvariantError):
     """The deformed coproduct left the truncated square of the carrier."""
 
 
-def _checked_coords(carrier: Subspace, vec: dict, what: str) -> dict:
-    """Carrier coordinates of vec, raising CarrierInvariantError when vec
+def _checked_coords(carrier: Subspace, vec: dict, message: str) -> dict:
+    """Carrier coordinates of vec; CarrierInvariantError(message) when vec
     lies outside the carrier."""
     coords = carrier.projection(vec)
     if carrier.inclusion(coords) != vec:
-        raise CarrierInvariantError(f"{what} left the carrier")
+        raise CarrierInvariantError(message)
     return coords
 
 
@@ -84,12 +84,14 @@ def _adjoint_module(H, carrier: Subspace) -> HModule:
     for j in range(carrier.dim):
         x = carrier.inclusion.column(j)
         for i in range(H.dim):
-            out = H.fold(on_leg({(a, p, b): v * c for (a, b), v in
-                                 H.comult.get(i, {}).items()
-                                 for p, c in x.items()}, 2, S))
+            t = {(a, p, b): v * c for (a, b), v in H.comult.get(i, {}).items()
+                 for p, c in x.items()}
+            out = H.fold(on_leg(t, 2, S))
             if not out:
                 continue
-            for r, c in _checked_coords(carrier, out, "adjoint action").items():
+            coords = _checked_coords(carrier, out,
+                                     "adjoint action left the carrier")
+            for r, c in coords.items():
                 action[(i, r, j)] = c
     return HModule(H, VectorSpace(carrier.dim), action)
 
@@ -123,12 +125,11 @@ class BraidedHopfAlgebra:
         self.space = module.space
         self.certified = False
         embedded = square.inclusion_table()
-        self.mult_bar = _map_of_columns(
-            square.space, self.space, lambda j: self.fold(embedded[j]),
-            square.dim)
-        self.comult_bar = _map_of_columns(
+        self.mult_bar = LinMap.from_function(
+            square.space, self.space, lambda j: self.fold(embedded[j]))
+        self.comult_bar = LinMap.from_function(
             self.space, square.space,
-            lambda i: square.project_pairs(comult_table.get(i, {})), self.dim)
+            lambda i: square.project_pairs(comult_table.get(i, {})))
 
     @property
     def dim(self):
@@ -191,25 +192,29 @@ def transmute(H, R) -> BraidedHopfAlgebra:
                 f"coproduct of carrier basis {i} missed the truncated square")
         comult_table[i] = coords_pd
 
-    counit_bar = _map_of_columns(
+    counit_bar = LinMap.from_function(
         module.space, unit_module.space,
-        lambda i: tgt.projection(H.epsilon_t(carrier.inclusion.column(i))),
-        carrier.dim)
-    unit_bar = _map_of_columns(
+        lambda i: tgt.projection(H.epsilon_t(carrier.inclusion.column(i))))
+    unit_bar = LinMap.from_function(
         unit_module.space, module.space,
-        lambda j: _checked_coords(carrier, tgt.inclusion.column(j),
-                                  "target subalgebra"), tgt.dim)
+        lambda j: _checked_coords(
+            carrier, tgt.inclusion.column(j),
+            "target subalgebra does not embed in the carrier"))
 
-    # R^2 R'^2 S(R^1 x S(R'^1)), with R' a second copy of R
     pairs = {(p, p2, q, q2): v * w for (p, q), v in R.r.items()
              for (p2, q2), w in R.r.items()}
-    antipode_bar = _map_of_columns(module.space, module.space, lambda i: (
-        _checked_coords(carrier, H.fold(permute(on_leg(on_leg(on_leg(
-            on_leg({(p, a, p2, q, q2): c * x for (p, p2, q, q2), c in
-                    pairs.items() for a, x in
-                    carrier.inclusion.column(i).items()}, 2, S),
-            slice(0, 2), H.mult), slice(0, 2), H.mult), 0, S),
-            (1, 2, 0))), "deformed antipode")), carrier.dim)
+
+    def antipode_column(i):
+        # R^2 R'^2 S(R^1 x S(R'^1)), with R' a second copy of R
+        t = {(p, a, p2, q, q2): c * x for (p, p2, q, q2), c in pairs.items()
+             for a, x in carrier.inclusion.column(i).items()}
+        t = on_leg(on_leg(on_leg(t, 2, S), slice(0, 2), H.mult), slice(0, 2),
+                   H.mult)
+        return _checked_coords(carrier, H.fold(permute(on_leg(t, 0, S),
+                                                       (1, 2, 0))),
+                               "deformed antipode left the carrier")
+    antipode_bar = LinMap.from_function(module.space, module.space,
+                                        antipode_column)
 
     return BraidedHopfAlgebra(H, R, carrier, module, square, unit_module,
                               mult_table, comult_table, counit_bar,

@@ -150,21 +150,12 @@ class WeakHopfAlgebra:
             if c != 0:
                 self.comult.setdefault(i, {})[(j, k)] = c
         self.counit = {i: co(c) for i, c in counit.items() if co(c) != 0}
-        s_entries = {}
-        for (i, j), c in antipode.items():
-            c = co(c)
-            if c != 0:
-                s_entries[(j, i)] = c
-        self.antipode_map = LinMap(self.space, self.space, s_entries)
-        if antipode_inverse is not None:
-            si = {}
-            for (i, j), c in antipode_inverse.items():
-                c = co(c)
-                if c != 0:
-                    si[(j, i)] = c
-            self.antipode_inverse_map = LinMap(self.space, self.space, si)
-        else:
-            self.antipode_inverse_map = None
+        # S(e_i) = sum c e_j is column i of the map; LinMap drops zeros
+        self.antipode_map = LinMap(self.space, self.space, {
+            (j, i): co(c) for (i, j), c in antipode.items()})
+        self.antipode_inverse_map = None if antipode_inverse is None else LinMap(
+            self.space, self.space,
+            {(j, i): co(c) for (i, j), c in antipode_inverse.items()})
         self.certified = False
         self._cache = {}
 
@@ -224,14 +215,9 @@ class WeakHopfAlgebra:
         return {k: c for (k,), c in t.items()}
 
     def right_mult_map(self, x):
-        entries = {}
-        for j, c in x.items():
-            for i in range(self.dim):
-                prod = self.mult.get((i, j))
-                if prod:
-                    for k, v in prod.items():
-                        add_term(entries, (k, i), c * v)
-        return LinMap(self.space, self.space, entries)
+        """The operator multiplying by x on the right."""
+        return LinMap.from_function(self.space, self.space,
+                                    lambda i: self.multiply({i: ONE}, x))
 
     # cached derived data
 
@@ -267,7 +253,7 @@ class WeakHopfAlgebra:
 
     def _counital_map(self, key, target):
         if key not in self._cache:
-            form = counit_form(self)
+            form = _counit_form(self)
             entries = {}
             for (a, b), v in self.delta_one().items():
                 for j in range(self.dim):
@@ -299,27 +285,16 @@ def pair_mult(H, lhs, rhs):
 
 
 def _check_associativity(H, report):
-    by_first = {}
-    by_second = {}
-    for (i, j), prod in H.mult.items():
-        by_first.setdefault(i, []).append((j, prod))
-        by_second.setdefault(j, []).append((i, prod))
-    left = {}
-    for (i, j), prod in H.mult.items():
-        for m, c in prod.items():
-            for k, vec in by_first.get(m, ()):
-                acc = left.setdefault((i, j, k), {})
-                for t, v in vec.items():
-                    add_term(acc, t, c * v)
-    right = {}
-    for (j, k), prod in H.mult.items():
-        for m, c in prod.items():
-            for i, vec in by_second.get(m, ()):
-                acc = right.setdefault((i, j, k), {})
-                for t, v in vec.items():
-                    add_term(acc, t, c * v)
-    left = {k: v for k, v in left.items() if v}
-    right = {k: v for k, v in right.items() if v}
+    # every basis triple, carrying itself as a label in a fourth leg
+    triples = {key + (key,): ONE for key in product(range(H.dim), repeat=3)}
+
+    def by_label(t):
+        out = {}
+        for (k, label), c in on_leg(t, slice(0, 2), H.mult).items():
+            out.setdefault(label, {})[k] = c
+        return out
+    left = by_label(on_leg(triples, slice(0, 2), H.mult))
+    right = by_label(on_leg(triples, slice(1, 3), H.mult))
     report.record("algebra_associative", first_mismatch(left, right))
 
 
@@ -369,7 +344,7 @@ def _check_unit_comult(H, report):
     report.record("unit_comult_compatible", mism)
 
 
-def counit_form(H):
+def _counit_form(H):
     """Bilinear form (i, j) -> eps(e_i e_j) as sparse row dicts."""
     if "counit_form" not in H._cache:
         rows = {}
@@ -386,7 +361,7 @@ def counit_form(H):
 
 
 def _check_weak_counit(H, report):
-    B = counit_form(H)
+    B = _counit_form(H)
     Bcols = {}
     for i, row in B.items():
         for j, c in row.items():
@@ -455,7 +430,8 @@ def map_witness(lhs: LinMap, rhs: LinMap):
 
 
 def _check_counit_absorption(H, report):
-    Bmap = LinMap(H.space, H.space, {(i, j): c for i, row in counit_form(H).items()
+    Bmap = LinMap(H.space, H.space, {(i, j): c for i, row in
+                                     _counit_form(H).items()
                                      for j, c in row.items()})
     et = H.epsilon_t_map()
     es = H.epsilon_s_map()

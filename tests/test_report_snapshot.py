@@ -20,14 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from whakit.examples import group_algebra_zn, sweedler
+from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
+                             groupoid_algebra, sweedler)
 from whakit.linalg import LinMap
 from whakit.module_cat import (HModule, check_module, check_monoidal_coherence,
                                regular_module, unit_object)
 from whakit.quasitriangular import (RMatrix, certify_quasitriangular,
                                     check_derived_r_identities, is_triangular,
                                     solve_r_bar)
-from whakit.scalars import Cyclo, Field, render_scalar
+from whakit.scalars import Cyclo, render_scalar
 from whakit.transmutation import (BraidedHopfAlgebra, certify_braided_hopf,
                                   check_braided_hopf,
                                   check_cocommutative_surrogate, transmute)
@@ -38,66 +39,13 @@ from whakit.yetter_drinfeld import (RHComodule, YDModule, check_comodule_braidin
                                     trivial_comodule)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "report_snapshot.json"
-ONE = Fraction(1)
-
-
-def _anyonic_z3():
-    n = 3
-    w = Field(n).omega()
-    powers = [ONE, w, w * w]
-    H = WeakHopfAlgebra(
-        name=f"group_algebra_z{n}_anyonic",
-        field=Field(n),
-        labels=tuple(f"g^{i}" for i in range(n)),
-        mult={(i, j, (i + j) % n): ONE for i in range(n) for j in range(n)},
-        unit={0: ONE},
-        comult={(i, i, i): ONE for i in range(n)},
-        counit={i: ONE for i in range(n)},
-        antipode={(i, (-i) % n): ONE for i in range(n)},
-        antipode_inverse={(i, (-i) % n): ONE for i in range(n)},
-    )
-    r = {(a, b): Fraction(1, n) * powers[(a * b) % n]
-         for a in range(n) for b in range(n)}
-    r_bar = {(a, b): Fraction(1, n) * powers[(-a * b) % n]
-             for a in range(n) for b in range(n)}
-    return H, RMatrix(H, r, r_bar)
-
-
-def _groupoid_2x2():
-    k, G = 2, 2
-    index = {}
-    for x in range(k):
-        for y in range(k):
-            for g in range(G):
-                index[(x, y, g)] = len(index)
-    mult = {}
-    for (x, y, g), i in index.items():
-        for z in range(k):
-            for h in range(G):
-                mult[(i, index[(y, z, h)], index[(x, z, (g + h) % G)])] = ONE
-    antipode = {(i, index[(y, x, (-g) % G)]): ONE
-                for (x, y, g), i in index.items()}
-    units = [index[(x, x, 0)] for x in range(k)]
-    H = WeakHopfAlgebra(
-        name=f"groupoid_algebra_{k}x{G}",
-        field=Field(),
-        labels=tuple(f"{x}<-{y}:g^{g}" for (x, y, g) in index),
-        mult=mult,
-        unit={i: ONE for i in units},
-        comult={(i, i, i): ONE for i in index.values()},
-        counit={i: ONE for i in index.values()},
-        antipode=antipode,
-        antipode_inverse=dict(antipode),
-    )
-    r = {(i, i): ONE for i in units}
-    return H, RMatrix(H, r, dict(r))
 
 
 ALGEBRAS = {
     "sweedler": sweedler,
     "z3": lambda: group_algebra_zn(3),
-    "anyonic_z3": _anyonic_z3,
-    "groupoid_2x2": _groupoid_2x2,
+    "anyonic_z3": lambda: group_algebra_zn_anyonic(3),
+    "groupoid_2x2": lambda: groupoid_algebra(2, 2),
 }
 
 
