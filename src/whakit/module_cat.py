@@ -141,8 +141,9 @@ def _projector(modules, d: dict) -> LinMap:
     tensor product of k modules."""
     dims = [M.dim for M in modules]
     n = math.prod(dims)
-    # the basis tensors some term of d acts on, first seen first, each
-    # carrying its flat index as a pass-through leg
+    # the basis tensors some term of d acts on, each carrying its flat
+    # index as a pass-through leg; first seen first, because
+    # split_idempotent orders the carrier basis by column order
     cols = {}
     for key in d:
         cols.update(dict.fromkeys(product(*(

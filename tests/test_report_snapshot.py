@@ -5,8 +5,11 @@ order, pass/fail, severity and witness of every report the package can
 produce, plus the values of solve_r_bar, is_hopf, is_regular and
 is_triangular.  Each algebra also runs one mutant per structure table
 (one doubled entry of mult, of comult and of R) through the six-stage
-pipeline, up to the first failing stage.  Any change to how a check is
-computed that alters a report, a witness included, fails this test.
+pipeline, up to the first failing stage, and the later-stage checks on
+inputs with one doubled entry (a module action, a coaction, a table of
+the transmuted algebra, or R), so that their failure witnesses are
+recorded too.  Any change to how a check is computed that alters a
+report, a witness included, fails this test.
 
 Regenerate the fixture, after a deliberate report change only, with
 
