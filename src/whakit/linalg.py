@@ -2,7 +2,10 @@
 
 Vectors are plain dicts mapping basis index to a nonzero scalar.  Maps
 are sparse (row, col) dicts.  Everything is exact: elimination runs over
-Fraction or Cyclo entries with no tolerance anywhere.
+int, Fraction or Cyclo entries with no tolerance anywhere, and integral
+entries stay ints until a pivot is inverted.  Elimination touches only
+the rows that hold the pivot column, so its cost follows the nonzeros
+and the fill, not the square of the row count.
 
 Tensor index convention, used by every module in the package: the basis
 of M tensor N is ordered lexicographically with the M index major, so
@@ -18,7 +21,7 @@ counit, antipode).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .scalars import invert
@@ -251,7 +254,7 @@ class LinMap:
 
     @staticmethod
     def identity(space: VectorSpace) -> "LinMap":
-        return LinMap(space, space, {(i, i): Fraction(1) for i in range(space.dim)})
+        return LinMap(space, space, {(i, i): 1 for i in range(space.dim)})
 
     @staticmethod
     def zero(domain: VectorSpace, codomain: VectorSpace) -> "LinMap":
@@ -362,85 +365,117 @@ class LinMap:
 def _rref(rows, forbid=None):
     """Sparse Gauss-Jordan elimination over exact scalars.
 
-    rows is an iterable of dicts {col: scalar}.  Returns (reduced, pivots,
+    rows is an iterable of dicts {col: scalar}; each is copied, so the
+    caller's dicts are never changed.  Returns (reduced, pivots,
     leftover): reduced[i] has a 1 in column pivots[i] and that column is
-    zero in every other returned row; leftover collects nonzero rows whose
-    support lies entirely in the forbidden column (inconsistent equations
-    when forbid marks an augmented right hand side).
+    zero in every other returned row; leftover collects nonzero rows
+    whose support lies entirely in the forbidden column (inconsistent
+    equations when forbid marks an augmented right hand side), in input
+    order.
 
-    Pivots are chosen greedily for least fill-in: shortest row first, and
-    within it the column occurring in the fewest other rows.
+    Pivots are chosen greedily for least fill-in, after Markowitz
+    (1957): the pivot row is the first shortest row in input order (its
+    length not counting the forbidden column), and its pivot column is
+    the candidate held by the fewest other unreduced rows, ties going to
+    the first in the row's key order.  A heap keyed by (length, input
+    position), with stale entries skipped when popped, finds that row,
+    and an index from each column to the unreduced rows and to the
+    reduced rows that hold it both counts the candidates and names the
+    only rows a pivot has to touch, so a pivot costs the fill it makes
+    rather than a scan of every row.
     """
     rows = [dict(r) for r in rows if r]
-    reduced, pivots, leftover = [], [], []
-    while rows:
-        best_i = None
-        for i, r in enumerate(rows):
-            n = len(r) - (1 if forbid is not None and forbid in r else 0)
-            if n == 0:
-                continue
-            if best_i is None or n < best_n:
-                best_i, best_n = i, n
-                if n == 1:
-                    break
-        if best_i is None:
-            leftover.extend(rows)
-            break
-        piv_row = rows.pop(best_i)
+    size = [len(r) - (forbid in r) for r in rows]
+    holders = {}    # column -> indices of the unreduced rows holding it
+    for i, r in enumerate(rows):
+        for c in r:
+            if c != forbid:
+                holders.setdefault(c, set()).add(i)
+    reduced_holders = {}    # column -> positions in reduced, pivots excluded
+    heap = [(n, i) for i, n in enumerate(size) if n]
+    heapify(heap)
+    reduced, pivots = [], []
+    while heap:
+        n, i = heappop(heap)
+        piv_row = rows[i]
+        if piv_row is None or size[i] != n:
+            continue
+        rows[i] = None
         candidates = [c for c in piv_row if c != forbid]
-        if len(candidates) > 1:
-            count = {c: 0 for c in candidates}
-            for r in rows:
-                for c in candidates:
-                    if c in r:
-                        count[c] += 1
-            piv_col = min(candidates, key=lambda c: count[c])
-        else:
-            piv_col = candidates[0]
+        for c in candidates:
+            holders[c].discard(i)
+        piv_col = min(candidates, key=lambda c: len(holders[c]))
         inv = invert(piv_row[piv_col])
         if inv != 1:
             piv_row = {c: v * inv for c, v in piv_row.items()}
-        remaining = []
-        for r in rows:
-            f = r.get(piv_col)
-            if f:
-                rr = dict(r)
-                for c, v in piv_row.items():
-                    add_term(rr, c, -f * v)
-                if rr:
-                    remaining.append(rr)
+        # piv_col leaves every row below for good: no later pivot row holds it
+        for j in holders.pop(piv_col):
+            r = rows[j]
+            _eliminate(r, j, piv_row, piv_col, forbid, holders)
+            if not r:
+                rows[j] = None
             else:
-                remaining.append(r)
-        rows = remaining
-        for r in reduced:
-            f = r.get(piv_col)
-            if f:
-                for c, v in piv_row.items():
-                    add_term(r, c, -f * v)
+                m = len(r) - (forbid in r)
+                if m != size[j]:
+                    size[j] = m
+                    if m:
+                        heappush(heap, (m, j))
+        for j in reduced_holders.pop(piv_col, ()):
+            _eliminate(reduced[j], j, piv_row, piv_col, forbid,
+                       reduced_holders)
+        pos = len(reduced)
+        for c in candidates:
+            if c != piv_col:
+                reduced_holders.setdefault(c, set()).add(pos)
         reduced.append(piv_row)
         pivots.append(piv_col)
+    leftover = [r for r in rows if r is not None]
     return reduced, pivots, leftover
 
 
-def _map_rows(f: LinMap):
+def _eliminate(r: dict, j, piv_row: dict, piv_col, forbid, index: dict):
+    """Subtract r[piv_col] times piv_row from row j, whose dict is r, term by
+    term as add_term does, and keep index (column -> rows) in step with the
+    columns that appear in or vanish from r; piv_col itself vanishes."""
+    f = r[piv_col]
+    for c, v in piv_row.items():
+        x = -f * v
+        cur = r.get(c)
+        if cur is None:
+            if x != 0:
+                r[c] = x
+                if c != forbid:
+                    index.setdefault(c, set()).add(j)
+        else:
+            cur = cur + x
+            if cur == 0:
+                del r[c]
+                if c != forbid and c != piv_col:
+                    index[c].discard(j)
+            else:
+                r[c] = cur
+
+
+def _map_rows(f: LinMap) -> dict:
+    """The map as a table {row: {col: c}}."""
     rows = {}
     for (r, c), v in f.entries.items():
         rows.setdefault(r, {})[c] = v
-    return list(rows.values())
+    return rows
 
 
 def rank(f: LinMap) -> int:
-    _, pivots, _ = _rref(_map_rows(f))
+    _, pivots, _ = _rref(_map_rows(f).values())
     return len(pivots)
 
 
 def kernel(f: LinMap) -> "Subspace":
-    reduced, pivots, _ = _rref(_map_rows(f))
+    reduced, pivots, _ = _rref(_map_rows(f).values())
     pivot_set = set(pivots)
     free = [c for c in range(f.domain.dim) if c not in pivot_set]
     basis = []
     for cf in free:
-        vec = {cf: Fraction(1)}
+        vec = {cf: 1}
         for row, pc in zip(reduced, pivots):
             v = row.get(cf)
             if v:
@@ -450,24 +485,19 @@ def kernel(f: LinMap) -> "Subspace":
 
 
 def image(f: LinMap) -> "Subspace":
-    cols = {}
-    for (r, c), v in f.entries.items():
-        cols.setdefault(c, {})[r] = v
-    return Subspace.from_span(f.codomain, list(cols.values()))
+    return Subspace.from_span(f.codomain, f.columns().values())
 
 
 def solve(f: LinMap, y: dict):
     """One solution x of f(x) = y, free coordinates set to zero, or None."""
     rhs = f.domain.dim
-    rows = {}
-    for (r, c), v in f.entries.items():
-        rows.setdefault(r, {})[c] = v
+    rows = _map_rows(f)
     for r, v in y.items():
         if v != 0:
             if not (0 <= r < f.codomain.dim):
                 raise DimensionMismatch("right hand side index out of bounds")
             rows.setdefault(r, {})[rhs] = v
-    reduced, pivots, leftover = _rref(list(rows.values()), forbid=rhs)
+    reduced, pivots, leftover = _rref(rows.values(), forbid=rhs)
     if leftover:
         return None
     out = {}
@@ -512,7 +542,7 @@ class Subspace:
         for j, row in enumerate(reduced):
             for a, v in row.items():
                 incl[(a, j)] = v
-        proj = {(j, p): Fraction(1) for j, p in enumerate(pivots)}
+        proj = {(j, p): 1 for j, p in enumerate(pivots)}
         return Subspace(ambient, LinMap(sub, ambient, incl),
                         LinMap(ambient, sub, proj))
 
@@ -551,10 +581,7 @@ def split_idempotent(P: LinMap) -> Subspace:
         raise DimensionMismatch("idempotent must be an endomorphism")
     if P.compose(P) != P:
         raise NotIdempotent("map is not idempotent")
-    cols = {}
-    for (r, c), v in P.entries.items():
-        cols.setdefault(c, {})[r] = v
-    reduced, pivots, _ = _rref(list(cols.values()))
+    reduced, pivots, _ = _rref(P.columns().values())
     k = len(reduced)
     sub = VectorSpace(k)
     incl = {}
@@ -562,9 +589,7 @@ def split_idempotent(P: LinMap) -> Subspace:
         for a, v in row.items():
             incl[(a, j)] = v
     proj = {}
-    by_row = {}
-    for (r, c), v in P.entries.items():
-        by_row.setdefault(r, {})[c] = v
+    by_row = _map_rows(P)
     for j, p in enumerate(pivots):
         for c, v in by_row.get(p, {}).items():
             proj[(j, c)] = v

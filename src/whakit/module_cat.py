@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from itertools import product
 
 from .linalg import (LinMap, Subspace, VectorSpace, act, add_term, check_keys,
                      flatten, on_leg, permute, split_idempotent, unflatten)
 from .weak_hopf import VerificationReport, first_unequal, map_witness
-
-ONE = Fraction(1)
 
 
 class HModule:
@@ -149,8 +146,8 @@ def _projector(modules, d: dict) -> LinMap:
         cols.update(dict.fromkeys(product(*(
             [a for (p, a) in M.action if p == i]
             for M, i in zip(modules, key)))))
-    cols = {col + (k,): ONE for col, k in zip(cols, flatten(
-        dict.fromkeys(cols, ONE), dims))}
+    cols = {col + (k,): 1 for col, k in zip(cols, flatten(
+        dict.fromkeys(cols, 1), dims))}
     out = act([M.action for M in modules] + [None], d, cols)
     space = VectorSpace(n)
     return LinMap(space, space, unflatten(flatten(out, dims + [n]), (n, n)))
@@ -328,7 +325,7 @@ def sample_endomorphisms(M: HModule, rng, count: int = 2):
     module, right multiplications by random algebra elements do too.
     """
     out = [LinMap.identity(M.space),
-           LinMap.identity(M.space).scale(Fraction(2))]
+           LinMap.identity(M.space).scale(2)]
     if getattr(M, "is_regular_module", False):
         H = M.algebra
         for _ in range(count):
@@ -337,7 +334,7 @@ def sample_endomorphisms(M: HModule, rng, count: int = 2):
                 if rng.random() < 0.5:
                     x = rng.randint(-2, 2)
                     if x:
-                        vec[i] = Fraction(x)
+                        vec[i] = x
             out.append(H.right_mult_map(vec))
     return out
 

@@ -11,7 +11,6 @@ those axioms, so its failures are flagged as internal errors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .linalg import (LinMap, VectorSpace, check_keys, flatten, on_leg, solve,
@@ -218,7 +217,7 @@ def solve_r_bar(H, r: dict):
     sq = d * d
     entries = {}
     for col, pair in enumerate(product(range(d), repeat=2)):
-        basis_pair = {pair: Fraction(1)}
+        basis_pair = {pair: 1}
         for k, c in flatten(pair_mult(H, r, basis_pair), (d, d)).items():
             entries[(k, col)] = c
         for k, c in flatten(pair_mult(H, basis_pair, r), (d, d)).items():

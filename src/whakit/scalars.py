@@ -1,17 +1,24 @@
 """Exact scalars: rationals and cyclotomic field elements.
 
-Every coefficient in this package is either a fractions.Fraction or a
-Cyclo, a residue modulo the cyclotomic polynomial of some fixed order N.
-Arithmetic is exact, results are canonically reduced, and equality is
-decidable, so the identity checks in the higher modules run with zero
-tolerance.
+Every coefficient in this package is a rational, either a plain int or a
+fractions.Fraction, or a Cyclo, a residue modulo the cyclotomic
+polynomial of some fixed order N.  Arithmetic is exact, results are
+canonically reduced, and equality is decidable, so the identity checks
+in the higher modules run with zero tolerance.
+
+Field.coerce stores an integral rational as an int, whether it arrives
+as an int or as a Fraction with denominator 1, so structure constants
+such as the 1s of a group algebra multiply as machine-word ints rather
+than through Fraction.  An int and the equal Fraction compare and hash
+alike and render the same way, so the two forms are interchangeable in
+every table and report; only an actual division (an inverse) produces a
+Fraction.
 
 Cyclo values whose residue happens to be a rational constant are demoted
 to plain Fractions on construction.  Rational subexpressions therefore
 stay cheap even when the ambient field is cyclotomic, and a scalar equal
-to a rational number is always represented by the Fraction itself.
+to a rational number is never represented by a Cyclo.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
@@ -285,11 +292,12 @@ class Field:
         return omega(self.order)
 
     def coerce(self, x):
-        """Accept a scalar belonging to this field, embedding rationals."""
+        """Accept a scalar belonging to this field; an integral rational
+        comes back as an int, any other rational as a Fraction."""
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         if isinstance(x, Fraction):
-            return x
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, Cyclo):
             if self.order is None or x.order != self.order:
                 raise FieldMismatch(

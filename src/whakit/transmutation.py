@@ -18,7 +18,6 @@ used downstream, without claiming any stronger categorical property.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .linalg import (LinMap, Subspace, VectorSpace, act, on_leg, permute,
@@ -28,8 +27,6 @@ from .module_cat import (HModule, carrier_mismatch,
                          triple_projector, truncated_tensor, unit_object)
 from .weak_hopf import (NotCertified, VerificationReport, WeakHopfAlgebra,
                         first_unequal)
-
-ONE = Fraction(1)
 
 
 class CarrierInvariantError(RuntimeError):

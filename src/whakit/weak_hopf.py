@@ -10,13 +10,10 @@ downstream use.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .linalg import (LinMap, Subspace, VectorSpace, act, add_term, check_keys,
                      image, on_leg)
-
-ONE = Fraction(1)
 
 
 class NotCertified(RuntimeError):
@@ -164,7 +161,7 @@ class WeakHopfAlgebra:
         return self.space.dim
 
     def basis(self, i):
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def require_certified(self):
         if not self.certified:
@@ -192,7 +189,7 @@ class WeakHopfAlgebra:
         return out
 
     def counit_of(self, a):
-        total = Fraction(0)
+        total = 0
         for i, x in a.items():
             c = self.counit.get(i)
             if c is not None:
@@ -217,7 +214,7 @@ class WeakHopfAlgebra:
     def right_mult_map(self, x):
         """The operator multiplying by x on the right."""
         return LinMap.from_function(self.space, self.space,
-                                    lambda i: self.multiply({i: ONE}, x))
+                                    lambda i: self.multiply({i: 1}, x))
 
     # cached derived data
 
@@ -286,7 +283,7 @@ def pair_mult(H, lhs, rhs):
 
 def _check_associativity(H, report):
     # every basis triple, carrying itself as a label in a fourth leg
-    triples = {key + (key,): ONE for key in product(range(H.dim), repeat=3)}
+    triples = {key + (key,): 1 for key in product(range(H.dim), repeat=3)}
 
     def by_label(t):
         out = {}
@@ -300,7 +297,7 @@ def _check_associativity(H, report):
 
 def _check_unit(H, report):
     def sides(i):
-        e = {i: ONE}
+        e = {i: 1}
         li = H.multiply(H.unit, e)
         return (li if li != e else H.multiply(e, H.unit)), e
     report.record("algebra_unit", first_unequal(product(range(H.dim)), sides))
@@ -316,7 +313,7 @@ def _check_counit_axiom(H, report):
     eps = {i: {(): c} for i, c in H.counit.items()}
 
     def sides(i):
-        e = {i: ONE}
+        e = {i: 1}
         lhs = H.fold(on_leg(H.comult.get(i, {}), 0, eps))
         rhs = H.fold(on_leg(H.comult.get(i, {}), 1, eps))
         return (lhs if lhs != e else rhs), e
@@ -349,7 +346,7 @@ def _counit_form(H):
     if "counit_form" not in H._cache:
         rows = {}
         for (i, j), prod in H.mult.items():
-            c = Fraction(0)
+            c = 0
             for k, w in prod.items():
                 e = H.counit.get(k)
                 if e is not None:

@@ -14,7 +14,6 @@ module braiding.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .linalg import (LinMap, VectorSpace, act, flatten, on_leg, permute,
@@ -24,8 +23,6 @@ from .module_cat import (HModule, carrier_mismatch,
                          truncated_tensor, unit_object)
 from .transmutation import BraidedHopfAlgebra, transmute
 from .weak_hopf import VerificationReport, first_unequal, map_witness
-
-ONE = Fraction(1)
 
 
 class CoactionEscapesCarrier(RuntimeError):
@@ -128,7 +125,7 @@ def check_yd(Y: YDModule) -> VerificationReport:
     eps = {i: {(): c} for i, c in H.counit.items()}
     report.record("coaction_counital", first_unequal(
         product(range(M.dim)), lambda j: (
-            {m: c for (m,), c in on_leg(table[j], 0, eps).items()}, {j: ONE})))
+            {m: c for (m,), c in on_leg(table[j], 0, eps).items()}, {j: 1})))
     report.record("coaction_coassociative",
                   _coassociative(table, H.comult, M.dim))
 
@@ -187,7 +184,7 @@ def check_rh_comodule(N: RHComodule) -> VerificationReport:
     def counital(j):
         # eps_t(m_(-1)) . m_(0) against m
         t = on_leg(on_leg(table[j], 0, eps_t), slice(0, 2), M.action)
-        return {m: c for (m,), c in t.items()}, {j: ONE}
+        return {m: c for (m,), c in t.items()}, {j: 1}
     report.record("coaction_counital_target",
                   first_unequal(product(range(M.dim)), counital))
 
@@ -205,7 +202,7 @@ def functor_G(Y: YDModule, B: BraidedHopfAlgebra) -> RHComodule:
     M = Y.module
     S = H.antipode_map.columns()
     proj = B.carrier.projection.columns()
-    outside = {t for t in range(H.dim) if not B.carrier.contains({t: ONE})}
+    outside = {t for t in range(H.dim) if not B.carrier.contains({t: 1})}
     table = Y.table()
 
     def column(j):

@@ -218,3 +218,14 @@ def test_labels_and_tensor_labels():
     sp = VectorSpace(2, ["a", "b"])
     t = sp.tensor(VectorSpace(2, ["c", "d"]))
     assert t.labels[1] == "a(x)d"
+
+
+def test_split_idempotent_and_image_leave_the_column_table_intact():
+    sp = VectorSpace(3)
+    P = LinMap(sp, sp, {(0, 0): 1, (0, 1): Fraction(1, 2), (2, 2): 1})
+    cols = P.columns()
+    before = {c: dict(col) for c, col in cols.items()}
+    split_idempotent(P)
+    image(P)
+    assert P.columns() is cols
+    assert cols == before
