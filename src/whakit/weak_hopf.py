@@ -470,10 +470,11 @@ def check_weak_hopf(H: WeakHopfAlgebra) -> VerificationReport:
     _check_counit_absorption(H, report)
     _check_split_unit_slides(H, report)
     if H.antipode_inverse_map is not None:
-        two_sided = (H.antipode_map.compose(H.antipode_inverse_map).is_identity()
-                     and H.antipode_inverse_map.compose(H.antipode_map).is_identity())
-        report.add("antipode_inverse_two_sided", two_sided,
-                   None if two_sided else ((), {}, {}))
+        S, S_inv = H.antipode_map, H.antipode_inverse_map
+        one = LinMap.identity(H.space)
+        report.record("antipode_inverse_two_sided",
+                      map_witness(S.compose(S_inv), one)
+                      or map_witness(S_inv.compose(S), one))
     return report
 
 

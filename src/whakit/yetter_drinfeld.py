@@ -445,12 +445,15 @@ def check_comodule_braiding(U: RHComodule, V: RHComodule,
     vu = truncated_tensor(V.module, U.module)
     forward = comodule_braiding(U, V, uv, vu)
     inverse = comodule_braiding_inv(U, V, vu, uv)
-    ok = (inverse.compose(forward).is_identity()
-          and forward.compose(inverse).is_identity())
-    report.add("braiding_invertible", ok)
+    report.record("braiding_invertible",
+                  map_witness(inverse.compose(forward),
+                              LinMap.identity(uv.space))
+                  or map_witness(forward.compose(inverse),
+                                 LinMap.identity(vu.space)))
 
     translated = yd_braiding(functor_F(U), functor_F(V), uv, vu)
-    report.add("matches_translated_module_braiding", forward == translated)
+    report.record("matches_translated_module_braiding",
+                  map_witness(forward, translated))
 
     if P is not None:
         split3 = split_idempotent(triple_projector(U.module, V.module,

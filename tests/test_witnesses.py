@@ -1,0 +1,71 @@
+"""Checks that compare whole maps fail with a map witness, never an empty one."""
+
+from whakit import yetter_drinfeld
+from whakit.examples import group_algebra_zn
+from whakit.quasitriangular import RMatrix, certify_quasitriangular
+from whakit.transmutation import (BraidedHopfAlgebra, check_braided_hopf,
+                                  transmute)
+from whakit.weak_hopf import WeakHopfAlgebra, certify, check_weak_hopf
+from whakit.yetter_drinfeld import check_comodule_braiding, regular_rh_comodule
+
+
+def certified_z3():
+    H, R = group_algebra_zn(3)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    return H, R, transmute(H, R)
+
+
+def failing_witness(report, name):
+    check = report.find(name)
+    assert check is not None and not check.passed
+    key, lhs, rhs = check.witness
+    assert lhs or rhs
+    assert lhs != rhs
+    return check.witness
+
+
+def test_antipode_inverse_two_sided_witness():
+    H, _, _ = certified_z3()
+    # the identity in place of the inverse of S, which is not the identity
+    wrong = WeakHopfAlgebra(
+        name="z3-wrong-inverse", field=H.field, labels=H.space.labels,
+        mult={(i, j, k): c for (i, j), p in H.mult.items() for k, c in p.items()},
+        unit=H.unit,
+        comult={(i, j, k): c for i, cop in H.comult.items()
+                for (j, k), c in cop.items()},
+        counit=H.counit,
+        antipode={(i, j): c for (j, i), c in H.antipode_map.entries.items()},
+        antipode_inverse={(i, i): 1 for i in range(H.dim)})
+    failing_witness(check_weak_hopf(wrong), "antipode_inverse_two_sided")
+
+
+def test_counit_of_unit_witness():
+    H, R, B = certified_z3()
+    doubled = BraidedHopfAlgebra(H, R, B.carrier, B.module, B.square,
+                                 B.unit_module, B.mult, B.comult, B.counit_bar,
+                                 B.antipode_bar, B.unit_bar.scale(2))
+    failing_witness(check_braided_hopf(doubled), "counit_of_unit")
+
+
+def test_braiding_invertible_witness():
+    H, R, B = certified_z3()
+    key = sorted(R.r)[0]
+    bad = RMatrix(H, {**R.r, key: 2 * R.r[key]}, R.r_bar)
+    bad.certified = True
+    Bb = BraidedHopfAlgebra(H, bad, B.carrier, B.module, B.square,
+                            B.unit_module, B.mult, B.comult, B.counit_bar,
+                            B.antipode_bar, B.unit_bar)
+    regc = regular_rh_comodule(Bb)
+    failing_witness(check_comodule_braiding(regc, regc), "braiding_invertible")
+
+
+def test_matches_translated_module_braiding_witness(monkeypatch):
+    # the two sides agree on every input by construction, so the module
+    # braiding is perturbed to show how the check reports a difference
+    _, _, B = certified_z3()
+    regc = regular_rh_comodule(B)
+    yd_braiding = yetter_drinfeld.yd_braiding
+    monkeypatch.setattr(yetter_drinfeld, "yd_braiding",
+                        lambda *args: yd_braiding(*args).scale(2))
+    failing_witness(check_comodule_braiding(regc, regc),
+                    "matches_translated_module_braiding")
