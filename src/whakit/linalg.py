@@ -391,7 +391,7 @@ def _rref(rows, forbid=None):
         for c in r:
             if c != forbid:
                 holders.setdefault(c, set()).add(i)
-    reduced_holders = {}    # column -> positions in reduced, pivots excluded
+    reduced_holders = {}    # column -> positions in reduced, own pivots excluded
     heap = [(n, i) for i, n in enumerate(size) if n]
     heapify(heap)
     reduced, pivots = [], []
@@ -408,7 +408,8 @@ def _rref(rows, forbid=None):
         inv = invert(piv_row[piv_col])
         if inv != 1:
             piv_row = {c: v * inv for c, v in piv_row.items()}
-        # piv_col leaves every row below for good: no later pivot row holds it
+        # no row but this pivot row holds piv_col again: no later pivot
+        # row holds it, so no later step can bring it back
         for j in holders.pop(piv_col):
             r = rows[j]
             _eliminate(r, j, piv_row, piv_col, forbid, holders)

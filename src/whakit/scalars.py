@@ -11,14 +11,15 @@ as an int or as a Fraction with denominator 1, so structure constants
 such as the 1s of a group algebra multiply as machine-word ints rather
 than through Fraction.  An int and the equal Fraction compare and hash
 alike and render the same way, so the two forms are interchangeable in
-every table and report; only an actual division (an inverse) produces a
-Fraction.
+every table and report.  Arithmetic on ints stays in ints; a Fraction
+comes in only with a non-integral value or through an inverse.
 
 Cyclo values whose residue happens to be a rational constant are demoted
 to plain Fractions on construction.  Rational subexpressions therefore
 stay cheap even when the ambient field is cyclotomic, and a scalar equal
 to a rational number is never represented by a Cyclo.
 """
+
 from __future__ import annotations
 
 from fractions import Fraction
