@@ -1,0 +1,74 @@
+"""Timed rows of the north-star example matrix, for pytest-benchmark.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python -m pytest bench --benchmark-json=BENCH.json
+
+Each row times one stage of the six-stage pipeline (certify ->
+certify_quasitriangular -> transmute -> certify_braided_hopf ->
+check_monoidal_coherence -> check_equivalence_roundtrip), or the whole
+pipeline, on freshly built objects.  The stages before the timed one run
+in the untimed setup of every round.  With --benchmark-disable each row
+runs once, as a smoke test.  bench/ is outside the tier-1 testpaths.
+"""
+
+import random
+
+from whakit import examples
+from whakit.module_cat import check_monoidal_coherence, regular_module, unit_object
+from whakit.quasitriangular import certify_quasitriangular
+from whakit.transmutation import certify_braided_hopf, transmute
+from whakit.weak_hopf import certify
+from whakit.yetter_drinfeld import check_equivalence_roundtrip
+
+
+def certified(build):
+    """(H, R, B): H and R certified, B the transmutation of H."""
+    H, R = build()
+    assert certify(H).passed
+    assert certify_quasitriangular(H, R).passed
+    return H, R, transmute(H, R)
+
+
+def coherence(H, R):
+    modules = [regular_module(H), unit_object(H)]
+    return check_monoidal_coherence(H, R, modules, random.Random(0))
+
+
+def six_stages(H, R):
+    assert certify(H).passed
+    assert certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+    assert certify_braided_hopf(B).passed
+    assert coherence(H, R).passed
+    return check_equivalence_roundtrip(H, R, braided=B)
+
+
+def run_row(benchmark, setup, fn, rounds):
+    report = benchmark.pedantic(fn, setup=setup, rounds=rounds, iterations=1)
+    assert report.passed
+
+
+def test_sweedler_pipeline(benchmark):
+    run_row(benchmark, lambda: (examples.sweedler(), {}), six_stages, rounds=5)
+
+
+def test_certify_braided_hopf_z32(benchmark):
+    def setup():
+        _, _, B = certified(lambda: examples.group_algebra_zn(32))
+        return (B,), {}
+    run_row(benchmark, setup, certify_braided_hopf, rounds=3)
+
+
+def test_monoidal_coherence_anyonic_z5(benchmark):
+    def setup():
+        H, R, _ = certified(lambda: examples.group_algebra_zn_anyonic(5))
+        return (H, R), {}
+    run_row(benchmark, setup, coherence, rounds=3)
+
+
+def test_equivalence_roundtrip_anyonic_z5(benchmark):
+    def setup():
+        H, R, B = certified(lambda: examples.group_algebra_zn_anyonic(5))
+        return (H, R), {"braided": B}
+    run_row(benchmark, setup, check_equivalence_roundtrip, rounds=3)

@@ -1,8 +1,9 @@
 """Exact scalars: rationals and cyclotomic field elements.
 
 Every coefficient in this package is a rational, either a plain int or a
-fractions.Fraction, or a Cyclo, a residue modulo the cyclotomic
-polynomial of some fixed order N.  Arithmetic is exact, results are
+fractions.Fraction, or a Cyclo, an element of Q(w) with w a primitive
+root of unity of some fixed order N, stored as a residue modulo the N-th
+cyclotomic polynomial Phi_N.  Arithmetic is exact, results are
 canonically reduced, and equality is decidable, so the identity checks
 in the higher modules run with zero tolerance.
 
@@ -14,6 +15,18 @@ alike and render the same way, so the two forms are interchangeable in
 every table and report.  Arithmetic on ints stays in ints; a Fraction
 comes in only with a non-integral value or through an inverse.
 
+A Cyclo holds a tuple ``num`` of phi(N) int numerators, constant term
+first, over one positive int denominator ``den``: the value is
+sum(num[k] w^k) / den.  This is the layout of FLINT's ``nf_elem``.  The
+form is canonical, gcd(den, *num) == 1, so equal values have equal
+fields and equal hashes.  Phi_N is monic with integer coefficients, so
+reduction modulo Phi_N runs on the int numerators alone and leaves the
+denominator as it is; an operation then restores lowest terms with one
+gcd over the denominator and the numerators.  Multiplying by a rational
+only rescales the numerators, since the operand is already reduced;
+adding over an equal denominator adds numerators; adding an int shifts
+the constant numerator and needs no gcd at all.
+
 Cyclo values whose residue happens to be a rational constant are demoted
 to plain Fractions on construction.  Rational subexpressions therefore
 stay cheap even when the ambient field is cyclotomic, and a scalar equal
@@ -24,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class FieldMismatch(TypeError):
@@ -70,19 +84,30 @@ def _exact_div(num, den):
     return out
 
 
-def _reduce_mod_phi(order, coeffs):
-    """Reduce a coefficient list (constant first) modulo the cyclotomic polynomial."""
+@lru_cache(maxsize=None)
+def _phi_tail(order):
+    # phi(order) and the nonzero (i, c) of Phi_order below its leading 1
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
-    cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    for k in range(len(cs) - 1, d - 1, -1):
-        c = cs[k]
+    return d, tuple((i, c) for i, c in enumerate(phi[:d]) if c)
+
+
+def _reduce(order, num):
+    """Reduce an int coefficient list (constant first) modulo Phi_order, in place.
+
+    Phi_order is monic, so the reduction needs no division.  Returns the
+    list, cut or zero-padded to phi(order) entries.
+    """
+    d, tail = _phi_tail(order)
+    for k in range(len(num) - 1, d - 1, -1):
+        c = num[k]
         if c:
-            for i in range(d):
-                cs[k - d + i] -= c * phi[i]
-    del cs[d:]
-    cs.extend([Fraction(0)] * (d - len(cs)))
-    return cs
+            base = k - d
+            for i, p in tail:
+                num[base + i] -= c * p
+    del num[d:]
+    num.extend([0] * (d - len(num)))
+    return num
 
 
 def _polydivmod(num, den):
@@ -110,80 +135,104 @@ def _polydivmod(num, den):
 class Cyclo:
     """An element of Q(w), with w a primitive root of unity of the given order.
 
+    The value is sum(num[k] w^k) / den, reduced modulo Phi_order: ``num``
+    is a tuple of phi(order) ints, constant term first, and ``den`` a
+    positive int with gcd(den, *num) == 1.  ``coeffs`` gives the same
+    residue as a tuple of Fractions.
+
     Instances are immutable and always non-constant: constant residues are
-    demoted to Fraction by the constructors, so a live Cyclo is never equal
-    to any rational number.
+    demoted to Fraction by ``make`` and by every operation, and the
+    constructor rejects them, so a live Cyclo is never equal to any
+    rational number.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order, coeffs):
-        cs = _reduce_mod_phi(order, coeffs)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, order, coeffs):
+        value = Cyclo.make(order, coeffs)
+        if not isinstance(value, Cyclo):
+            raise ValueError(
+                f"the residue is the rational constant {value}; "
+                "Cyclo.make returns it as a Fraction")
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo values are immutable")
 
     @staticmethod
     def make(order, coeffs):
-        """Reduce, then return a Fraction when the residue is constant."""
-        cs = _reduce_mod_phi(order, coeffs)
-        if all(c == 0 for c in cs[1:]):
-            return cs[0]
-        obj = object.__new__(Cyclo)
-        object.__setattr__(obj, "order", order)
-        object.__setattr__(obj, "coeffs", tuple(cs))
-        return obj
+        """The value sum(coeffs[k] w^k) in canonical form: a Cyclo, or a
+        Fraction when the residue modulo Phi_order is constant.
 
-    def _lift(self, other):
-        if isinstance(other, Cyclo):
-            if other.order != self.order:
-                raise FieldMismatch(
-                    f"cyclotomic orders differ: {self.order} vs {other.order}")
-            return other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return (Fraction(other),) + (Fraction(0),) * (len(self.coeffs) - 1)
-        return None
+        Each coefficient must be an int or a Fraction; any other type,
+        float included, raises TypeError.
+        """
+        coeffs = tuple(coeffs)
+        den = 1
+        for c in coeffs:
+            if isinstance(c, Fraction):
+                den = lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(
+                    f"cyclotomic coefficient {c!r} is not an int or a Fraction")
+        num = [c * den if isinstance(c, int)
+               else c.numerator * (den // c.denominator) for c in coeffs]
+        return _canon(order, _reduce(order, num), den)
+
+    @property
+    def coeffs(self):
+        """The residue as a tuple of Fractions, constant term first."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def __add__(self, other):
-        cs = self._lift(other)
-        if cs is None:
-            return NotImplemented
-        return Cyclo.make(self.order, [a + b for a, b in zip(self.coeffs, cs)])
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo.make(self.order, [-a for a in self.coeffs])
+        return _raw(self.order, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
-        cs = self._lift(other)
-        if cs is None:
-            return NotImplemented
-        return Cyclo.make(self.order, [a - b for a, b in zip(self.coeffs, cs)])
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
-        cs = self._lift(other)
-        if cs is None:
-            return NotImplemented
-        return Cyclo.make(self.order, [b - a for a, b in zip(self.coeffs, cs)])
+        diff = _add(self, other, -1)
+        return diff if diff is NotImplemented else -diff
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
+        if isinstance(other, int):
+            if not other:
                 return Fraction(0)
-            return Cyclo.make(self.order, [a * other for a in self.coeffs])
-        cs = self._lift(other)
-        if cs is None:
-            return NotImplemented
-        out = [Fraction(0)] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(cs):
-                    if b:
-                        out[i + j] += a * b
-        return Cyclo.make(self.order, out)
+            # gcd(den, *num) == 1, so only a factor of other can cancel
+            g = gcd(other, self.den)
+            k = other // g
+            return _raw(self.order, tuple([c * k for c in self.num]),
+                        self.den // g)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            if not p:
+                return Fraction(0)
+            # p cancels only against den and q only against the numerators
+            g1 = gcd(p, self.den)
+            g2 = gcd(q, *self.num)
+            k = p // g1
+            return _raw(self.order, tuple([c // g2 * k for c in self.num]),
+                        self.den // g1 * (q // g2))
+        if isinstance(other, Cyclo):
+            if other.order != self.order:
+                raise FieldMismatch(
+                    f"cyclotomic orders differ: {self.order} vs {other.order}")
+            b = other.num
+            out = [0] * (2 * len(b) - 1)
+            for i, x in enumerate(self.num):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            out[i + j] += x * y
+            return _canon(self.order, _reduce(self.order, out),
+                          self.den * other.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -229,19 +278,75 @@ class Cyclo:
 
     def __eq__(self, other):
         if isinstance(other, Cyclo):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order == other.order and self.den == other.den
+                    and self.num == other.num)
         if isinstance(other, (int, Fraction)):
             return False
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def __bool__(self):
         return True
 
     def __repr__(self):
         return render_scalar(self)
+
+
+_set_order = Cyclo.__dict__["order"].__set__
+_set_num = Cyclo.__dict__["num"].__set__
+_set_den = Cyclo.__dict__["den"].__set__
+
+
+def _raw(order, num, den):
+    # a Cyclo from fields already in canonical, non-constant form
+    obj = object.__new__(Cyclo)
+    _set_order(obj, order)
+    _set_num(obj, num)
+    _set_den(obj, den)
+    return obj
+
+
+def _canon(order, num, den):
+    """The value of an int numerator list, already reduced modulo Phi_order,
+    over a positive int den: a canonical Cyclo, or a Fraction when constant."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    if not any(num[1:]):
+        return Fraction(num[0], den)
+    return _raw(order, tuple(num), den)
+
+
+def _add(a, b, sign):
+    """a + sign * b for a Cyclo a, or NotImplemented when b is not a scalar."""
+    if isinstance(b, int):
+        if not b:
+            return a
+        num = list(a.num)
+        # adding a multiple of den to one numerator keeps lowest terms
+        num[0] += sign * b * a.den
+        return _raw(a.order, tuple(num), a.den)
+    if isinstance(b, Fraction):
+        q = b.denominator
+        num = [c * q for c in a.num]
+        num[0] += sign * b.numerator * a.den
+        return _canon(a.order, num, a.den * q)
+    if isinstance(b, Cyclo):
+        if b.order != a.order:
+            raise FieldMismatch(
+                f"cyclotomic orders differ: {a.order} vs {b.order}")
+        da, db = a.den, b.den
+        if da == db:
+            return _canon(a.order, [x + sign * y for x, y in zip(a.num, b.num)],
+                          da)
+        g = gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        num = [x * ma + y * mb for x, y in zip(a.num, b.num)]
+        return _canon(a.order, num, da * ma)
+    return NotImplemented
 
 
 def _polymulsub(s0, q, s1):

@@ -218,3 +218,38 @@ def test_cyclo_is_immutable_and_hashable():
         w.order = 7
     assert hash(w) == hash(omega(5))
     assert len({w, omega(5), w * w}) == 2
+
+
+def test_constructor_gives_the_canonical_form():
+    cs = [Fraction(1, 2), 0, Fraction(3, 4)]
+    s = Cyclo(5, cs)
+    assert (s.num, s.den) == ((2, 0, 3, 0), 4)
+    assert s == Cyclo.make(5, cs) and hash(s) == hash(Cyclo.make(5, cs))
+    w = omega(5)
+    # reduced modulo Phi_5: w^4 = -1 - w - w^2 - w^3
+    assert Cyclo(5, [0, 0, 0, 0, 1]) == -(1 + w + w**2 + w**3)
+    assert Cyclo(5, [0, 0, 0, 0, 1]).num == (-1, -1, -1, -1)
+
+
+@pytest.mark.parametrize("order,coeffs", [
+    (5, [1]), (5, []), (5, [Fraction(2, 3), 0, 0, 0]), (4, [0, 0, 1]),
+    (3, [1, 1, 1]), (1, [0, 3]), (2, [5, 1]),
+])
+def test_constructor_rejects_constant_residues(order, coeffs):
+    with pytest.raises(ValueError, match="Cyclo.make"):
+        Cyclo(order, coeffs)
+    assert isinstance(Cyclo.make(order, coeffs), Fraction)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, 1j, "1", None])
+def test_non_rational_coefficients_rejected(bad):
+    with pytest.raises(TypeError):
+        Cyclo.make(5, [bad, 1])
+    with pytest.raises(TypeError):
+        Cyclo(5, [1, bad])
+    with pytest.raises(TypeError):
+        Field(5).coerce(bad)
+    with pytest.raises(TypeError):
+        omega(5) + bad
+    with pytest.raises(TypeError):
+        omega(5) * bad
