@@ -49,36 +49,6 @@ def add_term(acc: dict, key, c) -> None:
             acc[key] = cur
 
 
-def vec_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        add_term(out, k, c)
-    return out
-
-
-def vec_sub(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        add_term(out, k, -c)
-    return out
-
-
-def vec_scale(c, v: dict) -> dict:
-    if c == 0:
-        return {}
-    return {k: c * x for k, x in v.items()}
-
-
-def vec_tensor(u: dict, v: dict, second_dim: int) -> dict:
-    """Tensor of two coordinate vectors, flattened with the first index major."""
-    out = {}
-    for i, a in u.items():
-        base = i * second_dim
-        for j, b in v.items():
-            out[base + j] = a * b
-    return out
-
-
 def flatten(t: dict, dims) -> dict:
     """A k-leg tensor as a flat vector; dims are the k leg dimensions."""
     out = {}
@@ -255,10 +225,6 @@ class LinMap:
     @staticmethod
     def identity(space: VectorSpace) -> "LinMap":
         return LinMap(space, space, {(i, i): 1 for i in range(space.dim)})
-
-    @staticmethod
-    def zero(domain: VectorSpace, codomain: VectorSpace) -> "LinMap":
-        return LinMap(domain, codomain, {})
 
     @staticmethod
     def from_function(domain: VectorSpace, codomain: VectorSpace, fn) -> "LinMap":
@@ -547,11 +513,6 @@ class Subspace:
         return Subspace(ambient, LinMap(sub, ambient, incl),
                         LinMap(ambient, sub, proj))
 
-    @staticmethod
-    def full(space: VectorSpace) -> "Subspace":
-        ident = LinMap.identity(space)
-        return Subspace(space, ident, ident)
-
     def contains(self, vec: dict) -> bool:
         return self.inclusion(self.projection(vec)) == vec
 
@@ -561,12 +522,6 @@ class Subspace:
         if check and self.inclusion(c) != vec:
             raise DimensionMismatch("vector is not in the subspace")
         return c
-
-    def embed(self, coords: dict) -> dict:
-        return self.inclusion(coords)
-
-    def idempotent(self) -> LinMap:
-        return self.inclusion.compose(self.projection)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient.dim})"

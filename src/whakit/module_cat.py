@@ -7,21 +7,31 @@ diagonal action conjugated into carrier coordinates.  The unit object
 is the target subalgebra with action h . z = eps_t(hz).  A certified
 R-matrix braids the truncated products.
 
+Maps between truncated products take their carriers first and read the
+modules from the carrier legs: braiding_c(source, target, R) maps the
+carrier of M and N onto that of N and M, and raises ValueError unless
+target holds the legs of source swapped; left_unitor(tt) and
+right_unitor(tt) read M and the unit object from tt.  carrier_map
+builds each such map from its action on pair-keyed tensors.
+
 check_monoidal_coherence verifies, on a caller-supplied sample of
 modules, that nested carriers agree, that unitors are inverse pairs
 satisfying the triangle law, and that the braiding is invertible,
-H-linear, natural, and obeys both hexagons.
+H-linear, natural, and obeys both hexagons.  Each check reports the
+first failing case only, with first_witness.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from itertools import product
 
 from .linalg import (LinMap, Subspace, VectorSpace, act, add_term, check_keys,
                      flatten, on_leg, permute, split_idempotent, unflatten)
-from .weak_hopf import VerificationReport, first_unequal, map_witness
+from .weak_hopf import (VerificationReport, entries_witness, first_unequal,
+                        first_witness, map_witness)
 
 
 class HModule:
@@ -119,13 +129,9 @@ def check_module(M: HModule) -> VerificationReport:
 
 def h_linear_mismatch(f: LinMap, M: HModule, N: HModule):
     """None when f intertwines the two actions, else a witness triple."""
-    for i in range(M.algebra.dim):
-        lhs = f.compose(M.rho(i))
-        rhs = N.rho(i).compose(f)
-        if lhs != rhs:
-            w = map_witness(lhs, rhs)
-            return ((i,) + w[0], w[1], w[2])
-    return None
+    return first_witness(((i,), map_witness(f.compose(M.rho(i)),
+                                            N.rho(i).compose(f)))
+                         for i in range(M.algebra.dim))
 
 
 def act_pair(M: HModule, N: HModule, terms: dict, pd: dict) -> dict:
@@ -224,15 +230,32 @@ def truncated_tensor(M: HModule, N: HModule) -> TruncatedTensor:
     return TruncatedTensor(M, N)
 
 
-def _unitor(M: HModule, unit: HModule, tt: TruncatedTensor, unit_leg: int):
+def carrier_map(source: TruncatedTensor, target: TruncatedTensor, f) -> LinMap:
+    """The map sending carrier basis j of source to the target carrier
+    coordinates of f(x), x the pair-keyed embedding of j."""
+    embedded = source.inclusion_table()
+    return LinMap.from_function(source.space, target.space, lambda j: (
+        target.project_pairs(f(embedded[j]))))
+
+
+def swapped_legs(source: TruncatedTensor, target: TruncatedTensor):
+    """The legs (M, N) of source, after checking that target holds them as
+    (N, M); a braiding between other carriers raises ValueError."""
+    if target.left is not source.right or target.right is not source.left:
+        raise ValueError("the target must hold the source legs swapped")
+    return source.left, source.right
+
+
+def _unitor(tt: TruncatedTensor, unit_leg: int):
     """The unitor pair between M and its truncated product tt with the unit
     object, the unit on leg unit_leg.  A target element z on the unit leg
     acts on M as z (left) or as S(z) (right); the inverse sends m to the
     coproduct of 1 acting on m in its M leg, with eps_t applied to the
     other leg."""
+    m_leg = 1 - unit_leg
+    M, unit = (tt.right, tt.left) if unit_leg == 0 else (tt.left, tt.right)
     H = M.algebra
     tgt = unit.target
-    m_leg = 1 - unit_leg
     acting = tgt.inclusion.columns()
     if unit_leg == 1:
         acting = {a: H.antipode(z) for a, z in acting.items()}
@@ -256,79 +279,55 @@ def _unitor(M: HModule, unit: HModule, tt: TruncatedTensor, unit_leg: int):
             LinMap.from_function(M.space, tt.space, expand))
 
 
-def left_unitor(M: HModule, unit: HModule | None = None,
-                tt: TruncatedTensor | None = None):
-    """The unit-object unitor and its inverse, in carrier coordinates.
-
-    Returns (l, l_inv) with l mapping the truncated product of the unit
-    object and M onto M by acting with the target-subalgebra leg.
-    """
-    if unit is None:
-        unit = unit_object(M.algebra)
-    if tt is None:
-        tt = truncated_tensor(unit, M)
-    return _unitor(M, unit, tt, 0)
+def left_unitor(tt: TruncatedTensor):
+    """The unitor pair (l, l_inv) on the truncated product tt of the unit
+    object and M, with l mapping tt onto M by acting with the target leg."""
+    return _unitor(tt, 0)
 
 
-def right_unitor(M: HModule, unit: HModule | None = None,
-                 tt: TruncatedTensor | None = None):
-    """The right unitor pair: acting with the antipode of the target leg."""
-    if unit is None:
-        unit = unit_object(M.algebra)
-    if tt is None:
-        tt = truncated_tensor(M, unit)
-    return _unitor(M, unit, tt, 1)
+def right_unitor(tt: TruncatedTensor):
+    """The right unitor pair on the truncated product tt of M and the unit
+    object: acting with the antipode of the target leg."""
+    return _unitor(tt, 1)
 
 
-def braiding_c(M: HModule, N: HModule, R, source: TruncatedTensor | None = None,
-               target: TruncatedTensor | None = None) -> LinMap:
-    """The braiding on truncated products: x goes to flip(R . x)."""
+def braiding_c(source: TruncatedTensor, target: TruncatedTensor,
+               R) -> LinMap:
+    """The braiding from M tensor N to N tensor M: x goes to flip(R . x)."""
     R.require_certified()
-    if source is None:
-        source = truncated_tensor(M, N)
-    if target is None:
-        target = truncated_tensor(N, M)
-    embedded = source.inclusion_table()
-    return LinMap.from_function(source.space, target.space, lambda j: (
-        target.project_pairs(permute(act_pair(M, N, R.r, embedded[j]),
-                                     (1, 0)))))
+    M, N = swapped_legs(source, target)
+    return carrier_map(source, target, lambda x: permute(
+        act_pair(M, N, R.r, x), (1, 0)))
 
 
-def braiding_c_inv(M: HModule, N: HModule, R,
-                   source: TruncatedTensor | None = None,
-                   target: TruncatedTensor | None = None) -> LinMap:
-    """Inverse braiding from the weak inverse of R, mapping N tensor M back."""
+def braiding_c_inv(source: TruncatedTensor, target: TruncatedTensor,
+                   R) -> LinMap:
+    """Inverse braiding from the weak inverse of R, mapping N tensor M back
+    to M tensor N."""
     R.require_certified()
-    if source is None:
-        source = truncated_tensor(N, M)
-    if target is None:
-        target = truncated_tensor(M, N)
-    embedded = source.inclusion_table()
-    return LinMap.from_function(source.space, target.space, lambda j: (
-        target.project_pairs(act_pair(M, N, R.r_bar,
-                                      permute(embedded[j], (1, 0))))))
+    N, M = swapped_legs(source, target)
+    return carrier_map(source, target, lambda x: act_pair(
+        M, N, R.r_bar, permute(x, (1, 0))))
 
 
 def truncated_morphism(tt_dom: TruncatedTensor, tt_cod: TruncatedTensor,
                        f: LinMap, g: LinMap) -> LinMap:
     """The tensor of two morphisms, conjugated onto the carriers."""
-    embedded = tt_dom.inclusion_table()
-    return LinMap.from_function(tt_dom.space, tt_cod.space, lambda j: (
-        tt_cod.project_pairs(on_leg(on_leg(embedded[j], 0, f.columns()), 1,
-                                    g.columns()))))
+    return carrier_map(tt_dom, tt_cod, lambda x: on_leg(
+        on_leg(x, 0, f.columns()), 1, g.columns()))
 
 
-def sample_endomorphisms(M: HModule, rng, count: int = 2):
+def sample_endomorphisms(M: HModule, rng):
     """H-linear endomorphisms available without solving for the commutant.
 
     The identity and a scalar multiple always qualify; on the regular
-    module, right multiplications by random algebra elements do too.
+    module, right multiplications by two random algebra elements do too.
     """
     out = [LinMap.identity(M.space),
            LinMap.identity(M.space).scale(2)]
     if getattr(M, "is_regular_module", False):
         H = M.algebra
-        for _ in range(count):
+        for _ in range(2):
             vec = {}
             for i in range(H.dim):
                 if rng.random() < 0.5:
@@ -383,9 +382,33 @@ def _hexagon_braids(H, R, M, N, P):
             "hexagon_backward": (backward_one, backward_two)}
 
 
-def check_monoidal_coherence(H, R, modules, rng=None,
-                             endo_count: int = 2) -> VerificationReport:
-    """Verify the monoidal and braided laws on a sample of modules."""
+def _not_identity(f: LinMap):
+    return None if f.is_identity() else ((), f.entries, {})
+
+
+def _inverse_mismatch(f: LinMap, g: LinMap):
+    """None when f and g are mutually inverse, else ((), entries, {}) of
+    the first of f g and g f that is not the identity."""
+    return _not_identity(f.compose(g)) or _not_identity(g.compose(f))
+
+
+def _action_mismatch(tt: TruncatedTensor):
+    """None when the diagonal action leaves the carrier of tt invariant:
+    for each algebra basis h, the conjugated action composed with
+    inclusion matches the ambient action; else the first h's witness."""
+    H = tt.algebra
+    embedded = tt.inclusion_table()
+    return first_witness(((h,), map_witness(
+        tt.carrier.inclusion.compose(tt.rho(h)),
+        LinMap.from_function(tt.space, tt.carrier.ambient, lambda j: flatten(
+            act_pair(tt.left, tt.right, H.comult.get(h, {}), embedded[j]),
+            (tt.left.dim, tt.right.dim)))))
+        for h in range(H.dim))
+
+
+def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
+    """Verify the monoidal and braided laws on a sample of modules; each
+    witness key leads with the indices of the modules involved."""
     H.require_certified()
     R.require_certified()
     if rng is None:
@@ -393,139 +416,82 @@ def check_monoidal_coherence(H, R, modules, rng=None,
     report = VerificationReport(subject=f"{H.name} monoidal coherence")
     unit = unit_object(H)
 
-    bad = None
-    for idx, M in enumerate(modules):
-        sub = check_module(M)
-        if not sub.passed:
-            fail = sub.first_failure()
-            bad = ((idx,) + fail.witness[0], fail.witness[1], fail.witness[2])
-            break
-    report.record("module_axioms", bad)
+    report.record("module_axioms", first_witness(
+        ((idx,), first_witness(((), c.witness)
+                               for c in check_module(M).failures))
+        for idx, M in enumerate(modules)))
 
-    tgt = unit.target
-    incl = tgt.inclusion.columns()
+    incl = unit.target.inclusion.columns()
     s_incl = {a: H.antipode(z) for a, z in incl.items()}
-    bad_inv = bad_tri = bad_lin = None
-    for idx, M in enumerate(modules):
-        tt_l = truncated_tensor(unit, M)
-        tt_r = truncated_tensor(M, unit)
-        l, l_inv = left_unitor(M, unit, tt_l)
-        r, r_inv = right_unitor(M, unit, tt_r)
-        if bad_inv is None:
-            for f, g in ((l, l_inv), (r, r_inv)):
-                outer = f.compose(g)
-                inner = g.compose(f)
-                if not outer.is_identity():
-                    bad_inv = ((idx,), outer.entries, {})
-                    break
-                if not inner.is_identity():
-                    bad_inv = ((idx,), inner.entries, {})
-                    break
-        if bad_lin is None:
-            for f, dom, cod in ((l, tt_l, M), (r, tt_r, M)):
-                w = h_linear_mismatch(f, dom, cod)
-                if w is not None:
-                    bad_lin = ((idx,) + w[0], w[1], w[2])
-                    break
-        if bad_tri is None:
-            # triangle: collapsing the middle unit leg on either side of
-            # the triple carrier gives the same map to M tensor_t N
-            for jdx, N in enumerate(modules):
-                split3 = split_idempotent(triple_projector(M, unit, N))
-                w = carrier_mismatch(
-                    split3, (M.dim, unit.dim, N.dim),
-                    lambda x: on_leg(on_leg(x, 1, incl), slice(1, 3),
-                                     N.action),
-                    lambda x: on_leg(permute(on_leg(x, 1, s_incl), (1, 0, 2)),
-                                     slice(0, 2), M.action))
-                if w is not None:
-                    bad_tri = ((idx, jdx) + w[0], w[1], w[2])
-                    break
-    report.record("unitors_mutually_inverse", bad_inv)
-    report.record("unitors_h_linear", bad_lin)
-    report.record("unit_triangle", bad_tri)
 
-    tts = {}
-    for i, M in enumerate(modules):
-        for j, N in enumerate(modules):
-            tts[(i, j)] = truncated_tensor(M, N)
+    def triangle(M, N):
+        # collapsing the middle unit leg on either side of the triple
+        # carrier gives the same map to M tensor_t N
+        return carrier_mismatch(
+            split_idempotent(triple_projector(M, unit, N)),
+            (M.dim, unit.dim, N.dim),
+            lambda x: on_leg(on_leg(x, 1, incl), slice(1, 3), N.action),
+            lambda x: on_leg(permute(on_leg(x, 1, s_incl), (1, 0, 2)),
+                             slice(0, 2), M.action))
 
-    # the diagonal action leaves the carrier invariant exactly when the
-    # conjugated action composed with inclusion matches the ambient action
-    bad_well = None
-    for (i, j), tt in tts.items():
-        flat = tt.carrier.inclusion.codomain
-        dims = (tt.left.dim, tt.right.dim)
-        embedded = tt.inclusion_table()
-        for h in range(H.dim):
-            lhs = tt.carrier.inclusion.compose(tt.rho(h))
-            cop = H.comult.get(h, {})
-            rhs = LinMap.from_function(tt.space, flat, lambda col: flatten(
-                act_pair(tt.left, tt.right, cop, embedded[col]), dims))
-            if lhs != rhs:
-                w = map_witness(lhs, rhs)
-                bad_well = ((i, j, h) + w[0], w[1], w[2])
-                break
-        if bad_well:
-            break
-    report.record("truncated_action_well_defined", bad_well)
+    def unitor_cases():
+        for idx, M in enumerate(modules):
+            tt_l = truncated_tensor(unit, M)
+            tt_r = truncated_tensor(M, unit)
+            (l, l_inv), (r, r_inv) = left_unitor(tt_l), right_unitor(tt_r)
+            yield (idx,), {
+                "unitors_mutually_inverse": lambda: (
+                    _inverse_mismatch(l, l_inv) or _inverse_mismatch(r, r_inv)),
+                "unitors_h_linear": lambda: (h_linear_mismatch(l, tt_l, M)
+                                             or h_linear_mismatch(r, tt_r, M)),
+                "unit_triangle": lambda: first_witness(
+                    ((jdx,), triangle(M, N)) for jdx, N in enumerate(modules)),
+            }
+    report.record_first_witnesses(
+        ("unitors_mutually_inverse", "unitors_h_linear", "unit_triangle"),
+        unitor_cases())
 
-    bad_binv = bad_blin = bad_nat = None
-    for i, M in enumerate(modules):
-        for j, N in enumerate(modules):
-            fwd = tts[(i, j)]
-            back = tts[(j, i)]
-            c = braiding_c(M, N, R, fwd, back)
-            c_inv = braiding_c_inv(M, N, R, back, fwd)
-            if bad_binv is None:
-                if not c_inv.compose(c).is_identity():
-                    bad_binv = ((i, j), c_inv.compose(c).entries, {})
-                elif not c.compose(c_inv).is_identity():
-                    bad_binv = ((i, j), c.compose(c_inv).entries, {})
-            if bad_blin is None:
-                w = h_linear_mismatch(c, fwd, back)
-                if w is not None:
-                    bad_blin = ((i, j) + w[0], w[1], w[2])
-            if bad_nat is None:
-                fs = sample_endomorphisms(M, rng, endo_count)
-                gs = sample_endomorphisms(N, rng, endo_count)
-                for f in fs:
-                    for g in gs:
-                        fg = truncated_morphism(fwd, fwd, f, g)
-                        gf = truncated_morphism(back, back, g, f)
-                        if c.compose(fg) != gf.compose(c):
-                            bad_nat = ((i, j), c.compose(fg).entries,
-                                       gf.compose(c).entries)
-                            break
-                    if bad_nat:
-                        break
-    report.record("braiding_invertible", bad_binv)
-    report.record("braiding_h_linear", bad_blin)
-    report.record("braiding_natural", bad_nat)
+    tts = {(i, j): truncated_tensor(M, N)
+           for (i, M), (j, N) in product(enumerate(modules), repeat=2)}
+    report.record("truncated_action_well_defined", first_witness(
+        (key, _action_mismatch(tt)) for key, tt in tts.items()))
 
-    bad_nest = None
-    bad_hex = dict.fromkeys(("hexagon_forward", "hexagon_backward"))
-    for i, M in enumerate(modules):
-        for j, N in enumerate(modules):
-            for k, P in enumerate(modules):
-                split3 = split_idempotent(triple_projector(M, N, P))
-                dims = (M.dim, N.dim, P.dim)
-                if bad_nest is None:
-                    w = _nested_carrier_mismatch(
+    def braiding_cases():
+        for key, fwd in tts.items():
+            back = tts[key[::-1]]
+            c = braiding_c(fwd, back, R)
+            c_inv = braiding_c_inv(back, fwd, R)
+            yield key, {
+                "braiding_invertible": lambda: _inverse_mismatch(c_inv, c),
+                "braiding_h_linear": lambda: h_linear_mismatch(c, fwd, back),
+                # c commutes with tensors of sampled endomorphisms
+                "braiding_natural": lambda: first_witness(((), entries_witness(
+                    c.compose(truncated_morphism(fwd, fwd, f, g)),
+                    truncated_morphism(back, back, g, f).compose(c)))
+                    for f, g in product(sample_endomorphisms(fwd.left, rng),
+                                        sample_endomorphisms(fwd.right, rng))),
+            }
+    report.record_first_witnesses(
+        ("braiding_invertible", "braiding_h_linear", "braiding_natural"),
+        braiding_cases())
+
+    def triple_cases():
+        # one split triple carrier serves the three checks of a triple
+        for (i, M), (j, N), (k, P) in product(enumerate(modules), repeat=3):
+            split3 = split_idempotent(triple_projector(M, N, P))
+            dims = (M.dim, N.dim, P.dim)
+            yield (i, j, k), {
+                "nested_carriers_coincide": lambda: (
+                    _nested_carrier_mismatch(
                         split3, truncated_tensor(tts[(i, j)], P), 0, dims)
-                    if w is None:
-                        w = _nested_carrier_mismatch(
-                            split3, truncated_tensor(M, tts[(j, k)]), 1, dims)
-                    if w is not None:
-                        bad_nest = ((i, j, k) + w[0], w[1], w[2])
-                for name, braids in _hexagon_braids(H, R, M, N, P).items():
-                    if bad_hex[name] is None:
-                        w = carrier_mismatch(split3, dims, *braids)
-                        if w is not None:
-                            bad_hex[name] = ((i, j, k) + w[0], w[1], w[2])
-    report.record("nested_carriers_coincide", bad_nest)
-    for name, w in bad_hex.items():
-        report.record(name, w)
+                    or _nested_carrier_mismatch(
+                        split3, truncated_tensor(M, tts[(j, k)]), 1, dims)),
+                **{name: partial(carrier_mismatch, split3, dims, *braids)
+                   for name, braids in _hexagon_braids(H, R, M, N, P).items()},
+            }
+    report.record_first_witnesses(
+        ("nested_carriers_coincide", "hexagon_forward", "hexagon_backward"),
+        triple_cases())
     return report
 
 

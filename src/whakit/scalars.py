@@ -159,6 +159,11 @@ class Cyclo:
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo values are immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _raw: the default slot restore
+        # would go through the raising __setattr__
+        return (_raw, (self.order, self.num, self.den))
+
     @staticmethod
     def make(order, coeffs):
         """The value sum(coeffs[k] w^k) in canonical form: a Cyclo, or a
@@ -387,10 +392,6 @@ class Field:
         if order is not None and order < 1:
             raise ValueError("cyclotomic order must be positive")
         self.order = order
-
-    @property
-    def is_cyclotomic(self) -> bool:
-        return self.order is not None
 
     def omega(self):
         if self.order is None:

@@ -101,8 +101,6 @@ class BraidedHopfAlgebra:
     as mult_bar and comult_bar.
     """
 
-    multiply = WeakHopfAlgebra.multiply
-    comultiply = WeakHopfAlgebra.comultiply
     fold = WeakHopfAlgebra.fold
 
     def __init__(self, algebra, rmatrix, carrier, module, square,
@@ -136,12 +134,6 @@ class BraidedHopfAlgebra:
         if not self.certified:
             raise NotCertified(
                 "braided Hopf algebra has not been certified")
-
-    def counit(self, u: dict) -> dict:
-        return self.counit_bar(u)
-
-    def antipode(self, u: dict) -> dict:
-        return self.antipode_bar(u)
 
     def __repr__(self):
         flag = "certified" if self.certified else "unverified"
@@ -248,8 +240,8 @@ def check_braided_hopf(B: BraidedHopfAlgebra) -> VerificationReport:
 
     tt_left = truncated_tensor(unit_module, module)
     tt_right = truncated_tensor(module, unit_module)
-    l_map, l_inv = left_unitor(module, unit_module, tt_left)
-    r_map, r_inv = right_unitor(module, unit_module, tt_right)
+    l_map, l_inv = left_unitor(tt_left)
+    r_map, r_inv = right_unitor(tt_right)
     eta = B.unit_bar.columns()
     eps = B.counit_bar.columns()
     for name, tt, leg, unitor in (("unit_absorbs_left", tt_left, 0, l_map),

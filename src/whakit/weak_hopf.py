@@ -50,9 +50,20 @@ class VerificationReport:
         self.add(name, mismatch is None, mismatch, severity)
         return self
 
-    def extend(self, other):
-        self.checks.extend(other.checks)
-        return self
+    def record_first_witnesses(self, names, cases):
+        """Record first_witness for several searches that share one loop:
+        cases yields (key, searches), searches mapping each of names to a
+        function of no arguments that returns a witness or None.  A search
+        runs only until its first witness, the loop until all have one."""
+        found = dict.fromkeys(names)
+        for key, searches in cases:
+            for name, search in searches.items():
+                if found[name] is None:
+                    found[name] = first_witness(((key, search()),))
+            if all(found.values()):
+                break
+        for name, w in found.items():
+            self.record(name, w)
 
     @property
     def passed(self):
@@ -101,6 +112,16 @@ def first_unequal(keys, sides):
         lhs, rhs = sides(*key)
         if lhs != rhs:
             return (key, lhs, rhs)
+    return None
+
+
+def first_witness(cases):
+    """The first witness among lazy (key, witness-or-None) pairs, its key
+    prefixed to the witness key; None when every witness is None.  Cases
+    after the first witness are never computed."""
+    for key, w in cases:
+        if w is not None:
+            return (key + w[0],) + w[1:]
     return None
 
 
@@ -188,21 +209,8 @@ class WeakHopfAlgebra:
                 add_term(out, jk, c * x)
         return out
 
-    def counit_of(self, a):
-        total = 0
-        for i, x in a.items():
-            c = self.counit.get(i)
-            if c is not None:
-                total = total + c * x
-        return total
-
     def antipode(self, a):
         return self.antipode_map(a)
-
-    def antipode_inv(self, a):
-        if self.antipode_inverse_map is None:
-            raise NotCertified(f"algebra {self.name!r} carries no antipode inverse")
-        return self.antipode_inverse_map(a)
 
     def fold(self, t):
         """The product of all legs of a tuple-keyed tensor, left to right,
@@ -236,9 +244,6 @@ class WeakHopfAlgebra:
 
     def epsilon_t(self, h):
         return self.epsilon_t_map()(h)
-
-    def epsilon_s(self, h):
-        return self.epsilon_s_map()(h)
 
     def epsilon_t_map(self):
         """The target counital map sending h to eps(1_1 h) 1_2."""
@@ -424,6 +429,11 @@ def map_witness(lhs: LinMap, rhs: LinMap):
     l = lhs.entries.get(key)
     r = rhs.entries.get(key)
     return (key, {key: l} if l else {}, {key: r} if r else {})
+
+
+def entries_witness(lhs: LinMap, rhs: LinMap):
+    """None when the two maps are equal, else ((), lhs entries, rhs entries)."""
+    return None if lhs == rhs else ((), lhs.entries, rhs.entries)
 
 
 def _check_counit_absorption(H, report):

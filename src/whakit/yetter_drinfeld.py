@@ -9,7 +9,10 @@ are mutually inverse on the nose, which check_equivalence_roundtrip
 verifies table by table, together with monoidality.  yd_braiding and
 comodule_braiding realize the braidings of the two categories; the
 comodule braiding is verified invertible and equal to the translated
-module braiding.
+module braiding.  Like the module braiding, each takes the coacting
+object and then its source and target carriers, and raises ValueError
+unless target holds the legs of source swapped and the coacting
+module is the left leg of source (of target, for the inverse).
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from itertools import product
 
 from .linalg import (LinMap, VectorSpace, act, flatten, on_leg, permute,
                      split_idempotent, unflatten)
-from .module_cat import (HModule, carrier_mismatch,
-                         regular_module, triple_projector, truncation_projector,
-                         truncated_tensor, unit_object)
-from .transmutation import BraidedHopfAlgebra, transmute
-from .weak_hopf import VerificationReport, first_unequal, map_witness
+from .module_cat import (HModule, carrier_map, carrier_mismatch,
+                         regular_module, swapped_legs, triple_projector,
+                         truncation_projector, truncated_tensor, unit_object)
+from .transmutation import BraidedHopfAlgebra
+from .weak_hopf import (VerificationReport, entries_witness, first_unequal,
+                        first_witness, map_witness)
 
 
 class CoactionEscapesCarrier(RuntimeError):
@@ -299,83 +303,65 @@ def comodule_tensor(M: RHComodule, N: RHComodule) -> RHComodule:
                 (0, 2, 1, 3)), slice(0, 2), B.mult)))
 
 
-def check_equivalence_roundtrip(H, R, samples=None,
-                                braided=None) -> VerificationReport:
+def check_equivalence_roundtrip(H, R, braided) -> VerificationReport:
     """Round both translations on every sample and compare coaction tables.
 
-    samples is a list of plain modules; each enters through its induced
+    The samples are the regular module, the unit object and the carrier
+    of the transmuted algebra braided, each entering through its induced
     coaction.  The carrier coacting on itself through the deformed
-    coproduct is always included from the comodule side.  Monoidality
+    coproduct is also included from the comodule side.  Monoidality
     compares the translated tensor coaction with the tensor of the
     translations, pairwise over the samples.
     """
     H.require_certified()
     R.require_certified()
-    B = braided if braided is not None else transmute(H, R)
-    if samples is None:
-        samples = [regular_module(H), unit_object(H), B.module]
+    B = braided
+    samples = [regular_module(H), unit_object(H), B.module]
     report = VerificationReport(subject=f"{H.name} equivalence roundtrip")
 
     yds = [induced_yd(M, R) for M in samples]
-    bad = None
-    for k, Y in enumerate(yds):
-        N = functor_G(Y, B)
-        back = functor_F(N)
-        if back.coaction_h != Y.coaction_h:
-            bad = ((k,), back.coaction_h.entries, Y.coaction_h.entries)
-            break
-    report.record("g_then_f_restores_coaction", bad)
+    report.record("g_then_f_restores_coaction", first_witness(
+        ((k,), entries_witness(functor_F(functor_G(Y, B)).coaction_h,
+                               Y.coaction_h))
+        for k, Y in enumerate(yds)))
 
     comods = [trivial_comodule(B, M) for M in samples]
     comods.append(regular_rh_comodule(B))
-    bad = None
-    for k, N in enumerate(comods):
-        Y = functor_F(N)
-        back = functor_G(Y, B)
-        if back.coaction_rh != N.coaction_rh:
-            bad = ((k,), back.coaction_rh.entries, N.coaction_rh.entries)
-            break
-    report.record("f_then_g_restores_coaction", bad)
+    report.record("f_then_g_restores_coaction", first_witness(
+        ((k,), entries_witness(functor_G(functor_F(N), B).coaction_rh,
+                               N.coaction_rh))
+        for k, N in enumerate(comods)))
 
-    bad = None
-    for k, N in enumerate(comods):
-        rep = check_rh_comodule(N)
-        if not rep.passed:
-            f = rep.first_failure()
-            bad = ((k, f.name), f.witness, None)
-            break
-    report.record("comodule_invariants_hold", bad)
+    def failure(rep):
+        f = rep.first_failure()
+        return None if f is None else ((f.name,), f.witness, None)
+    report.record("comodule_invariants_hold", first_witness(
+        ((k,), failure(check_rh_comodule(N))) for k, N in enumerate(comods)))
 
-    bad = None
-    for k1, Y1 in enumerate(yds):
-        if bad is not None:
-            break
-        for k2, Y2 in enumerate(yds):
-            tensor_yd = yd_tensor(Y1, Y2)
-            left = functor_G(tensor_yd, B)
-            right = comodule_tensor(functor_G(Y1, B), functor_G(Y2, B))
-            if left.coaction_rh != right.coaction_rh:
-                bad = ((k1, k2), left.coaction_rh.entries,
-                       right.coaction_rh.entries)
-                break
-    report.record("translation_monoidal", bad)
+    report.record("translation_monoidal", first_witness(
+        ((k1, k2), entries_witness(
+            functor_G(yd_tensor(Y1, Y2), B).coaction_rh,
+            comodule_tensor(functor_G(Y1, B), functor_G(Y2, B)).coaction_rh))
+        for (k1, Y1), (k2, Y2) in product(enumerate(yds), repeat=2)))
     return report
 
 
-def yd_braiding(V: YDModule, W: YDModule,
-                source=None, target=None) -> LinMap:
-    """Braid by acting with the exposed coaction leg: v (x) w maps to
-    the coaction leg of v acting on w, tensor the rest of v."""
-    if source is None:
-        source = truncated_tensor(V.module, W.module)
-    if target is None:
-        target = truncated_tensor(W.module, V.module)
-    incl = source.inclusion_table()
-    table = V.table()
-    return LinMap.from_function(source.space, target.space, lambda j: (
-        target.project_pairs(on_leg(permute(on_leg(incl[j], 0, table),
-                                            (0, 2, 1)),
-                                    slice(0, 2), W.module.action))))
+def _braided_past(coacting, source, target):
+    """The right leg of source, which coacting braids past; ValueError
+    unless target holds the source legs swapped and coacting is the left."""
+    M, N = swapped_legs(source, target)
+    if M is not coacting:
+        raise ValueError("the coacting module is not the left leg")
+    return N
+
+
+def yd_braiding(V: YDModule, source, target) -> LinMap:
+    """Braid the truncated tensor source of V and W onto target, the
+    tensor of W and V, by acting with the exposed coaction leg: v (x) w
+    maps to the coaction leg of v acting on w, tensor the rest of v."""
+    W = _braided_past(V.module, source, target)
+    return carrier_map(source, target, lambda x: on_leg(
+        permute(on_leg(x, 0, V.table()), (0, 2, 1)), slice(0, 2), W.action))
 
 
 def _braid_step(com: RHComodule, other: HModule, t: dict, leg: int,
@@ -401,37 +387,26 @@ def _braid_step(com: RHComodule, other: HModule, t: dict, leg: int,
     return on_leg(t, slice(leg + 1, leg + 3), com.module.action)
 
 
-def comodule_braiding(U: RHComodule, V: RHComodule,
-                      source=None, target=None) -> LinMap:
-    """Braid carrier comodules: the coaction leg of u, pushed through an
-    R-matrix leg, acts on v; the other R-matrix leg acts on what is left
-    of u, and the two outputs swap places."""
-    if source is None:
-        source = truncated_tensor(U.module, V.module)
-    if target is None:
-        target = truncated_tensor(V.module, U.module)
-    incl = source.inclusion_table()
-    return LinMap.from_function(source.space, target.space, lambda j: (
-        target.project_pairs(_braid_step(U, V.module, incl[j], 0, None))))
+def comodule_braiding(U: RHComodule, source, target) -> LinMap:
+    """Braid the truncated tensor source of carrier comodules U and V onto
+    target, the tensor of V and U: the coaction leg of u, pushed through
+    an R-matrix leg, acts on v; the other R-matrix leg acts on what is
+    left of u, and the two outputs swap places."""
+    V = _braided_past(U.module, source, target)
+    return carrier_map(source, target, lambda x: _braid_step(U, V, x, 0, None))
 
 
-def comodule_braiding_inv(U: RHComodule, V: RHComodule,
-                          source=None, target=None) -> LinMap:
-    """The inverse braiding; needs the antipode inverse to untwist the
-    coaction leg."""
+def comodule_braiding_inv(U: RHComodule, source, target) -> LinMap:
+    """The inverse braiding, from the tensor of V and U back to that of U
+    and V; needs the antipode inverse to untwist the coaction leg."""
     H = U.algebra
     if H.antipode_inverse_map is None:
         raise AntipodeNotInvertible(
             f"{H.name} carries no antipode inverse")
-    if source is None:
-        source = truncated_tensor(V.module, U.module)
-    if target is None:
-        target = truncated_tensor(U.module, V.module)
-    incl = source.inclusion_table()
-    untwist = H.antipode_inverse_map.columns()
-    return LinMap.from_function(source.space, target.space, lambda j: (
-        target.project_pairs(permute(_braid_step(
-            U, V.module, permute(incl[j], (1, 0)), 0, untwist), (1, 0)))))
+    V = _braided_past(U.module, target, source)
+    return carrier_map(source, target, lambda x: permute(_braid_step(
+        U, V, permute(x, (1, 0)), 0, H.antipode_inverse_map.columns()),
+        (1, 0)))
 
 
 def check_comodule_braiding(U: RHComodule, V: RHComodule,
@@ -443,15 +418,15 @@ def check_comodule_braiding(U: RHComodule, V: RHComodule,
 
     uv = truncated_tensor(U.module, V.module)
     vu = truncated_tensor(V.module, U.module)
-    forward = comodule_braiding(U, V, uv, vu)
-    inverse = comodule_braiding_inv(U, V, vu, uv)
+    forward = comodule_braiding(U, uv, vu)
+    inverse = comodule_braiding_inv(U, vu, uv)
     report.record("braiding_invertible",
                   map_witness(inverse.compose(forward),
                               LinMap.identity(uv.space))
                   or map_witness(forward.compose(inverse),
                                  LinMap.identity(vu.space)))
 
-    translated = yd_braiding(functor_F(U), functor_F(V), uv, vu)
+    translated = yd_braiding(functor_F(U), uv, vu)
     report.record("matches_translated_module_braiding",
                   map_witness(forward, translated))
 

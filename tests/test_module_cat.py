@@ -99,8 +99,8 @@ def test_unitors_are_mutually_inverse(h4_pair):
     unit = unit_object(H)
     lt = truncated_tensor(unit, M)
     rt = truncated_tensor(M, unit)
-    l, l_inv = left_unitor(M, unit, lt)
-    r, r_inv = right_unitor(M, unit, rt)
+    l, l_inv = left_unitor(lt)
+    r, r_inv = right_unitor(rt)
     assert l.compose(l_inv).is_identity()
     assert l_inv.compose(l).is_identity()
     assert r.compose(r_inv).is_identity()
@@ -115,7 +115,7 @@ def test_left_unitor_on_unit_square_is_multiplication(h4_pair, z3_pair):
         unit = unit_object(H)
         tgt = unit.target
         tt = truncated_tensor(unit, unit)
-        l, _ = left_unitor(unit, unit, tt)
+        l, _ = left_unitor(tt)
         for j in range(tt.dim):
             out = {}
             for (a, b), v in tt.embed_pairs({j: Fraction(1)}).items():
@@ -131,7 +131,7 @@ def test_braiding_is_flip_for_group_algebra(z3_pair):
     H, R = z3_pair
     M = regular_module(H)
     tt = truncated_tensor(M, M)
-    c = braiding_c(M, M, R, tt, tt)
+    c = braiding_c(tt, tt, R)
     n = H.dim
     flip_entries = {}
     for a in range(n):
@@ -146,8 +146,8 @@ def test_triangular_braiding_squares_to_identity(h4_pair):
     N = unit_object(H)
     mn = truncated_tensor(M, N)
     nm = truncated_tensor(N, M)
-    forward = braiding_c(M, N, R, mn, nm)
-    back = braiding_c(N, M, R, nm, mn)
+    forward = braiding_c(mn, nm, R)
+    back = braiding_c(nm, mn, R)
     assert back.compose(forward).is_identity()
     assert forward.compose(back).is_identity()
 
@@ -156,9 +156,28 @@ def test_braiding_inverse_matches(h4_pair):
     H, R = h4_pair
     M = regular_module(H)
     mm = truncated_tensor(M, M)
-    forward = braiding_c(M, M, R, mm, mm)
-    inverse = braiding_c_inv(M, M, R, mm, mm)
+    forward = braiding_c(mm, mm, R)
+    inverse = braiding_c_inv(mm, mm, R)
     assert inverse.compose(forward).is_identity()
+
+
+def test_braidings_reject_carriers_that_do_not_match(h4_pair):
+    H, R = h4_pair
+    M = regular_module(H)
+    N = unit_object(H)
+    mn = truncated_tensor(M, N)
+    nm = truncated_tensor(N, M)
+    other = truncated_tensor(M, M)
+    for source, target in ((mn, mn), (mn, other), (other, nm)):
+        with pytest.raises(ValueError):
+            braiding_c(source, target, R)
+        with pytest.raises(ValueError):
+            braiding_c_inv(source, target, R)
+    # the legs are compared by identity: an equal module built again is
+    # another object
+    with pytest.raises(ValueError):
+        braiding_c(mn, truncated_tensor(unit_object(H), M), R)
+    assert braiding_c(mn, nm, R).domain.dim == mn.dim
 
 
 def test_coherence_sweedler(h4_pair):

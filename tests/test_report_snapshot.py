@@ -166,7 +166,7 @@ def perturbed(H, R, B):
     out["check_comodule_braiding"] = attempt(
         check_comodule_braiding, regc, regc, trivial_comodule(Bb, reg))
     out["check_equivalence_roundtrip"] = attempt(
-        check_equivalence_roundtrip, H, bad, None, Bb)
+        check_equivalence_roundtrip, H, bad, Bb)
     return out
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -218,6 +220,18 @@ def test_cyclo_is_immutable_and_hashable():
         w.order = 7
     assert hash(w) == hash(omega(5))
     assert len({w, omega(5), w * w}) == 2
+
+
+def test_cyclo_copies_and_pickles():
+    for x in (omega(5), Fraction(3, 4) * omega(12) ** 5 - 2):
+        table = {(0, 1): x}
+        for y in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x)),
+                  copy.deepcopy(table)[(0, 1)],
+                  pickle.loads(pickle.dumps(table))[(0, 1)]):
+            assert isinstance(y, Cyclo)
+            assert y == x and hash(y) == hash(x)
+            assert (y.order, y.num, y.den) == (x.order, x.num, x.den)
 
 
 def test_constructor_gives_the_canonical_form():

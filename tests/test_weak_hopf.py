@@ -7,9 +7,14 @@ import pytest
 
 from whakit.examples import group_algebra_zn, sweedler
 from whakit.linalg import add_term
+from whakit.module_cat import truncated_tensor
+from whakit.quasitriangular import RMatrix, certify_quasitriangular
+from whakit.transmutation import transmute
 from whakit.weak_hopf import (NotCertified, VerificationReport,
                               WeakHopfAlgebra, certify, check_weak_hopf,
-                              is_hopf, is_regular, pair_mult)
+                              first_witness, is_hopf, is_regular, pair_mult)
+from whakit.yetter_drinfeld import (AntipodeNotInvertible,
+                                    comodule_braiding_inv, regular_rh_comodule)
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +71,9 @@ def test_sweedler_counital_maps(h4):
     h = h4.basis(2)
     # in the Hopf case both counital maps collapse to eps(x) 1
     assert h4.epsilon_t(g) == one
-    assert h4.epsilon_s(g) == one
+    assert h4.epsilon_s_map()(g) == one
     assert h4.epsilon_t(h) == {}
-    assert h4.epsilon_s(h) == {}
+    assert h4.epsilon_s_map()(h) == {}
     assert h4.target_space().dim == 1
     assert h4.source_space().dim == 1
 
@@ -86,9 +91,9 @@ def test_counit_absorption_pointwise(h4):
         for j in range(h4.dim):
             g = h4.basis(i)
             h = h4.basis(j)
-            plain = h4.counit_of(h4.multiply(g, h))
-            absorbed_t = h4.counit_of(h4.multiply(g, h4.epsilon_t(h)))
-            absorbed_s = h4.counit_of(h4.multiply(h4.epsilon_s(g), h))
+            plain = counit_of(h4, h4.multiply(g, h))
+            absorbed_t = counit_of(h4, h4.multiply(g, h4.epsilon_t(h)))
+            absorbed_s = counit_of(h4, h4.multiply(h4.epsilon_s_map()(g), h))
             assert plain == absorbed_t == absorbed_s
 
 
@@ -168,6 +173,11 @@ def test_report_info_entries_do_not_gate():
     assert report.first_failure().name == "hard_check_2"
 
 
+def counit_of(H, a):
+    """The counit of the algebra vector a, read from the counit table."""
+    return sum(H.counit.get(i, 0) * x for i, x in a.items())
+
+
 def _random_vector(rng, H, density=0.7):
     out = {}
     for i in range(H.dim):
@@ -201,7 +211,7 @@ def test_multilinear_identities_on_random_vectors(h4, z3):
                 for t, w in H.multiply(sa, {b: c}).items():
                     add_term(right, t, w)
             assert left == H.epsilon_t(u)
-            assert right == H.epsilon_s(u)
+            assert right == H.epsilon_s_map()(u)
 
 
 def test_counit_weak_mult_on_random_vectors(h4):
@@ -211,15 +221,15 @@ def test_counit_weak_mult_on_random_vectors(h4):
         u = _random_vector(rng, H)
         v = _random_vector(rng, H)
         w = _random_vector(rng, H)
-        plain = H.counit_of(H.multiply(H.multiply(u, v), w))
+        plain = counit_of(H, H.multiply(H.multiply(u, v), w))
         dv = H.comultiply(v)
         split = Fraction(0)
         split_op = Fraction(0)
         for (a, b), c in dv.items():
-            split += (H.counit_of(H.multiply(u, {a: c}))
-                      * H.counit_of(H.multiply(H.basis(b), w)))
-            split_op += (H.counit_of(H.multiply(u, {b: c}))
-                         * H.counit_of(H.multiply({a: Fraction(1)}, w)))
+            split += (counit_of(H, H.multiply(u, {a: c}))
+                      * counit_of(H, H.multiply(H.basis(b), w)))
+            split_op += (counit_of(H, H.multiply(u, {b: c}))
+                         * counit_of(H, H.multiply({a: Fraction(1)}, w)))
         assert plain == split
         assert plain == split_op
 
@@ -231,7 +241,7 @@ def test_antipode_inverse_checked_when_supplied():
     assert entry is not None and entry.passed
     # h maps to gh under S and back under the inverse
     h = H.basis(2)
-    assert H.antipode_inv(H.antipode(h)) == h
+    assert H.antipode_inverse_map(H.antipode(h)) == h
     assert H.antipode(H.antipode(h)) == {2: Fraction(-1)}
 
 
@@ -248,6 +258,53 @@ def test_missing_antipode_inverse_raises():
         counit={i: Fraction(1) for i in range(2)},
         antipode={(i, (-i) % 2): Fraction(1) for i in range(2)},
     )
-    assert check_weak_hopf(bare).passed
-    with pytest.raises(NotCertified):
-        bare.antipode_inv({0: Fraction(1)})
+    assert certify(bare).passed
+    R = RMatrix(bare, {(0, 0): 1}, {(0, 0): 1})
+    assert certify_quasitriangular(bare, R).passed
+    B = transmute(bare, R)
+    regular = regular_rh_comodule(B)
+    square = truncated_tensor(B.module, B.module)
+    with pytest.raises(AntipodeNotInvertible):
+        comodule_braiding_inv(regular, square, square)
+
+
+def test_first_witness_stops_at_the_first_witness():
+    # check_monoidal_coherence draws its naturality samples from rng only
+    # up to the first failing module pair, so no later case may run
+    ran = []
+
+    def cases():
+        for k in range(4):
+            ran.append(k)
+            yield (k,), (((), {0: k}, {}) if k >= 1 else None)
+    assert first_witness(cases()) == ((1,), {0: 1}, {})
+    assert ran == [0, 1]
+    assert first_witness((((k,), None) for k in range(3))) is None
+    # the key prefixes the witness key; the rest of the witness is kept
+    assert first_witness([((2,), ((3, 4), "lhs", "rhs"))]) == (
+        (2, 3, 4), "lhs", "rhs")
+
+
+def test_record_first_witnesses_runs_each_search_until_its_witness():
+    calls = {"a": [], "b": []}
+
+    def search(name, k, fails):
+        def run():
+            calls[name].append(k)
+            return ((), {0: k}, {}) if fails else None
+        return run
+
+    def cases(n):
+        for k in range(n):
+            yield (k,), {"a": search("a", k, k == 0),
+                         "b": search("b", k, k == 2)}
+    report = VerificationReport()
+    report.record_first_witnesses(("a", "b"), cases(5))
+    assert [(c.name, c.witness) for c in report.checks] == [
+        ("a", ((0,), {0: 0}, {})), ("b", ((2,), {0: 2}, {}))]
+    # the loop ends once every search has its witness
+    assert calls == {"a": [0], "b": [0, 1, 2]}
+    empty = VerificationReport()
+    empty.record_first_witnesses(("a", "b"), cases(0))
+    assert [(c.name, c.passed) for c in empty.checks] == [
+        ("a", True), ("b", True)]

@@ -7,13 +7,16 @@ import pytest
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
 from whakit.linalg import LinMap
-from whakit.module_cat import regular_module, unit_object
+from whakit.module_cat import regular_module, truncated_tensor, unit_object
 from whakit.quasitriangular import certify_quasitriangular
 from whakit.transmutation import certify_braided_hopf, transmute
 from whakit.weak_hopf import certify
 from whakit.yetter_drinfeld import (YDModule, check_comodule_braiding,
-                                    check_rh_comodule, check_yd, induced_yd,
-                                    regular_rh_comodule, trivial_comodule)
+                                    check_rh_comodule, check_yd,
+                                    comodule_braiding, comodule_braiding_inv,
+                                    functor_F, induced_yd,
+                                    regular_rh_comodule, trivial_comodule,
+                                    yd_braiding)
 
 EXAMPLES = {
     "sweedler": sweedler,
@@ -62,6 +65,34 @@ def test_comodule_braiding_and_hexagons(certified):
         assert report.names() == [
             "braiding_invertible", "matches_translated_module_braiding",
             "hexagon_forward", "hexagon_backward"]
+
+
+def test_braidings_reject_carriers_that_do_not_match(certified):
+    H, _, B = certified
+    U = regular_rh_comodule(B)
+    V = trivial_comodule(B, regular_module(H))
+    Y = functor_F(U)
+    uv = truncated_tensor(U.module, V.module)
+    vu = truncated_tensor(V.module, U.module)
+    assert comodule_braiding(U, uv, vu).domain.dim == uv.dim
+    assert comodule_braiding_inv(U, vu, uv).domain.dim == vu.dim
+    assert yd_braiding(Y, uv, vu).domain.dim == uv.dim
+    # the target does not hold the source legs swapped
+    for source, target in ((uv, uv), (vu, vu)):
+        for braid in (comodule_braiding, comodule_braiding_inv):
+            with pytest.raises(ValueError):
+                braid(U, source, target)
+        with pytest.raises(ValueError):
+            yd_braiding(Y, source, target)
+    # the coacting module is the other leg
+    with pytest.raises(ValueError):
+        comodule_braiding(U, vu, uv)
+    with pytest.raises(ValueError):
+        comodule_braiding_inv(U, uv, vu)
+    with pytest.raises(ValueError):
+        yd_braiding(Y, vu, uv)
+    with pytest.raises(ValueError):
+        comodule_braiding(V, uv, vu)
 
 
 def test_every_check_yd_check_can_fail_with_a_witness():
