@@ -3,7 +3,11 @@
 The tensor product of two modules is truncated: the coproduct of 1 acts
 on the ordinary tensor product as an idempotent, and the truncated
 product is its image, carried here as an explicit Subspace with the
-diagonal action conjugated into carrier coordinates.  The unit object
+diagonal action conjugated into carrier coordinates.  That action is
+built on its first read, one batched contraction per algebra basis
+element over all carrier columns; a carrier that is only compared with
+another, as the nested carriers of a triple are, never builds it.  The
+unit object
 is the target subalgebra with action h . z = eps_t(hz).  A certified
 R-matrix braids the truncated products.
 
@@ -174,7 +178,13 @@ class TruncatedTensor(HModule):
 
     The carrier is the image of the truncation projector inside the
     flattened tensor square; the module structure is the diagonal
-    action conjugated by inclusion and projection.
+    action conjugated by inclusion and projection.  The action table is
+    built on first read, since nested carriers are compared by their
+    inclusions alone: for each algebra basis element one contraction
+    acts with its coproduct on every carrier column at once, the column
+    index riding along as a pass-through leg, and one sparse product
+    with the carrier projection takes the result to carrier
+    coordinates.
     """
 
     def __init__(self, left: HModule, right: HModule):
@@ -182,22 +192,40 @@ class TruncatedTensor(HModule):
             raise ValueError("truncated tensor needs modules over one algebra")
         H = left.algebra
         H.require_certified()
-        proj_map = truncation_projector(left, right)
-        carrier = split_idempotent(proj_map)
+        carrier = split_idempotent(truncation_projector(left, right))
+        self.algebra = H
         self.left = left
         self.right = right
         self.carrier = carrier
-        embedded = self.inclusion_table()
+        self.space = VectorSpace(carrier.dim)
+        self._action = None
+        self._rho = None
+
+    @property
+    def action(self) -> dict:
+        if self._action is None:
+            self._action = self._conjugated_action()
+        return self._action
+
+    def _conjugated_action(self) -> dict:
+        """The table {(i, j): {r: c}}: e_i acting on carrier basis j."""
+        legs = (self.left.action, self.right.action, None)
+        cols = {(a, b, j): c for j, col in self.inclusion_table().items()
+                for (a, b), c in col.items()}
+        proj = self.carrier.projection.columns()
+        n = self.right.dim
         action = {}
-        for i in range(H.dim):
-            cop = H.comult.get(i)
+        for i in range(self.algebra.dim):
+            cop = self.algebra.comult.get(i)
             if not cop:
                 continue
-            for j in range(carrier.dim):
-                out = act_pair(left, right, cop, embedded[j])
-                for r, v in self.project_pairs(out).items():
-                    action[(i, r, j)] = v
-        super().__init__(H, VectorSpace(carrier.dim), action)
+            out = {}
+            for (a, b, j), v in act(legs, cop, cols).items():
+                rows = out.setdefault(j, {})
+                for r, p in proj.get(a * n + b, {}).items():
+                    add_term(rows, r, p * v)
+            action.update(((i, j), rows) for j, rows in out.items() if rows)
+        return action
 
     def inclusion_table(self) -> dict:
         """The carrier inclusion as a splice table {j: {(a, b): c}}."""
