@@ -279,11 +279,16 @@ def _unitor(tt: TruncatedTensor, unit_leg: int):
     object, the unit on leg unit_leg.  A target element z on the unit leg
     acts on M as z (left) or as S(z) (right); the inverse sends m to the
     coproduct of 1 acting on m in its M leg, with eps_t applied to the
-    other leg."""
+    other leg.  Raises ValueError when the unit leg of tt is not the unit
+    object."""
     m_leg = 1 - unit_leg
     M, unit = (tt.right, tt.left) if unit_leg == 0 else (tt.left, tt.right)
     H = M.algebra
-    tgt = unit.target
+    tgt = getattr(unit, "target", None)
+    if tgt is None:
+        side = ("left", "right")[unit_leg]
+        raise ValueError(f"{side}_unitor needs the unit object on the "
+                         f"{side} leg of its carrier, which holds {unit!r}")
     acting = tgt.inclusion.columns()
     if unit_leg == 1:
         acting = {a: H.antipode(z) for a, z in acting.items()}

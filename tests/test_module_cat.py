@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from whakit.examples import group_algebra_zn, sweedler
-from whakit.linalg import LinMap, VectorSpace
-from whakit.module_cat import (HModule, braiding_c,
+from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
+                             groupoid_algebra, sweedler)
+from whakit.linalg import DimensionMismatch, LinMap, VectorSpace
+from whakit.module_cat import (HModule, act_pair, braiding_c,
                                braiding_c_inv, check_module,
                                check_monoidal_coherence, h_linear_mismatch,
                                left_unitor, regular_module, right_unitor,
@@ -77,6 +78,53 @@ def test_truncated_tensor_is_full_for_hopf(h4_pair, z3_pair):
         assert check_module(tt).passed
 
 
+def per_column_action(tt):
+    """The action table of tt, one carrier column at a time."""
+    H = tt.algebra
+    embedded = tt.inclusion_table()
+    table = {}
+    for i in range(H.dim):
+        for j in range(tt.dim):
+            rows = tt.project_pairs(
+                act_pair(tt.left, tt.right, H.comult.get(i, {}), embedded[j]))
+            if rows:
+                table[(i, j)] = rows
+    return table
+
+
+@pytest.mark.parametrize("build", [
+    sweedler, lambda: group_algebra_zn(3), lambda: group_algebra_zn_anyonic(3),
+    lambda: groupoid_algebra(2, 2), lambda: groupoid_algebra(3, 2)],
+    ids=["sweedler", "z3", "anyonic_z3", "groupoid_2x2", "groupoid_3x2"])
+def test_batched_action_matches_per_column(build):
+    H, _ = build()
+    certify(H)
+    M, U = regular_module(H), unit_object(H)
+    tts = [truncated_tensor(A, B) for A in (M, U) for B in (M, U)]
+    tts += [truncated_tensor(truncated_tensor(M, U), M),
+            truncated_tensor(M, truncated_tensor(U, M)),
+            truncated_tensor(truncated_tensor(U, U), U),
+            truncated_tensor(U, truncated_tensor(U, U))]
+    for tt in tts:
+        reference = per_column_action(tt)
+        assert tt.action == reference
+        # key and row order too: elimination breaks ties by key order
+        assert [(k, list(rows.items())) for k, rows in tt.action.items()] == [
+            (k, list(rows.items())) for k, rows in reference.items()]
+        for i in range(H.dim):
+            assert tt.rho(i).entries == {
+                (r, j): c for (k, j), rows in reference.items() if k == i
+                for r, c in rows.items()}
+
+
+def test_built_modules_keep_key_validation(h4_pair):
+    H, _ = h4_pair
+    with pytest.raises(DimensionMismatch):
+        HModule(H, VectorSpace(2), {(0, 2, 0): 1})
+    with pytest.raises(DimensionMismatch):
+        HModule(H, VectorSpace(2), {(H.dim, 0, 0): 1})
+
+
 def test_truncation_projector_idempotent(h4_pair):
     H, _ = h4_pair
     M = regular_module(H)
@@ -107,6 +155,20 @@ def test_unitors_are_mutually_inverse(h4_pair):
     assert r_inv.compose(r).is_identity()
     assert h_linear_mismatch(l, lt, M) is None
     assert h_linear_mismatch(r, rt, M) is None
+
+
+def test_unitors_reject_carriers_without_the_unit_leg(h4_pair):
+    H, _ = h4_pair
+    M = regular_module(H)
+    unit = unit_object(H)
+    with pytest.raises(ValueError, match="unit object on the left leg"):
+        left_unitor(truncated_tensor(M, M))
+    with pytest.raises(ValueError, match="unit object on the left leg"):
+        left_unitor(truncated_tensor(M, unit))
+    with pytest.raises(ValueError, match="unit object on the right leg"):
+        right_unitor(truncated_tensor(M, M))
+    with pytest.raises(ValueError, match="unit object on the right leg"):
+        right_unitor(truncated_tensor(unit, M))
 
 
 def test_left_unitor_on_unit_square_is_multiplication(h4_pair, z3_pair):
