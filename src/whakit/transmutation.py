@@ -26,7 +26,7 @@ from .module_cat import (HModule, carrier_mismatch,
                          h_linear_mismatch, left_unitor, right_unitor,
                          triple_projector, truncated_tensor, unit_object)
 from .weak_hopf import (NotCertified, VerificationReport, WeakHopfAlgebra,
-                        first_unequal, map_witness)
+                        first_unequal, first_witness, map_witness)
 
 
 class CarrierInvariantError(RuntimeError):
@@ -220,18 +220,13 @@ def check_braided_hopf(B: BraidedHopfAlgebra) -> VerificationReport:
     tgt = unit_module.target
     report = VerificationReport(subject=f"{H.name} transmutation")
 
-    bad = None
-    for name, f, dom, cod in (
+    report.record("structure_maps_h_linear", first_witness(
+        ((name,), h_linear_mismatch(f, dom, cod)) for name, f, dom, cod in (
             ("mult", B.mult_bar, square, module),
             ("unit", B.unit_bar, unit_module, module),
             ("comult", B.comult_bar, module, square),
             ("counit", B.counit_bar, module, unit_module),
-            ("antipode", B.antipode_bar, module, module)):
-        w = h_linear_mismatch(f, dom, cod)
-        if w is not None:
-            bad = (name,) + w
-            break
-    report.record("structure_maps_h_linear", bad)
+            ("antipode", B.antipode_bar, module, module))))
 
     split3 = split_idempotent(triple_projector(module, module, module))
     report.record("mult_associative", carrier_mismatch(

@@ -1,7 +1,7 @@
 """Checks that compare whole maps fail with a map witness, never an empty one."""
 
 from whakit import yetter_drinfeld
-from whakit.examples import group_algebra_zn
+from whakit.examples import group_algebra_zn, sweedler
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import (BraidedHopfAlgebra, check_braided_hopf,
                                   transmute)
@@ -10,7 +10,11 @@ from whakit.yetter_drinfeld import check_comodule_braiding, regular_rh_comodule
 
 
 def certified_z3():
-    H, R = group_algebra_zn(3)
+    return certified(lambda: group_algebra_zn(3))
+
+
+def certified(build):
+    H, R = build()
     assert certify(H).passed and certify_quasitriangular(H, R).passed
     return H, R, transmute(H, R)
 
@@ -69,3 +73,18 @@ def test_matches_translated_module_braiding_witness(monkeypatch):
                         lambda *args: yd_braiding(*args).scale(2))
     failing_witness(check_comodule_braiding(regc, regc),
                     "matches_translated_module_braiding")
+
+
+def test_structure_maps_h_linear_witness():
+    # one doubled entry of the transmuted product breaks H-linearity on
+    # Sweedler, whose adjoint action is not trivial
+    H, R, B = certified(sweedler)
+    key = sorted(B.mult)[len(B.mult) // 2]
+    mult = {**B.mult, key: {k: 2 * c for k, c in B.mult[key].items()}}
+    bad = BraidedHopfAlgebra(H, R, B.carrier, B.module, B.square,
+                             B.unit_module, mult, B.comult, B.counit_bar,
+                             B.antipode_bar, B.unit_bar)
+    (name, i, row, col), lhs, rhs = failing_witness(
+        check_braided_hopf(bad), "structure_maps_h_linear")
+    assert name == "mult" and 0 <= i < H.dim
+    assert (row, col) in set(lhs) | set(rhs)
