@@ -1,7 +1,11 @@
 """Checks that compare whole maps fail with a map witness, never an empty one."""
 
 from whakit import yetter_drinfeld
-from whakit.examples import group_algebra_zn, sweedler
+import random
+
+from whakit.examples import group_algebra_zn, groupoid_algebra, sweedler
+from whakit.module_cat import (HModule, check_monoidal_coherence,
+                               regular_module)
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import (BraidedHopfAlgebra, check_braided_hopf,
                                   transmute)
@@ -88,3 +92,25 @@ def test_structure_maps_h_linear_witness():
         check_braided_hopf(bad), "structure_maps_h_linear")
     assert name == "mult" and 0 <= i < H.dim
     assert (row, col) in set(lhs) | set(rhs)
+
+
+def test_truncated_action_well_defined_witness():
+    # On the pair groupoid the carrier of M tensor N is the sum over
+    # objects x of e_x M tensor e_x N.  The arrow g: 0 -> 1 is group-like,
+    # so g tensor g must map the x = 0 summand into the x = 1 summand; an
+    # extra term of g . b inside e_0 M sends part of b tensor b to
+    # e_0 M tensor e_1 N, off the carrier, while the identity arrows that
+    # cut out the carrier still act as before.
+    H, R = groupoid_algebra(2, 1)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    reg = regular_module(H)
+    g, b = (H.space.labels.index(label) for label in ("1<-0:g^0", "0<-0:g^0"))
+    action = {(i, r, c): v for i in range(H.dim)
+              for (r, c), v in reg.rho(i).entries.items()}
+    action[(g, b, b)] = 1
+    bad = HModule(H, H.space, action)
+    report = check_monoidal_coherence(H, R, [bad, reg], random.Random(0))
+    key, lhs, rhs = failing_witness(report, "truncated_action_well_defined")
+    assert key[:3] == (0, 0, g)
+    assert check_monoidal_coherence(H, R, [reg], random.Random(0)).find(
+        "truncated_action_well_defined").passed
