@@ -60,6 +60,13 @@ def test_certify_braided_hopf_z32(benchmark):
     run_row(benchmark, setup, certify_braided_hopf, rounds=3)
 
 
+def test_monoidal_coherence_z16(benchmark):
+    def setup():
+        H, R, _ = certified(lambda: examples.group_algebra_zn(16))
+        return (H, R), {}
+    run_row(benchmark, setup, coherence, rounds=3)
+
+
 def test_monoidal_coherence_anyonic_z5(benchmark):
     def setup():
         H, R, _ = certified(lambda: examples.group_algebra_zn_anyonic(5))

@@ -7,9 +7,8 @@ diagonal action conjugated into carrier coordinates.  That action is
 built on its first read, one batched contraction per algebra basis
 element over all carrier columns; a carrier that is only compared with
 another, as the nested carriers of a triple are, never builds it.  The
-unit object
-is the target subalgebra with action h . z = eps_t(hz).  A certified
-R-matrix braids the truncated products.
+unit object is the target subalgebra with action h . z = eps_t(hz).  A
+certified R-matrix braids the truncated products.
 
 Maps between truncated products take their carriers first and read the
 modules from the carrier legs: braiding_c(source, target, R) maps the
@@ -210,6 +209,8 @@ class TruncatedTensor(HModule):
     def _conjugated_action(self) -> dict:
         """The table {(i, j): {r: c}}: e_i acting on carrier basis j."""
         legs = (self.left.action, self.right.action, None)
+        # column-major, as each column alone would be acted on: the table
+        # keeps that key and row order, which elimination ties follow
         cols = {(a, b, j): c for j, col in self.inclusion_table().items()
                 for (a, b), c in col.items()}
         proj = self.carrier.projection.columns()
