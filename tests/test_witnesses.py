@@ -1,8 +1,9 @@
-"""Checks that compare whole maps fail with a map witness, never an empty one."""
+"""Checks fail on perturbed inputs with a (key, lhs, rhs) witness, never an
+empty one."""
 
-from whakit import yetter_drinfeld
 import random
 
+from whakit import yetter_drinfeld
 from whakit.examples import group_algebra_zn, groupoid_algebra, sweedler
 from whakit.module_cat import (HModule, check_monoidal_coherence,
                                regular_module)
