@@ -26,6 +26,13 @@ from itertools import product
 
 from .scalars import invert
 
+# Structure constants of group and groupoid algebras, and their actions,
+# are 0/1 tables.  A product by an entry of 1 returns an equal value of
+# the same type, so the kernels below skip it when the entry is the int
+# 1: CPython holds one int 1 object, so an identity test finds it, and
+# any other 1 (a Fraction, a Cyclo, a bool) simply takes the product.
+_ONE = 1
+
 
 class DimensionMismatch(ValueError):
     """Map or vector dimensions do not line up."""
@@ -102,7 +109,7 @@ def act(tables, x: dict, y: dict) -> dict:
                     break
                 rows.append(row.items())
             else:
-                c0 = xc * yc
+                c0 = xc if yc is _ONE else yc if xc is _ONE else xc * yc
                 for combo in product(*rows):
                     key, vals = zip(*combo)
                     if through:
@@ -112,7 +119,8 @@ def act(tables, x: dict, y: dict) -> dict:
                         key = tuple(full)
                     c = c0
                     for v in vals:
-                        c = c * v
+                        if v is not _ONE:
+                            c = c * v
                     # add_term, inlined: this loop runs for every term
                     cur = get(key)
                     if cur is None:
@@ -145,7 +153,7 @@ def on_leg(t: dict, leg, op: dict) -> dict:
             head, tail = key[:span.start], key[span.stop:]
             for j, v in row.items():
                 add_term(out, head + (j if type(j) is tuple else (j,)) + tail,
-                         c * v)
+                         c if v is _ONE else c * v)
     return out
 
 
@@ -269,7 +277,8 @@ class LinMap:
         out = {}
         for (r, c), v in self.entries.items():
             for c2, v2 in byrow.get(c, ()):
-                add_term(out, (r, c2), v * v2)
+                add_term(out, (r, c2),
+                         v if v2 is _ONE else v2 if v is _ONE else v * v2)
         return LinMap(g.domain, self.codomain, out)
 
     __matmul__ = compose
