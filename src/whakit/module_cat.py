@@ -14,8 +14,16 @@ Maps between truncated products take their carriers first and read the
 modules from the carrier legs: braiding_c(source, target, R) maps the
 carrier of M and N onto that of N and M, and raises ValueError unless
 target holds the legs of source swapped; left_unitor(tt) and
-right_unitor(tt) read M and the unit object from tt.  carrier_map
-builds each such map from its action on pair-keyed tensors.
+right_unitor(tt) read M and the unit object from tt.
+
+carrier_map builds each such map, and carrier_mismatch compares two
+multilinear expressions on a carrier, in one pass over every carrier
+column: the carrier inclusion becomes one tensor {(a, b, ..., j): c},
+basis vector j unflattened to the module legs with the column index j as
+a trailing leg, and the function or the two sides are applied to that
+tensor once.  So each function they take must let a trailing leg it does
+not name pass through untouched, as act does for a None table and
+on_leg and permute do for legs they leave in place.
 
 check_monoidal_coherence verifies, on a caller-supplied sample of
 modules, that nested carriers agree, that unitors are inverse pairs
@@ -138,7 +146,11 @@ def h_linear_mismatch(f: LinMap, M: HModule, N: HModule):
 
 
 def act_pair(M: HModule, N: HModule, terms: dict, pd: dict) -> dict:
-    """Apply a pair-keyed algebra tensor legwise to a pair-keyed vector."""
+    """Apply a pair-keyed algebra tensor legwise to a pair-keyed vector.
+
+    The package itself acts on whole carriers with act and a trailing
+    column leg; this per-vector form serves callers outside it, such as
+    reference computations in tests and the certbench tracer's count."""
     return act((M.action, N.action), terms, pd)
 
 
@@ -209,24 +221,33 @@ class TruncatedTensor(HModule):
     def _conjugated_action(self) -> dict:
         """The table {(i, j): {r: c}}: e_i acting on carrier basis j."""
         legs = (self.left.action, self.right.action, None)
-        # column-major, as each column alone would be acted on: the table
-        # keeps that key and row order, which elimination ties follow
-        cols = {(a, b, j): c for j, col in self.inclusion_table().items()
-                for (a, b), c in col.items()}
-        proj = self.carrier.projection.columns()
-        n = self.right.dim
+        cols = self.inclusion_tensor()
         action = {}
         for i in range(self.algebra.dim):
             cop = self.algebra.comult.get(i)
-            if not cop:
-                continue
-            out = {}
-            for (a, b, j), v in act(legs, cop, cols).items():
-                rows = out.setdefault(j, {})
-                for r, p in proj.get(a * n + b, {}).items():
-                    add_term(rows, r, p * v)
-            action.update(((i, j), rows) for j, rows in out.items() if rows)
+            if cop:
+                action.update(((i, j), rows) for j, rows in
+                              self.project_columns(act(legs, cop, cols)).items()
+                              if rows)
         return action
+
+    def inclusion_tensor(self) -> dict:
+        """The carrier inclusion as one tensor {(a, b, j): c}, the column
+        index j as a trailing leg."""
+        return column_tensor(self.carrier, (self.left.dim, self.right.dim))
+
+    def project_columns(self, t: dict) -> dict:
+        """A pair-keyed tensor with a trailing column leg, {(a, b, j): c},
+        to carrier coordinates {j: {r: c}}, one sparse product for every
+        column; a column may come back empty."""
+        proj = self.carrier.projection.columns()
+        n = self.right.dim
+        out = {}
+        for (a, b, j), v in t.items():
+            rows = out.setdefault(j, {})
+            for r, p in proj.get(a * n + b, {}).items():
+                add_term(rows, r, p * v)
+        return out
 
     def inclusion_table(self) -> dict:
         """The carrier inclusion as a splice table {j: {(a, b): c}}."""
@@ -259,12 +280,35 @@ def truncated_tensor(M: HModule, N: HModule) -> TruncatedTensor:
     return TruncatedTensor(M, N)
 
 
+def column_tensor(carrier: Subspace, dims) -> dict:
+    """The inclusion of carrier as one tensor {(a, b, ..., j): c}: basis
+    vector j unflattened to legs of the given dims, j as a trailing leg.
+
+    Column-major, each column in its own row order, as the columns would
+    be acted on one at a time: what is built from it keeps that key and
+    row order, which elimination ties follow.
+    """
+    cols = carrier.inclusion.columns()
+    return {key + (j,): c for j in range(carrier.dim)
+            for key, c in unflatten(cols.get(j, {}), dims).items()}
+
+
+def _split_columns(t: dict, dim: int) -> list:
+    """A tensor with a trailing column leg as its dim columns, the column
+    leg dropped; a column left with one leg is a vector on bare indices."""
+    out = [{} for _ in range(dim)]
+    for key, c in t.items():
+        out[key[-1]][key[0] if len(key) == 2 else key[:-1]] = c
+    return out
+
+
 def carrier_map(source: TruncatedTensor, target: TruncatedTensor, f) -> LinMap:
     """The map sending carrier basis j of source to the target carrier
-    coordinates of f(x), x the pair-keyed embedding of j."""
-    embedded = source.inclusion_table()
-    return LinMap.from_function(source.space, target.space, lambda j: (
-        target.project_pairs(f(embedded[j]))))
+    coordinates of the column j of f(x), x the inclusion tensor of source
+    with its trailing column leg; f must pass that leg through."""
+    cols = target.project_columns(f(source.inclusion_tensor()))
+    return LinMap(source.space, target.space, {
+        (r, j): c for j in range(source.dim) for r, c in cols.get(j, {}).items()})
 
 
 def swapped_legs(source: TruncatedTensor, target: TruncatedTensor):
@@ -331,7 +375,7 @@ def braiding_c(source: TruncatedTensor, target: TruncatedTensor,
     R.require_certified()
     M, N = swapped_legs(source, target)
     return carrier_map(source, target, lambda x: permute(
-        act_pair(M, N, R.r, x), (1, 0)))
+        act((M.action, N.action, None), R.r, x), (1, 0, 2)))
 
 
 def braiding_c_inv(source: TruncatedTensor, target: TruncatedTensor,
@@ -340,8 +384,8 @@ def braiding_c_inv(source: TruncatedTensor, target: TruncatedTensor,
     to M tensor N."""
     R.require_certified()
     N, M = swapped_legs(source, target)
-    return carrier_map(source, target, lambda x: act_pair(
-        M, N, R.r_bar, permute(x, (1, 0))))
+    return carrier_map(source, target, lambda x: act(
+        (M.action, N.action, None), R.r_bar, permute(x, (1, 0, 2))))
 
 
 def truncated_morphism(tt_dom: TruncatedTensor, tt_cod: TruncatedTensor,
@@ -373,16 +417,21 @@ def sample_endomorphisms(M: HModule, rng):
 
 
 def carrier_mismatch(carrier: Subspace, dims, lhs, rhs):
-    """None if lhs(x) == rhs(x) for every basis vector x of the carrier,
+    """None if lhs and rhs agree on every basis vector of the carrier,
     unflattened to a tensor with legs of the given dims, else the witness
-    ((j,), lhs, rhs) of the first basis index j where they differ.
+    ((j,), lhs, rhs) of the first basis index j where they differ, each
+    side the column j of its result with the column leg dropped.
 
-    This is the skeleton of every hexagon check: lhs braids in one step,
-    rhs in two."""
-    def sides(j):
-        x = unflatten(carrier.inclusion.column(j), dims)
-        return lhs(x), rhs(x)
-    return first_unequal(product(range(carrier.dim)), sides)
+    lhs and rhs are applied once each, to column_tensor(carrier, dims),
+    and must pass its trailing column leg through.  This is the skeleton
+    of every hexagon check: lhs braids in one step, rhs in two."""
+    x = column_tensor(carrier, dims)
+    left, right = lhs(x), rhs(x)
+    if left == right:
+        return None
+    left, right = (_split_columns(t, carrier.dim) for t in (left, right))
+    return first_unequal(product(range(carrier.dim)),
+                         lambda j: (left[j], right[j]))
 
 
 def _hexagon_braids(H, R, M, N, P):
@@ -392,25 +441,29 @@ def _hexagon_braids(H, R, M, N, P):
     past P; backward braids M past the product of N and P, against M
     first past N, then past P.
     """
-    legs = (M.action, N.action, P.action)
+    legs = (M.action, N.action, P.action, None)
     r = R.r
     # R with the coproduct applied to its first, then to its second leg
     forward_terms = on_leg(r, 0, H.comult)
     backward_terms = on_leg(r, 1, H.comult)
 
     def forward_one(x):
-        return permute(act(legs, forward_terms, x), (2, 0, 1))
+        return permute(act(legs, forward_terms, x), (2, 0, 1, 3))
 
     def forward_two(x):
-        step = permute(act((None, N.action, P.action), r, x), (0, 2, 1))
-        return permute(act((M.action, P.action, None), r, step), (1, 0, 2))
+        step = permute(act((None, N.action, P.action, None), r, x),
+                       (0, 2, 1, 3))
+        return permute(act((M.action, P.action, None, None), r, step),
+                       (1, 0, 2, 3))
 
     def backward_one(x):
-        return permute(act(legs, backward_terms, x), (1, 2, 0))
+        return permute(act(legs, backward_terms, x), (1, 2, 0, 3))
 
     def backward_two(x):
-        step = permute(act((M.action, N.action, None), r, x), (1, 0, 2))
-        return permute(act((None, M.action, P.action), r, step), (0, 2, 1))
+        step = permute(act((M.action, N.action, None, None), r, x),
+                       (1, 0, 2, 3))
+        return permute(act((None, M.action, P.action, None), r, step),
+                       (0, 2, 1, 3))
 
     return {"hexagon_forward": (forward_one, forward_two),
             "hexagon_backward": (backward_one, backward_two)}
@@ -431,12 +484,17 @@ def _action_mismatch(tt: TruncatedTensor):
     for each algebra basis h, the conjugated action composed with
     inclusion matches the ambient action; else the first h's witness."""
     H = tt.algebra
-    embedded = tt.inclusion_table()
+    legs = (tt.left.action, tt.right.action, None)
+    cols = tt.inclusion_tensor()
+    n = tt.right.dim
+
+    def ambient(h):
+        # the diagonal action on every embedded carrier column at once
+        return LinMap(tt.space, tt.carrier.ambient, {
+            (a * n + b, j): c for (a, b, j), c in
+            act(legs, H.comult.get(h, {}), cols).items()})
     return first_witness(((h,), map_witness(
-        tt.carrier.inclusion.compose(tt.rho(h)),
-        LinMap.from_function(tt.space, tt.carrier.ambient, lambda j: flatten(
-            act_pair(tt.left, tt.right, H.comult.get(h, {}), embedded[j]),
-            (tt.left.dim, tt.right.dim)))))
+        tt.carrier.inclusion.compose(tt.rho(h)), ambient(h)))
         for h in range(H.dim))
 
 
@@ -465,7 +523,7 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
             split_idempotent(triple_projector(M, unit, N)),
             (M.dim, unit.dim, N.dim),
             lambda x: on_leg(on_leg(x, 1, incl), slice(1, 3), N.action),
-            lambda x: on_leg(permute(on_leg(x, 1, s_incl), (1, 0, 2)),
+            lambda x: on_leg(permute(on_leg(x, 1, s_incl), (1, 0, 2, 3)),
                              slice(0, 2), M.action))
 
     def unitor_cases():

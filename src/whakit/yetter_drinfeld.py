@@ -361,7 +361,8 @@ def yd_braiding(V: YDModule, source, target) -> LinMap:
     maps to the coaction leg of v acting on w, tensor the rest of v."""
     W = _braided_past(V.module, source, target)
     return carrier_map(source, target, lambda x: on_leg(
-        permute(on_leg(x, 0, V.table()), (0, 2, 1)), slice(0, 2), W.action))
+        permute(on_leg(x, 0, V.table()), (0, 2, 1, 3)), slice(0, 2),
+        W.action))
 
 
 def _braid_step(com: RHComodule, other: HModule, t: dict, leg: int,
@@ -405,8 +406,8 @@ def comodule_braiding_inv(U: RHComodule, source, target) -> LinMap:
             f"{H.name} carries no antipode inverse")
     V = _braided_past(U.module, target, source)
     return carrier_map(source, target, lambda x: permute(_braid_step(
-        U, V, permute(x, (1, 0)), 0, H.antipode_inverse_map.columns()),
-        (1, 0)))
+        U, V, permute(x, (1, 0, 2)), 0, H.antipode_inverse_map.columns()),
+        (1, 0, 2)))
 
 
 def check_comodule_braiding(U: RHComodule, V: RHComodule,
@@ -466,11 +467,11 @@ def _hexagon_braids(U, V, P):
         # through its coproduct; R^1 acts on what is left of u
         t = on_leg(on_leg(x, 0, U.table()), 0,
                    U.braided.carrier.inclusion.columns())
-        # (h, u, v, w) -> (h, R^2, v, w, R^1, u)
-        t = {(h, q, v, w, p, u): c * r for (h, u, v, w), c in t.items()
+        # (h, u, v, w, j) -> (h, R^2, v, w, R^1, u, j)
+        t = {(h, q, v, w, p, u, j): c * r for (h, u, v, w, j), c in t.items()
              for (p, q), r in R.r.items()}
         t = on_leg(on_leg(t, slice(0, 2), H.mult), 0, H.comult)
-        t = on_leg(permute(t, (0, 2, 1, 3, 4, 5)), slice(0, 2),
+        t = on_leg(permute(t, (0, 2, 1, 3, 4, 5, 6)), slice(0, 2),
                    V.module.action)
         t = on_leg(t, slice(1, 3), P.module.action)
         return on_leg(t, slice(2, 4), U.module.action)

@@ -2,20 +2,28 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
-from whakit.linalg import DimensionMismatch, LinMap, VectorSpace
+from whakit.linalg import (DimensionMismatch, LinMap, VectorSpace, act,
+                           on_leg, permute, unflatten)
 from whakit.module_cat import (HModule, act_pair, braiding_c,
-                               braiding_c_inv, check_module,
+                               braiding_c_inv, carrier_mismatch, check_module,
                                check_monoidal_coherence, h_linear_mismatch,
                                left_unitor, regular_module, right_unitor,
+                               sample_endomorphisms, truncated_morphism,
                                truncated_tensor, truncation_projector,
                                unit_object)
 from whakit.quasitriangular import certify_quasitriangular
-from whakit.weak_hopf import NotCertified, certify
+from whakit.transmutation import transmute
+from whakit.weak_hopf import NotCertified, certify, first_unequal
+from whakit.yetter_drinfeld import (_braid_step, comodule_braiding,
+                                    comodule_braiding_inv, induced_yd,
+                                    regular_rh_comodule, trivial_comodule,
+                                    yd_braiding)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +123,112 @@ def test_batched_action_matches_per_column(build):
             assert tt.rho(i).entries == {
                 (r, j): c for (k, j), rows in reference.items() if k == i
                 for r, c in rows.items()}
+
+
+def per_column_map(source, target, f):
+    """carrier_map one column at a time: f, which takes no column leg,
+    acts on the pair-keyed embedding of each carrier basis vector alone."""
+    embedded = source.inclusion_table()
+    return LinMap.from_function(source.space, target.space, lambda j: (
+        target.project_pairs(f(embedded[j]))))
+
+
+def per_column_mismatch(carrier, dims, lhs, rhs):
+    """carrier_mismatch one column at a time, stopping at the first
+    column where the two sides differ."""
+    def sides(j):
+        x = unflatten(carrier.inclusion.column(j), dims)
+        return lhs(x), rhs(x)
+    return first_unequal(product(range(carrier.dim)), sides)
+
+
+def assert_same_map(batched, reference):
+    # entry order too: a map's entries feed elimination, whose ties
+    # follow key order
+    assert list(batched.entries.items()) == list(reference.entries.items())
+    assert batched == reference
+
+
+BUILDS = [sweedler, lambda: group_algebra_zn(3),
+          lambda: group_algebra_zn_anyonic(3), lambda: groupoid_algebra(2, 2)]
+BUILD_IDS = ["sweedler", "z3", "anyonic_z3", "groupoid_2x2"]
+
+
+@pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
+def test_batched_carrier_maps_match_per_column(build):
+    H, R = build()
+    certify(H)
+    certify_quasitriangular(H, R)
+    M, U = regular_module(H), unit_object(H)
+    rng = random.Random(0)
+    for A, C in ((M, U), (U, M), (M, M)):
+        ac, ca = truncated_tensor(A, C), truncated_tensor(C, A)
+        assert_same_map(braiding_c(ac, ca, R), per_column_map(
+            ac, ca, lambda x: permute(act_pair(A, C, R.r, x), (1, 0))))
+        assert_same_map(braiding_c_inv(ca, ac, R), per_column_map(
+            ca, ac, lambda x: act_pair(A, C, R.r_bar, permute(x, (1, 0)))))
+        for f, g in product(sample_endomorphisms(A, rng),
+                            sample_endomorphisms(C, rng)):
+            assert_same_map(truncated_morphism(ac, ac, f, g), per_column_map(
+                ac, ac, lambda x: on_leg(on_leg(x, 0, f.columns()), 1,
+                                         g.columns())))
+        Y = induced_yd(A, R)
+        assert_same_map(yd_braiding(Y, ac, ca), per_column_map(
+            ac, ca, lambda x: on_leg(permute(on_leg(x, 0, Y.table()),
+                                             (0, 2, 1)), slice(0, 2),
+                                     C.action)))
+
+    B = transmute(H, R)
+    untwist = H.antipode_inverse_map.columns()
+    for V in (regular_rh_comodule(B), trivial_comodule(B, M)):
+        for C in (M, B.module):
+            vc = truncated_tensor(V.module, C)
+            cv = truncated_tensor(C, V.module)
+            assert_same_map(comodule_braiding(V, vc, cv), per_column_map(
+                vc, cv, lambda x: _braid_step(V, C, x, 0, None)))
+            assert_same_map(comodule_braiding_inv(V, cv, vc), per_column_map(
+                cv, vc, lambda x: permute(_braid_step(
+                    V, C, permute(x, (1, 0)), 0, untwist), (1, 0))))
+
+
+@pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
+def test_failing_carrier_mismatch_matches_per_column_search(build):
+    H, R = build()
+    certify(H)
+    M, U = regular_module(H), unit_object(H)
+    for A, C in ((M, M), (U, M)):
+        tt = truncated_tensor(A, C)
+        dims = (A.dim, C.dim)
+        # two legs kept: the split unit acts on the right leg through a
+        # doubled action row, one that the unit's right legs act by
+        terms = H.delta_one()
+        rows = sorted(k for k in C.action if k[0] in {q for _, q in terms})
+        bad_action = dict(C.action)
+        row = rows[len(rows) // 2]
+        bad_action[row] = {k: 2 * c for k, c in bad_action[row].items()}
+        witness = carrier_mismatch(
+            tt.carrier, dims,
+            lambda x: act((A.action, C.action, None), terms, x),
+            lambda x: act((A.action, bad_action, None), terms, x))
+        assert witness == per_column_mismatch(
+            tt.carrier, dims, lambda x: act((A.action, C.action), terms, x),
+            lambda x: act((A.action, bad_action), terms, x))
+        assert witness is not None
+    tt = truncated_tensor(M, M)
+    # one leg kept: the column is a vector on bare indices; one doubled
+    # row of the product, met by some carrier columns only
+    pairs = {k for col in tt.inclusion_table().values() for k in col}
+    keys = sorted(pairs & set(H.mult))
+    key = keys[len(keys) // 2]
+    bad = {**H.mult, key: {k: 2 * c for k, c in H.mult[key].items()}}
+    witness = carrier_mismatch(
+        tt.carrier, (H.dim, H.dim),
+        lambda x: on_leg(x, slice(0, 2), H.mult),
+        lambda x: on_leg(x, slice(0, 2), bad))
+    assert witness == per_column_mismatch(
+        tt.carrier, (H.dim, H.dim), H.fold,
+        lambda x: {k: c for (k,), c in on_leg(x, slice(0, 2), bad).items()})
+    assert witness is not None
 
 
 def test_built_modules_keep_key_validation(h4_pair):
@@ -272,3 +386,8 @@ def test_coherence_catches_corrupted_braiding(z3_pair):
     modules = [regular_module(H)]
     report = check_monoidal_coherence(H, bad, modules)
     assert not report.passed
+    # a triple of module indices, then the carrier column
+    for name in ("hexagon_forward", "hexagon_backward"):
+        key, lhs, rhs = report.find(name).witness
+        assert key == (0, 0, 0, 0)
+        assert lhs and lhs != rhs

@@ -68,6 +68,22 @@ def test_braiding_invertible_witness():
     failing_witness(check_comodule_braiding(regc, regc), "braiding_invertible")
 
 
+def test_hexagon_witnesses():
+    # a doubled R entry: the one-step braid of a hexagon scales by the
+    # entry once, the two-step braid twice
+    H, R, _ = certified_z3()
+    key = sorted(R.r)[0]
+    bad = RMatrix(H, {**R.r, key: 2 * R.r[key]}, R.r_bar)
+    bad.certified = True
+    report = check_monoidal_coherence(H, bad, [regular_module(H)],
+                                      random.Random(0))
+    for name in ("hexagon_forward", "hexagon_backward"):
+        key, lhs, rhs = failing_witness(report, name)
+        # module indices (i, j, k), then the carrier column
+        assert len(key) == 4 and key[:3] == (0, 0, 0)
+        assert {k: 2 * c for k, c in lhs.items()} == rhs
+
+
 def test_matches_translated_module_braiding_witness(monkeypatch):
     # the two sides agree on every input by construction, so the module
     # braiding is perturbed to show how the check reports a difference
