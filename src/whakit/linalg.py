@@ -17,6 +17,15 @@ contraction primitives over such tensors: act contracts one tensor into
 another leg by leg through bilinear tables (algebra products, module
 actions), and on_leg applies a linear map to a single leg (coproduct,
 counit, antipode).
+
+A LinMap built with LinMap(...) checks every entry against its
+dimensions and drops zeros, since those entries come from outside the
+package.  A map the package computes itself, with nonzero entries in
+range by construction, is adopted as it stands by LinMap._adopt: the
+results of compose and identity, the inclusion and projection of
+from_span and split_idempotent, and in module_cat every carrier_map and
+truncation projector.  from_span checks the vectors it is given before
+eliminating them, so the maps it adopts are in range too.
 """
 
 from __future__ import annotations
@@ -230,9 +239,22 @@ class LinMap:
         self.entries = cleaned
         self._bycol = None
 
+    @classmethod
+    def _adopt(cls, domain: VectorSpace, codomain: VectorSpace,
+               entries: dict) -> "LinMap":
+        """A map on entries the package built: every value nonzero and
+        every key in range, so they are taken as they are, unchecked."""
+        f = object.__new__(cls)
+        f.domain = domain
+        f.codomain = codomain
+        f.entries = entries
+        f._bycol = None
+        return f
+
     @staticmethod
     def identity(space: VectorSpace) -> "LinMap":
-        return LinMap(space, space, {(i, i): 1 for i in range(space.dim)})
+        return LinMap._adopt(space, space,
+                             {(i, i): 1 for i in range(space.dim)})
 
     @staticmethod
     def from_function(domain: VectorSpace, codomain: VectorSpace, fn) -> "LinMap":
@@ -264,7 +286,7 @@ class LinMap:
             col = bycol.get(c)
             if col:
                 for r, v in col.items():
-                    add_term(out, r, v * x)
+                    add_term(out, r, x if v is _ONE else v * x)
         return out
 
     def compose(self, g: "LinMap") -> "LinMap":
@@ -279,7 +301,7 @@ class LinMap:
             for c2, v2 in byrow.get(c, ()):
                 add_term(out, (r, c2),
                          v if v2 is _ONE else v2 if v is _ONE else v * v2)
-        return LinMap(g.domain, self.codomain, out)
+        return LinMap._adopt(g.domain, self.codomain, out)
 
     __matmul__ = compose
 
@@ -380,9 +402,11 @@ def _rref(rows, forbid=None):
         for c in candidates:
             holders[c].discard(i)
         piv_col = min(candidates, key=lambda c: len(holders[c]))
-        inv = invert(piv_row[piv_col])
-        if inv != 1:
-            piv_row = {c: v * inv for c, v in piv_row.items()}
+        piv = piv_row[piv_col]
+        if piv is not _ONE:
+            inv = invert(piv)
+            if inv != 1:
+                piv_row = {c: v * inv for c, v in piv_row.items()}
         # no row but this pivot row holds piv_col again: no later pivot
         # row holds it, so no later step can bring it back
         for j in holders.pop(piv_col):
@@ -500,6 +524,16 @@ class Subspace:
         self.inclusion = inclusion
         self.projection = projection
 
+    @classmethod
+    def _adopt(cls, ambient: VectorSpace, inclusion: LinMap,
+               projection: LinMap) -> "Subspace":
+        """A subspace whose maps the caller checks itself."""
+        space = object.__new__(cls)
+        space.ambient = ambient
+        space.inclusion = inclusion
+        space.projection = projection
+        return space
+
     @property
     def dim(self) -> int:
         return self.inclusion.domain.dim
@@ -510,17 +544,17 @@ class Subspace:
 
     @staticmethod
     def from_span(ambient: VectorSpace, vectors) -> "Subspace":
-        """Span of the given coordinate vectors inside ambient."""
-        reduced, pivots, _ = _rref(vectors)
-        k = len(reduced)
-        sub = VectorSpace(k)
-        incl = {}
-        for j, row in enumerate(reduced):
-            for a, v in row.items():
-                incl[(a, j)] = v
-        proj = {(j, p): 1 for j, p in enumerate(pivots)}
-        return Subspace(ambient, LinMap(sub, ambient, incl),
-                        LinMap(ambient, sub, proj))
+        """Span of the given coordinate vectors inside ambient; an index
+        out of range raises DimensionMismatch."""
+        rows = []
+        for vec in vectors:
+            check_keys(vec, "from_span vector", (ambient.dim,))
+            rows.append({i: v for i, v in vec.items() if v != 0})
+        reduced, pivots, _ = _rref(rows)
+        sub = VectorSpace(len(reduced))
+        return Subspace(ambient, _inclusion(sub, ambient, reduced),
+                        LinMap._adopt(ambient, sub, {
+                            (j, p): 1 for j, p in enumerate(pivots)}))
 
     def contains(self, vec: dict) -> bool:
         return self.inclusion(self.projection(vec)) == vec
@@ -536,30 +570,48 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient.dim})"
 
 
+def _inclusion(sub: VectorSpace, ambient: VectorSpace, reduced) -> LinMap:
+    """The map sending basis vector j of sub to the reduced row j."""
+    return LinMap._adopt(sub, ambient, {
+        (a, j): v for j, row in enumerate(reduced) for a, v in row.items()})
+
+
 def split_idempotent(P: LinMap) -> Subspace:
     """Split an idempotent P as inclusion after projection.
 
-    The returned Subspace satisfies inclusion compose projection = P and
-    projection compose inclusion = identity, both exactly.
+    Eliminating the columns of P gives reduced rows r_j, each 1 at its
+    pivot p_j and 0 at every other pivot.  The inclusion sends basis j
+    to r_j, and row j of the projection is row p_j of P.  Two identities
+    follow, for every square P:
+
+    - inclusion compose projection = P.  Column c of P lies in the span
+      of the r_j, and its coefficient on r_j is its entry P[p_j, c].
+    - projection compose inclusion = identity exactly when P compose
+      P = P.  Its (i, j) entry is (P r_j)[p_i], which is r_j[p_i], a
+      Kronecker delta, when P fixes its image; conversely P P = i p i p
+      = i p = P.
+
+    So the retraction check decides idempotence.  Both checks run on the
+    result, and NotIdempotent is raised when either fails.
     """
     if P.domain.dim != P.codomain.dim:
         raise DimensionMismatch("idempotent must be an endomorphism")
-    if P.compose(P) != P:
+    space = _image_split(P)
+    if not space.projection.compose(space.inclusion).is_identity():
         raise NotIdempotent("map is not idempotent")
-    reduced, pivots, _ = _rref(P.columns().values())
-    k = len(reduced)
-    sub = VectorSpace(k)
-    incl = {}
-    for j, row in enumerate(reduced):
-        for a, v in row.items():
-            incl[(a, j)] = v
-    proj = {}
-    by_row = _map_rows(P)
-    for j, p in enumerate(pivots):
-        for c, v in by_row.get(p, {}).items():
-            proj[(j, c)] = v
-    space = Subspace(P.domain, LinMap(sub, P.domain, incl),
-                     LinMap(P.domain, sub, proj))
     if space.inclusion.compose(space.projection) != P:
         raise NotIdempotent("idempotent does not factor through its image")
     return space
+
+
+def _image_split(P: LinMap) -> Subspace:
+    """The inclusion and projection of split_idempotent, unchecked, for
+    any square P."""
+    reduced, pivots, _ = _rref(P.columns().values())
+    sub = VectorSpace(len(reduced))
+    rows = _map_rows(P)
+    return Subspace._adopt(
+        P.domain, _inclusion(sub, P.domain, reduced),
+        LinMap._adopt(P.domain, sub, {
+            (j, c): v for j, p in enumerate(pivots)
+            for c, v in rows.get(p, {}).items()}))

@@ -39,8 +39,9 @@ import random
 from functools import partial
 from itertools import product
 
-from .linalg import (LinMap, Subspace, VectorSpace, act, add_term, check_keys,
-                     flatten, on_leg, permute, split_idempotent, unflatten)
+from .linalg import (_ONE, LinMap, Subspace, VectorSpace, act, add_term,
+                     check_keys, flatten, on_leg, permute, split_idempotent,
+                     unflatten)
 from .weak_hopf import (VerificationReport, entries_witness, first_unequal,
                         first_witness, map_witness)
 
@@ -169,9 +170,15 @@ def _projector(modules, d: dict) -> LinMap:
             for M, i in zip(modules, key)))))
     cols = {col + (k,): 1 for col, k in zip(cols, flatten(
         dict.fromkeys(cols, 1), dims))}
-    out = act([M.action for M in modules] + [None], d, cols)
+    entries = {}
+    for key, c in act([M.action for M in modules] + [None], d, cols).items():
+        # the module legs flatten to the row, the pass-through leg is the column
+        r = 0
+        for i, dim in zip(key, dims):
+            r = r * dim + i
+        entries[(r, key[-1])] = c
     space = VectorSpace(n)
-    return LinMap(space, space, unflatten(flatten(out, dims + [n]), (n, n)))
+    return LinMap._adopt(space, space, entries)
 
 
 def truncation_projector(M: HModule, N: HModule) -> LinMap:
@@ -246,7 +253,7 @@ class TruncatedTensor(HModule):
         for (a, b, j), v in t.items():
             rows = out.setdefault(j, {})
             for r, p in proj.get(a * n + b, {}).items():
-                add_term(rows, r, p * v)
+                add_term(rows, r, v if p is _ONE else p * v)
         return out
 
     def inclusion_table(self) -> dict:
@@ -307,7 +314,7 @@ def carrier_map(source: TruncatedTensor, target: TruncatedTensor, f) -> LinMap:
     coordinates of the column j of f(x), x the inclusion tensor of source
     with its trailing column leg; f must pass that leg through."""
     cols = target.project_columns(f(source.inclusion_tensor()))
-    return LinMap(source.space, target.space, {
+    return LinMap._adopt(source.space, target.space, {
         (r, j): c for j in range(source.dim) for r, c in cols.get(j, {}).items()})
 
 

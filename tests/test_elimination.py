@@ -5,7 +5,8 @@ with sympy's exact Matrix.rank, nullspace and gauss_jordan_solve on
 seeded random sparse maps: wide, tall, rank-deficient, and with all-zero
 rows.  Over Q(w_5), where sympy is no oracle, the reduced rows are
 checked for the defining invariants of a reduced row echelon form, and
-split_idempotent for its two factorisation identities.
+split_idempotent for its two factorisation identities, on idempotent
+and on arbitrary square maps.
 """
 
 import random
@@ -14,9 +15,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from whakit.linalg import (LinMap, Subspace, VectorSpace, _rref, kernel, rank,
-                           solve, split_idempotent)
-from whakit.scalars import omega
+from whakit import linalg
+from whakit.linalg import (LinMap, NotIdempotent, Subspace, VectorSpace,
+                           _image_split, _rref, kernel, rank, solve,
+                           split_idempotent)
+from whakit.scalars import invert, omega
 
 SHAPES = [(3, 9), (9, 3), (7, 7), (1, 6), (6, 1), (12, 12)]
 
@@ -175,3 +178,76 @@ def test_split_idempotent_factors_random_projections(seed):
     split = split_idempotent(P)
     assert split.inclusion.compose(split.projection) == P
     assert split.projection.compose(split.inclusion).is_identity()
+
+
+def oblique_idempotent(rng, n, cyclotomic):
+    """incl Q, incl the inclusion of a random span and Q = proj + K (I -
+    incl proj) a random left inverse of it: an idempotent whose kernel is
+    not spanned by coordinate vectors."""
+    space = VectorSpace(n)
+    sub = Subspace.from_span(space, rand_rows(rng, rng.randint(1, n), n,
+                                              cyclotomic))
+    K = as_map(rand_rows(rng, sub.dim, n, cyclotomic), n)
+    complement = LinMap.identity(space) - sub.inclusion.compose(sub.projection)
+    return sub.inclusion.compose(sub.projection + K.compose(complement))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_image_split_identities_on_square_maps(seed):
+    """inclusion compose projection = P for every square P, and projection
+    compose inclusion = identity exactly when P is idempotent, which is
+    when split_idempotent succeeds."""
+    rng = random.Random(4000 + seed)
+    n = rng.randint(1, 9)
+    cyclotomic = seed % 2 == 1
+    E = oblique_idempotent(rng, n, cyclotomic)
+    assert E.compose(E) == E
+    for P in (E, as_map(rand_rows(rng, n, n, cyclotomic), n)):
+        split = _image_split(P)
+        assert split.inclusion.compose(split.projection) == P
+        idempotent = P.compose(P) == P
+        assert split.projection.compose(split.inclusion).is_identity() == (
+            idempotent)
+        if idempotent:
+            assert split_idempotent(P).dim == rank(P)
+        else:
+            with pytest.raises(NotIdempotent):
+                split_idempotent(P)
+
+
+def unit_rows(rng, nrows, ncols, cyclotomic):
+    """Sparse rows whose entries are mostly the int 1, as in the truncation
+    projectors of group algebras, the rest rand_scalar values."""
+    return [{c: v for c in range(ncols) if rng.random() < 0.4
+             for v in [1 if rng.random() < 0.7 else rand_scalar(rng, cyclotomic)]
+             if v != 0} for _ in range(nrows)]
+
+
+def test_int_one_pivots_reduce_as_when_inverted(monkeypatch):
+    """_rref leaves a pivot of int 1 uninverted; forcing every inversion
+    gives the same reduced rows, key order, scalar types and pivots."""
+    inverted = []
+
+    def counting_invert(v):
+        inverted.append(v)
+        return invert(v)
+    monkeypatch.setattr(linalg, "invert", counting_invert)
+    runs = []
+    for seed in range(30):
+        rng = random.Random(5000 + seed)
+        nrows, ncols = SHAPES[seed % len(SHAPES)]
+        runs.append(unit_rows(rng, nrows, ncols, cyclotomic=seed % 2 == 1))
+    skipping = [_rref(rows) for rows in runs]
+    n_skipping = len(inverted)
+    # no scalar is the unit object any more, so every pivot is inverted
+    monkeypatch.setattr(linalg, "_ONE", object())
+    forced = [_rref(rows) for rows in runs]
+    assert len(inverted) - n_skipping == sum(len(p) for _, p, _ in forced)
+    assert n_skipping < len(inverted) - n_skipping
+
+    def layout(rows):
+        return [[(c, v, type(v)) for c, v in r.items()] for r in rows]
+    for (red, piv, left), (red_f, piv_f, left_f) in zip(skipping, forced):
+        assert layout(red) == layout(red_f)
+        assert piv == piv_f
+        assert layout(left) == layout(left_f)

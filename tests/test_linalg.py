@@ -129,11 +129,16 @@ def test_split_idempotent_diagonal():
     assert not sub.contains({1: Fraction(1)})
 
 
-def test_split_idempotent_rejects_non_idempotent():
+@pytest.mark.parametrize("entries", [
+    {(0, 0): Fraction(2)},
+    {(0, 1): 1},                                    # nilpotent
+    {(0, 0): 2, (1, 1): 2},                         # 2 I
+    {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1},   # squares to twice itself
+], ids=["scaled_entry", "nilpotent", "twice_identity", "all_ones"])
+def test_split_idempotent_rejects_non_idempotent(entries):
     sp = VectorSpace(2)
-    f = LinMap(sp, sp, {(0, 0): Fraction(2)})
     with pytest.raises(NotIdempotent):
-        split_idempotent(f)
+        split_idempotent(LinMap(sp, sp, entries))
 
 
 def test_split_idempotent_factorization():
@@ -182,7 +187,21 @@ def test_dimension_mismatch_errors():
     with pytest.raises(DimensionMismatch):
         LinMap(VectorSpace(2), VectorSpace(2), {(2, 0): Fraction(1)})
     with pytest.raises(DimensionMismatch):
+        LinMap(VectorSpace(2), VectorSpace(3), {(0, 2): 1})
+    with pytest.raises(DimensionMismatch):
+        LinMap(VectorSpace(2), VectorSpace(2), {(-1, 0): 1})
+    with pytest.raises(DimensionMismatch):
         VectorSpace(2, ["a", "a"])
+    with pytest.raises(DimensionMismatch):
+        Subspace.from_span(VectorSpace(2), [{0: 1}, {2: 1}])
+
+
+def test_public_constructors_drop_zero_entries():
+    assert LinMap(VectorSpace(2), VectorSpace(2),
+                  {(0, 0): 0, (1, 0): Fraction(0), (1, 1): 3}).entries == {
+                      (1, 1): 3}
+    sub = Subspace.from_span(VectorSpace(3), [{0: 1, 1: 0, 2: Fraction(0)}])
+    assert sub.inclusion.entries == {(0, 0): 1}
 
 
 def test_vector_helpers():

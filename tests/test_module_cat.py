@@ -9,14 +9,14 @@ import pytest
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
 from whakit.linalg import (DimensionMismatch, LinMap, VectorSpace, act,
-                           on_leg, permute, unflatten)
+                           on_leg, permute, split_idempotent, unflatten)
 from whakit.module_cat import (HModule, act_pair, braiding_c,
                                braiding_c_inv, carrier_mismatch, check_module,
                                check_monoidal_coherence, h_linear_mismatch,
                                left_unitor, regular_module, right_unitor,
-                               sample_endomorphisms, truncated_morphism,
-                               truncated_tensor, truncation_projector,
-                               unit_object)
+                               sample_endomorphisms, triple_projector,
+                               truncated_morphism, truncated_tensor,
+                               truncation_projector, unit_object)
 from whakit.quasitriangular import certify_quasitriangular
 from whakit.transmutation import transmute
 from whakit.weak_hopf import NotCertified, certify, first_unequal
@@ -229,6 +229,42 @@ def test_failing_carrier_mismatch_matches_per_column_search(build):
         tt.carrier, (H.dim, H.dim), H.fold,
         lambda x: {k: c for (k,), c in on_leg(x, slice(0, 2), bad).items()})
     assert witness is not None
+
+
+def assert_validated(f):
+    """f holds what LinMap's own checks would leave: no zero entry, no
+    entry out of range."""
+    assert all(v != 0 for v in f.entries.values())
+    assert all(0 <= r < f.codomain.dim and 0 <= c < f.domain.dim
+               for r, c in f.entries)
+    assert f == LinMap(f.domain, f.codomain, f.entries)
+
+
+@pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
+def test_adopted_maps_pass_the_public_checks(build):
+    H, R = build()
+    certify(H)
+    certify_quasitriangular(H, R)
+    M, U = regular_module(H), unit_object(H)
+    assert_validated(triple_projector(M, U, M))
+    split3 = split_idempotent(triple_projector(M, M, U))
+    assert_validated(split3.inclusion)
+    assert_validated(split3.projection)
+    rng = random.Random(0)
+    for A, C in ((M, U), (U, M), (M, M)):
+        ac, ca = truncated_tensor(A, C), truncated_tensor(C, A)
+        assert_validated(truncation_projector(A, C))
+        assert_validated(ac.carrier.inclusion)
+        assert_validated(ac.carrier.projection)
+        c = braiding_c(ac, ca, R)
+        c_inv = braiding_c_inv(ca, ac, R)
+        assert_validated(c)
+        assert_validated(c_inv.compose(c))
+        assert_validated(ac.carrier.inclusion.compose(ac.carrier.projection))
+        for f, g in product(sample_endomorphisms(A, rng),
+                            sample_endomorphisms(C, rng)):
+            assert_validated(truncated_morphism(ac, ac, f, g))
+    assert_validated(LinMap.identity(M.space))
 
 
 def test_built_modules_keep_key_validation(h4_pair):
