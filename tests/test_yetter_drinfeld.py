@@ -11,10 +11,12 @@ from whakit.module_cat import regular_module, truncated_tensor, unit_object
 from whakit.quasitriangular import certify_quasitriangular
 from whakit.transmutation import certify_braided_hopf, transmute
 from whakit.weak_hopf import certify
+from whakit import yetter_drinfeld
 from whakit.yetter_drinfeld import (YDModule, check_comodule_braiding,
+                                    check_equivalence_roundtrip,
                                     check_rh_comodule, check_yd,
                                     comodule_braiding, comodule_braiding_inv,
-                                    functor_F, induced_yd,
+                                    functor_F, functor_G, induced_yd,
                                     regular_rh_comodule, trivial_comodule,
                                     yd_braiding)
 
@@ -65,6 +67,22 @@ def test_comodule_braiding_and_hexagons(certified):
         assert report.names() == [
             "braiding_invertible", "matches_translated_module_braiding",
             "hexagon_forward", "hexagon_backward"]
+
+
+def test_roundtrip_translates_each_sample_once(certified, monkeypatch):
+    """functor_G runs once per sample and once per tensor of two samples,
+    however many checks use a translation."""
+    H, R, B = certified
+    calls = []
+
+    def counting_functor_G(Y, braided):
+        calls.append(Y)
+        return functor_G(Y, braided)
+    monkeypatch.setattr(yetter_drinfeld, "functor_G", counting_functor_G)
+    report = check_equivalence_roundtrip(H, R, braided=B)
+    assert report.passed, report.first_failure()
+    samples, comodules = 3, 4
+    assert len(calls) == samples + comodules + samples ** 2
 
 
 def test_braidings_reject_carriers_that_do_not_match(certified):
