@@ -6,8 +6,9 @@ Run from the root of a checkout:
 
 Each row times one stage of the six-stage pipeline (certify ->
 certify_quasitriangular -> transmute -> certify_braided_hopf ->
-check_monoidal_coherence -> check_equivalence_roundtrip), or the whole
-pipeline, on freshly built objects.  The stages before the timed one run
+check_monoidal_coherence -> check_equivalence_roundtrip), the whole
+pipeline, or the split of one truncation carrier, on freshly built
+objects.  The stages before the timed one run
 in the untimed setup of every round.  With --benchmark-disable each row
 runs once, as a smoke test.  bench/ is outside the tier-1 testpaths.
 """
@@ -15,7 +16,9 @@ runs once, as a smoke test.  bench/ is outside the tier-1 testpaths.
 import random
 
 from whakit import examples
-from whakit.module_cat import check_monoidal_coherence, regular_module, unit_object
+from whakit.linalg import split_idempotent
+from whakit.module_cat import (check_monoidal_coherence, regular_module,
+                               triple_projector, unit_object)
 from whakit.quasitriangular import certify_quasitriangular
 from whakit.transmutation import certify_braided_hopf, transmute
 from whakit.weak_hopf import certify
@@ -79,3 +82,13 @@ def test_equivalence_roundtrip_anyonic_z5(benchmark):
         H, R, B = certified(lambda: examples.group_algebra_zn_anyonic(5))
         return (H, R), {"braided": B}
     run_row(benchmark, setup, check_equivalence_roundtrip, rounds=3)
+
+
+def test_split_triple_carrier_z12(benchmark):
+    def setup():
+        H, _, _ = certified(lambda: examples.group_algebra_zn(12))
+        M = regular_module(H)
+        return (triple_projector(M, M, M),), {}
+    carrier = benchmark.pedantic(split_idempotent, setup=setup, rounds=5,
+                                 iterations=1)
+    assert carrier.dim == 12 ** 3
