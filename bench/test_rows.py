@@ -8,9 +8,9 @@ Each row times one stage of the six-stage pipeline (certify ->
 certify_quasitriangular -> transmute -> certify_braided_hopf ->
 check_monoidal_coherence -> check_equivalence_roundtrip), the whole
 pipeline, or the split of one truncation carrier, on freshly built
-objects.  The stages before the timed one run
-in the untimed setup of every round.  With --benchmark-disable each row
-runs once, as a smoke test.  bench/ is outside the tier-1 testpaths.
+objects.  The stages before the timed one run in the untimed setup of
+every round.  With --benchmark-disable each row runs once, as a smoke
+test.  bench/ is outside the tier-1 testpaths.
 """
 
 import random
