@@ -7,7 +7,8 @@ Run from the root of a checkout:
 Each row times one stage of the six-stage pipeline (certify ->
 certify_quasitriangular -> transmute -> certify_braided_hopf ->
 check_monoidal_coherence -> check_equivalence_roundtrip), the whole
-pipeline, or the split of one truncation carrier, on freshly built
+pipeline, the split of one truncation carrier, or the split of an
+idempotent that is not a coordinate projection, on freshly built
 objects.  The stages before the timed one run in the untimed setup of
 every round.  With --benchmark-disable each row runs once, as a smoke
 test.  bench/ is outside the tier-1 testpaths.
@@ -16,7 +17,8 @@ test.  bench/ is outside the tier-1 testpaths.
 import random
 
 from whakit import examples
-from whakit.linalg import split_idempotent
+from whakit.linalg import (LinMap, VectorSpace, _coordinate_split,
+                           split_idempotent)
 from whakit.module_cat import (check_monoidal_coherence, regular_module,
                                triple_projector, unit_object)
 from whakit.quasitriangular import certify_quasitriangular
@@ -92,3 +94,28 @@ def test_split_triple_carrier_z12(benchmark):
     carrier = benchmark.pedantic(split_idempotent, setup=setup, rounds=5,
                                  iterations=1)
     assert carrier.dim == 12 ** 3
+
+
+def test_split_oblique_idempotent_1728(benchmark):
+    # The Z_12 triple carrier is a coordinate projection, split without
+    # elimination.  This row keeps elimination timed at that size: the
+    # projection P onto the even coordinates conjugated by U = I + E,
+    # where E sends e_2k+1 to e_2k + e_2k+2 and kills the even ones, so
+    # E E = 0, U^-1 = I - E and U P U^-1 = P - E.
+    n = 12 ** 3
+
+    def setup():
+        space = VectorSpace(n)
+        E = {}
+        for k in range(1, n, 2):
+            E[(k - 1, k)] = 1
+            E[((k + 1) % n, k)] = 1
+        P = LinMap(space, space, {(k, k): 1 for k in range(0, n, 2)})
+        U = LinMap.identity(space) + LinMap(space, space, E)
+        U_inv = LinMap.identity(space) - LinMap(space, space, E)
+        Q = U.compose(P).compose(U_inv)
+        assert _coordinate_split(Q) is None
+        return (Q,), {}
+    carrier = benchmark.pedantic(split_idempotent, setup=setup, rounds=5,
+                                 iterations=1)
+    assert carrier.dim == n // 2

@@ -23,9 +23,11 @@ dimensions and drops zeros, since those entries come from outside the
 package.  A map the package computes itself, with nonzero entries in
 range by construction, is adopted as it stands by LinMap._adopt: the
 results of compose and identity, the inclusion and projection of
-from_span and split_idempotent, and in module_cat every carrier_map and
-truncation projector.  from_span checks the vectors it is given before
-eliminating them, so the maps it adopts are in range too.
+from_span and split_idempotent (the coordinate inclusion and projection
+of a coordinate projection among them), and in module_cat every
+carrier_map and truncation projector.  from_span checks the vectors it
+is given before eliminating them, so the maps it adopts are in range
+too.
 """
 
 from __future__ import annotations
@@ -593,15 +595,45 @@ def split_idempotent(P: LinMap) -> Subspace:
 
     So the retraction check decides idempotence.  Both checks run on the
     result, and NotIdempotent is raised when either fails.
+
+    A coordinate projection, every column c of P exactly {c: v} with
+    v == 1, is split without elimination: the inclusion sends basis j to
+    e_c and the projection sends e_c back to j, c the j-th column in
+    P.columns() order, both carrying v.  These are the maps elimination
+    gives, entry for entry and in the same key order, since its
+    singleton rows pop in input order and a pivot equal to 1 is kept as
+    it is.  Neither check can fail there: P is diagonal with entries 0
+    and 1, so P compose P = P, and projection compose inclusion is the
+    identity and inclusion compose projection is P by the two identities
+    above.  Truncation projectors of Hopf algebras, where the coproduct
+    of 1 is 1 tensor 1, and of groupoid algebras, where it is the sum of
+    1_x tensor 1_x over the objects x, are of this shape.
     """
     if P.domain.dim != P.codomain.dim:
         raise DimensionMismatch("idempotent must be an endomorphism")
+    space = _coordinate_split(P)
+    if space is not None:
+        return space
     space = _image_split(P)
     if not space.projection.compose(space.inclusion).is_identity():
         raise NotIdempotent("map is not idempotent")
     if space.inclusion.compose(space.projection) != P:
         raise NotIdempotent("idempotent does not factor through its image")
     return space
+
+
+def _coordinate_split(P: LinMap):
+    """The split of a coordinate projection P, as _image_split gives it,
+    or None when some column c of P is not exactly {c: v} with v == 1."""
+    cols = P.columns()
+    if not all(len(col) == 1 and col.get(c) == 1 for c, col in cols.items()):
+        return None
+    sub = VectorSpace(len(cols))
+    diagonal = [(j, c, col[c]) for j, (c, col) in enumerate(cols.items())]
+    return Subspace._adopt(
+        P.domain,
+        LinMap._adopt(sub, P.domain, {(c, j): v for j, c, v in diagonal}),
+        LinMap._adopt(P.domain, sub, {(j, c): v for j, c, v in diagonal}))
 
 
 def _image_split(P: LinMap) -> Subspace:

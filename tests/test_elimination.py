@@ -6,7 +6,8 @@ seeded random sparse maps: wide, tall, rank-deficient, and with all-zero
 rows.  Over Q(w_5), where sympy is no oracle, the reduced rows are
 checked for the defining invariants of a reduced row echelon form, and
 split_idempotent for its two factorisation identities, on idempotent
-and on arbitrary square maps.
+and on arbitrary square maps.  Coordinate projections, split without
+elimination, are checked against the maps elimination gives.
 """
 
 import random
@@ -17,8 +18,8 @@ import sympy
 
 from whakit import linalg
 from whakit.linalg import (LinMap, NotIdempotent, Subspace, VectorSpace,
-                           _image_split, _rref, kernel, rank, solve,
-                           split_idempotent)
+                           _coordinate_split, _image_split, _rref, kernel,
+                           rank, solve, split_idempotent)
 from whakit.scalars import invert, omega
 
 SHAPES = [(3, 9), (9, 3), (7, 7), (1, 6), (6, 1), (12, 12)]
@@ -251,3 +252,73 @@ def test_int_one_pivots_reduce_as_when_inverted(monkeypatch):
         assert layout(red) == layout(red_f)
         assert piv == piv_f
         assert layout(left) == layout(left_f)
+
+
+def assert_validated(f):
+    """LinMap's own checks leave the entries of f as they are: none is out
+    of range, which raises, and none is zero, which would be dropped."""
+    checked = LinMap(f.domain, f.codomain, f.entries)
+    assert list(checked.entries.items()) == list(f.entries.items())
+
+
+def coordinate_projection(rng, n):
+    """A diagonal 0/1 map on n coordinates, its columns in shuffled order,
+    each 1 an int or a Fraction."""
+    cols = [c for c in range(n) if rng.random() < 0.5]
+    rng.shuffle(cols)
+    return LinMap(VectorSpace(n), VectorSpace(n), {
+        (c, c): rng.choice([1, Fraction(1)]) for c in cols})
+
+
+def counting_image_splits(monkeypatch):
+    calls = []
+
+    def image_split(P):
+        calls.append(P)
+        return _image_split(P)
+    monkeypatch.setattr(linalg, "_image_split", image_split)
+    return calls
+
+
+def test_coordinate_projections_split_as_elimination_does(monkeypatch):
+    rng = random.Random(6000)
+    space = VectorSpace(7)
+    maps = [LinMap(space, space, {}), LinMap.identity(space)]
+    maps += [coordinate_projection(rng, rng.randint(1, 12)) for _ in range(30)]
+    assert any(type(v) is Fraction for P in maps for v in P.entries.values())
+    calls = counting_image_splits(monkeypatch)
+    for P in maps:
+        split, reference = split_idempotent(P), _image_split(P)
+        for f, g in ((split.inclusion, reference.inclusion),
+                     (split.projection, reference.projection)):
+            assert [(k, v, type(v)) for k, v in f.entries.items()] == [
+                (k, v, type(v)) for k, v in g.entries.items()]
+            assert (f.domain.dim, f.codomain.dim) == (g.domain.dim,
+                                                      g.codomain.dim)
+            assert_validated(f)
+    # split_idempotent eliminated none of them
+    assert calls == []
+
+
+def test_near_coordinate_maps_are_eliminated(monkeypatch):
+    """A diagonal map with an entry 2, or a coordinate projection with one
+    off-diagonal entry, goes through elimination and both checks."""
+    space = VectorSpace(3)
+    diagonal = {(0, 0): 1, (1, 1): 1}
+    maps = [LinMap(space, space, {**diagonal, (2, 2): 2}),
+            LinMap(space, space, {**diagonal, (0, 1): 1}),
+            LinMap(space, space, {**diagonal, (0, 2): 5}),
+            LinMap(space, space, {**diagonal, (2, 0): Fraction(1, 2)})]
+    calls = counting_image_splits(monkeypatch)
+    raised = []
+    for P in maps:
+        assert _coordinate_split(P) is None
+        if P.compose(P) == P:
+            split = split_idempotent(P)
+            assert split.inclusion.compose(split.projection) == P
+        else:
+            with pytest.raises(NotIdempotent):
+                split_idempotent(P)
+            raised.append(P)
+    assert calls == maps
+    assert raised == maps[:2]

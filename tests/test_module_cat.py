@@ -11,11 +11,11 @@ from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
 from whakit.linalg import (DimensionMismatch, LinMap, VectorSpace, act,
                            on_leg, permute, split_idempotent, unflatten)
 from whakit.module_cat import (HModule, act_pair, braiding_c,
-                               braiding_c_inv, carrier_mismatch, check_module,
-                               check_monoidal_coherence, h_linear_mismatch,
-                               left_unitor, regular_module, right_unitor,
-                               sample_endomorphisms, triple_projector,
-                               truncated_morphism, truncated_tensor,
+                               braiding_c_inv, carrier_map, carrier_mismatch,
+                               check_module, check_monoidal_coherence,
+                               h_linear_mismatch, left_unitor, regular_module,
+                               right_unitor, sample_endomorphisms,
+                               triple_projector, truncated_tensor,
                                truncation_projector, unit_object)
 from whakit.quasitriangular import certify_quasitriangular
 from whakit.transmutation import transmute
@@ -169,9 +169,10 @@ def test_batched_carrier_maps_match_per_column(build):
             ca, ac, lambda x: act_pair(A, C, R.r_bar, permute(x, (1, 0)))))
         for f, g in product(sample_endomorphisms(A, rng),
                             sample_endomorphisms(C, rng)):
-            assert_same_map(truncated_morphism(ac, ac, f, g), per_column_map(
-                ac, ac, lambda x: on_leg(on_leg(x, 0, f.columns()), 1,
-                                         g.columns())))
+            def both(x):
+                return on_leg(on_leg(x, 0, f.columns()), 1, g.columns())
+            assert_same_map(carrier_map(ac, ac, both),
+                            per_column_map(ac, ac, both))
         Y = induced_yd(A, R)
         assert_same_map(yd_braiding(Y, ac, ca), per_column_map(
             ac, ca, lambda x: on_leg(permute(on_leg(x, 0, Y.table()),
@@ -263,7 +264,8 @@ def test_adopted_maps_pass_the_public_checks(build):
         assert_validated(ac.carrier.inclusion.compose(ac.carrier.projection))
         for f, g in product(sample_endomorphisms(A, rng),
                             sample_endomorphisms(C, rng)):
-            assert_validated(truncated_morphism(ac, ac, f, g))
+            assert_validated(carrier_map(ac, ac, lambda x: on_leg(
+                on_leg(x, 0, f.columns()), 1, g.columns())))
     assert_validated(LinMap.identity(M.space))
 
 

@@ -2,15 +2,20 @@
 empty one."""
 
 import random
+from itertools import product
 
-from whakit import yetter_drinfeld
-from whakit.examples import group_algebra_zn, groupoid_algebra, sweedler
-from whakit.module_cat import (HModule, check_monoidal_coherence,
-                               regular_module)
+from whakit import module_cat, yetter_drinfeld
+from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
+                             groupoid_algebra, sweedler)
+from whakit.linalg import LinMap, on_leg
+from whakit.module_cat import (HModule, braiding_c, carrier_map,
+                               check_monoidal_coherence, regular_module,
+                               truncated_tensor)
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import (BraidedHopfAlgebra, check_braided_hopf,
                                   transmute)
-from whakit.weak_hopf import WeakHopfAlgebra, certify, check_weak_hopf
+from whakit.weak_hopf import (WeakHopfAlgebra, certify, check_weak_hopf,
+                              entries_witness, first_witness)
 from whakit.yetter_drinfeld import check_comodule_braiding, regular_rh_comodule
 
 
@@ -131,3 +136,56 @@ def test_truncated_action_well_defined_witness():
     assert key[:3] == (0, 0, g)
     assert check_monoidal_coherence(H, R, [reg], random.Random(0)).find(
         "truncated_action_well_defined").passed
+
+
+def with_swap_sample(monkeypatch):
+    """Append the swap of basis vectors 0 and 1, which is not H-linear, to
+    the regular module's samples; return the sample lists as drawn."""
+    drawn = []
+    sample = module_cat.sample_endomorphisms
+
+    def samples(M, rng):
+        out = sample(M, rng)
+        if getattr(M, "is_regular_module", False):
+            out.append(LinMap(M.space, M.space, {
+                (1, 0): 1, (0, 1): 1, **{(i, i): 1 for i in range(2, M.dim)}}))
+        drawn.append(out)
+        return out
+    monkeypatch.setattr(module_cat, "sample_endomorphisms", samples)
+    return drawn
+
+
+def test_braiding_natural_witness(monkeypatch):
+    # With H-linear samples the check cannot fail for any R, so a sample
+    # that is not H-linear is added.  The witness is the one of c (f (x) g)
+    # against (g (x) f) c as separate maps, over the samples with the
+    # scalar sample 2 id back in after the identity.
+    H, R, _ = certified(lambda: group_algebra_zn_anyonic(3))
+    reg = regular_module(H)
+    drawn = with_swap_sample(monkeypatch)
+    report = check_monoidal_coherence(H, R, [reg], random.Random(0))
+    key, _, _ = witness = failing_witness(report, "braiding_natural")
+    assert key == (0, 0)
+
+    tt = truncated_tensor(reg, reg)
+    c = braiding_c(tt, tt, R)
+
+    def tensor(f, g):
+        return carrier_map(tt, tt, lambda x: on_leg(
+            on_leg(x, 0, f.columns()), 1, g.columns()))
+    fs, gs = ([s[0], s[0].scale(2), *s[1:]] for s in drawn)
+    assert witness == first_witness(((0, 0), entries_witness(
+        c.compose(tensor(f, g)), tensor(g, f).compose(c)))
+        for f, g in product(fs, gs))
+
+
+def test_braiding_natural_passes_a_swap_when_r_is_the_split_unit(monkeypatch):
+    # On the pair groupoid R = Delta(1) acts as the identity on every
+    # carrier, so c is the flip there and commutes with any f (x) g.
+    H, R = groupoid_algebra(2, 2)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    drawn = with_swap_sample(monkeypatch)
+    report = check_monoidal_coherence(H, R, [regular_module(H)],
+                                      random.Random(0))
+    assert len(drawn) == 2 and len(drawn[0]) == 4
+    assert report.find("braiding_natural").passed
