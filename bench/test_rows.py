@@ -7,11 +7,11 @@ Run from the root of a checkout:
 Each row times one stage of the six-stage pipeline (certify ->
 certify_quasitriangular -> transmute -> certify_braided_hopf ->
 check_monoidal_coherence -> check_equivalence_roundtrip), the whole
-pipeline, the split of one truncation carrier, or the split of an
-idempotent that is not a coordinate projection, on freshly built
-objects.  The stages before the timed one run in the untimed setup of
-every round.  With --benchmark-disable each row runs once, as a smoke
-test.  bench/ is outside the tier-1 testpaths.
+pipeline, the split of one truncation carrier, the triple truncation
+projector, or the split of an idempotent that is not a coordinate
+projection, on freshly built objects.  The stages before the timed one
+run in the untimed setup of every round.  With --benchmark-disable each
+row runs once, as a smoke test.  bench/ is outside the tier-1 testpaths.
 """
 
 import random
@@ -94,6 +94,19 @@ def test_split_triple_carrier_z12(benchmark):
     carrier = benchmark.pedantic(split_idempotent, setup=setup, rounds=5,
                                  iterations=1)
     assert carrier.dim == 12 ** 3
+
+
+def test_triple_projector_z12(benchmark):
+    # The action of the twice-iterated coproduct of 1 on the Z_12 regular
+    # module cubed: one act call over 1,728 columns, every looked-up row
+    # of the 0/1 product table a single entry.
+    def setup():
+        H, _, _ = certified(lambda: examples.group_algebra_zn(12))
+        M = regular_module(H)
+        return (M, M, M), {}
+    P = benchmark.pedantic(triple_projector, setup=setup, rounds=5,
+                           iterations=1)
+    assert len(P.entries) == 12 ** 3
 
 
 def test_split_oblique_idempotent_1728(benchmark):

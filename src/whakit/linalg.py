@@ -18,6 +18,17 @@ another leg by leg through bilinear tables (algebra products, module
 actions), and on_leg applies a linear map to a single leg (coproduct,
 counit, antipode).
 
+Every kernel that sums terms (act, on_leg, LinMap.__call__ and
+LinMap.compose here, project_columns in module_cat) accumulates them by
+one rule.  A key takes its place in the result when its first term
+arrives, a sum that cancels to zero is deleted (a later term at that key
+enters again, last), and a product by the int 1 is skipped.  Inputs hold
+no zeros, so no term is zero, and a first term is stored untested.  act
+builds a term whose looked-up table rows each hold a single entry, the
+case of every 0/1 table, directly, without itertools.product, in the
+order the product loop would give.  Elimination breaks ties by key
+order, so report witnesses depend on this order.
+
 A LinMap built with LinMap(...) checks every entry against its
 dimensions and drops zeros, since those entries come from outside the
 package.  A map the package computes itself, with nonzero entries in
@@ -104,44 +115,65 @@ def act(tables, x: dict, y: dict) -> dict:
     act(tables, x, y) is the product x y in the tensor power; with
     module actions, it is x acting on y.
     """
+    legs = [k for k, t in enumerate(tables) if t is not None]
+    a, b = legs[0], legs[-1] + 1
+    # The legs a .. b-1 of y form one block, replaced in each output key
+    # between the untouched head and tail of the y key.  A leg passed
+    # through inside the block acts by an identity table, read at x
+    # index 0.
+    block = [tables[k] if tables[k] is not None
+             else {(0, i): {i: _ONE} for i in {yk[k] for yk in y}}
+             for k in range(a, b)]
+    # each term of x once per call: (table, x index, y leg) per block leg
+    xs = []
+    for xk, xc in x.items():
+        at = dict(zip(legs, xk))
+        xs.append(([(t, at.get(k, 0), k) for k, t in enumerate(block, a)], xc))
     out = {}
     get = out.get
-    through = None in tables
-    if through:
-        legs = [k for k, t in enumerate(tables) if t is not None]
-        tables = [tables[k] for k in legs]
     for yk, yc in y.items():
-        ya = [yk[k] for k in legs] if through else yk
-        for xk, xc in x.items():
-            rows = []
-            for t, p, a in zip(tables, xk, ya):
-                row = t.get((p, a))
-                if not row:
+        head, tail = yk[:a], yk[b:]
+        for terms, xc in xs:
+            rs = []
+            vs = []
+            for t, p, k in terms:
+                row = t.get((p, yk[k]))
+                if not row or len(row) != 1:
                     break
-                rows.append(row.items())
+                (r, v), = row.items()
+                rs.append(r)
+                vs.append(v)
             else:
-                c0 = xc if yc is _ONE else yc if xc is _ONE else xc * yc
-                for combo in product(*rows):
-                    key, vals = zip(*combo)
-                    if through:
-                        full = list(yk)
-                        for k, r in zip(legs, key):
-                            full[k] = r
-                        key = tuple(full)
-                    c = c0
-                    for v in vals:
-                        if v is not _ONE:
-                            c = c * v
-                    # add_term, inlined: this loop runs for every term
-                    cur = get(key)
-                    if cur is None:
-                        out[key] = c
+                # every row holds a single entry: one output term
+                c = xc if yc is _ONE else yc if xc is _ONE else xc * yc
+                for v in vs:
+                    if v is not _ONE:
+                        c = c * v
+                key = head + tuple(rs) + tail
+                # add_term, inlined: this loop runs for every term
+                cur = get(key)
+                if cur is None:
+                    out[key] = c
+                else:
+                    cur = cur + c
+                    if cur:
+                        out[key] = cur
                     else:
-                        cur = cur + c
-                        if cur:
-                            out[key] = cur
-                        else:
-                            del out[key]
+                        del out[key]
+                continue
+            if row:
+                # a row with several entries: one term per choice of an
+                # entry from each row, unless a later row is empty
+                rows = [t.get((p, yk[k])) for t, p, k in terms]
+                if all(rows):
+                    c0 = xc if yc is _ONE else yc if xc is _ONE else xc * yc
+                    for combo in product(*map(dict.items, rows)):
+                        rs, vals = zip(*combo)
+                        c = c0
+                        for v in vals:
+                            if v is not _ONE:
+                                c = c * v
+                        add_term(out, head + rs + tail, c)
     return out
 
 
@@ -157,14 +189,25 @@ def on_leg(t: dict, leg, op: dict) -> dict:
     next.
     """
     span = leg if type(leg) is slice else slice(leg, leg + 1)
+    start, stop = span.start, span.stop
     out = {}
+    get = out.get
     for key, c in t.items():
         row = op.get(key[leg])
         if row:
-            head, tail = key[:span.start], key[span.stop:]
+            head, tail = key[:start], key[stop:]
             for j, v in row.items():
-                add_term(out, head + (j if type(j) is tuple else (j,)) + tail,
-                         c if v is _ONE else c * v)
+                k = head + (j if type(j) is tuple else (j,)) + tail
+                w = c if v is _ONE else c * v
+                cur = get(k)
+                if cur is None:
+                    out[k] = w
+                else:
+                    cur = cur + w
+                    if cur:
+                        out[k] = cur
+                    else:
+                        del out[k]
     return out
 
 
@@ -284,11 +327,21 @@ class LinMap:
     def __call__(self, vec: dict) -> dict:
         bycol = self.columns()
         out = {}
+        get = out.get
         for c, x in vec.items():
             col = bycol.get(c)
             if col:
                 for r, v in col.items():
-                    add_term(out, r, x if v is _ONE else v * x)
+                    w = x if v is _ONE else v * x
+                    cur = get(r)
+                    if cur is None:
+                        out[r] = w
+                    else:
+                        cur = cur + w
+                        if cur:
+                            out[r] = cur
+                        else:
+                            del out[r]
         return out
 
     def compose(self, g: "LinMap") -> "LinMap":
@@ -299,10 +352,20 @@ class LinMap:
         for (r, c), v in g.entries.items():
             byrow.setdefault(r, []).append((c, v))
         out = {}
+        get = out.get
         for (r, c), v in self.entries.items():
             for c2, v2 in byrow.get(c, ()):
-                add_term(out, (r, c2),
-                         v if v2 is _ONE else v2 if v is _ONE else v * v2)
+                k = (r, c2)
+                w = v if v2 is _ONE else v2 if v is _ONE else v * v2
+                cur = get(k)
+                if cur is None:
+                    out[k] = w
+                else:
+                    cur = cur + w
+                    if cur:
+                        out[k] = cur
+                    else:
+                        del out[k]
         return LinMap._adopt(g.domain, self.codomain, out)
 
     __matmul__ = compose

@@ -301,10 +301,25 @@ def project_columns(f: LinMap, n: int, t: dict) -> dict:
     to {j: {r: c}}; a column may come back empty."""
     proj = f.columns()
     out = {}
+    last = None
     for (a, b, j), v in t.items():
-        rows = out.setdefault(j, {})
-        for r, p in proj.get(a * n + b, {}).items():
-            add_term(rows, r, v if p is _ONE else p * v)
+        if j != last:
+            rows = out.setdefault(j, {})
+            get = rows.get
+            last = j
+        col = proj.get(a * n + b)
+        if col:
+            for r, p in col.items():
+                w = v if p is _ONE else p * v
+                cur = get(r)
+                if cur is None:
+                    rows[r] = w
+                else:
+                    cur = cur + w
+                    if cur:
+                        rows[r] = cur
+                    else:
+                        del rows[r]
     return out
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from whakit.linalg import (LinMap, VectorSpace, act, flatten, on_leg, permute,
                            unflatten)
+from whakit.module_cat import project_columns
 from whakit.scalars import omega
 
 D = 3  # every leg of the random tensors has this dimension
@@ -266,3 +267,226 @@ def test_compose_skips_unit_entries_exactly(order):
         # a product of two int 1 entries stays the int 1
         assert all(type(v) is int and v == 1
                    for v in unit.compose(unit).entries.values())
+
+
+# Order oracles: the kernels in their generic form, every act term taken
+# through itertools.product and every sum accumulated by a call in the
+# manner of add_term.  Unlike the brute-force references above, they
+# produce keys in the kernels' order, so the tests below compare
+# list(out.items()) and value types, on which elimination ties and report
+# witnesses depend.  Every oracle accumulates through oracle_add, which
+# also records each key that cancels to zero and is later accumulated
+# again.
+
+REAPPEARED = []
+_ONE = 1    # compared by identity, as the kernels skip a product by it
+
+
+def oracle_add(acc, key, c, dropped):
+    """add_term, recording cancellations: dropped holds the keys whose
+    sum has been zero; a term at such a key is recorded in REAPPEARED."""
+    cur = acc.get(key)
+    if cur is None:
+        if key in dropped:
+            REAPPEARED.append(key)
+        if c != 0:
+            acc[key] = c
+    else:
+        cur = cur + c
+        if cur == 0:
+            del acc[key]
+            dropped.add(key)
+        else:
+            acc[key] = cur
+
+
+def act_oracle(tables, x, y):
+    out, dropped = {}, set()
+    through = None in tables
+    if through:
+        legs = [k for k, t in enumerate(tables) if t is not None]
+        tables = [tables[k] for k in legs]
+    for yk, yc in y.items():
+        ya = [yk[k] for k in legs] if through else yk
+        for xk, xc in x.items():
+            rows = []
+            for t, p, a in zip(tables, xk, ya):
+                row = t.get((p, a))
+                if not row:
+                    break
+                rows.append(row.items())
+            else:
+                c0 = xc if yc is _ONE else yc if xc is _ONE else xc * yc
+                for combo in product(*rows):
+                    key, vals = zip(*combo)
+                    if through:
+                        full = list(yk)
+                        for k, r in zip(legs, key):
+                            full[k] = r
+                        key = tuple(full)
+                    c = c0
+                    for v in vals:
+                        if v is not _ONE:
+                            c = c * v
+                    oracle_add(out, key, c, dropped)
+    return out
+
+
+def on_leg_oracle(t, leg, op):
+    span = leg if type(leg) is slice else slice(leg, leg + 1)
+    out, dropped = {}, set()
+    for key, c in t.items():
+        row = op.get(key[leg])
+        if row:
+            head, tail = key[:span.start], key[span.stop:]
+            for j, v in row.items():
+                oracle_add(out, head + (j if type(j) is tuple else (j,)) + tail,
+                           c if v is _ONE else c * v, dropped)
+    return out
+
+
+def call_oracle(f, vec):
+    bycol = f.columns()
+    out, dropped = {}, set()
+    for c, x in vec.items():
+        col = bycol.get(c)
+        if col:
+            for r, v in col.items():
+                oracle_add(out, r, x if v is _ONE else v * x, dropped)
+    return out
+
+
+def compose_oracle(f, g):
+    byrow = {}
+    for (r, c), v in g.entries.items():
+        byrow.setdefault(r, []).append((c, v))
+    out, dropped = {}, set()
+    for (r, c), v in f.entries.items():
+        for c2, v2 in byrow.get(c, ()):
+            oracle_add(out, (r, c2),
+                       v if v2 is _ONE else v2 if v is _ONE else v * v2, dropped)
+    return out
+
+
+def project_columns_oracle(f, n, t):
+    proj = f.columns()
+    out, dropped = {}, set()
+    for (a, b, j), v in t.items():
+        rows = out.setdefault(j, {})
+        for r, p in proj.get(a * n + b, {}).items():
+            oracle_add(rows, r, v if p is _ONE else p * v, dropped)
+    return out
+
+
+def mixed_scalar(rng, order):
+    """A nonzero scalar, often one: the int 1, Fraction(1), a small int,
+    a rational, or (over Q(w_order)) a cyclotomic value."""
+    kinds = ["one", "one", "fraction_one", "int", "rational"]
+    if order is not None:
+        kinds += ["cyclo", "cyclo"]
+    kind = rng.choice(kinds)
+    if kind == "one":
+        return 1
+    if kind == "fraction_one":
+        return Fraction(1)
+    if kind == "int":
+        return rng.choice([-2, -1, 2, 3])
+    if kind == "rational":
+        return Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3]))
+    return rng.choice([1, -1, Fraction(1, 2)]) * omega(order) ** rng.randint(
+        1, order - 1) + rng.randint(-1, 1)
+
+
+def mixed_row(rng, order, keys):
+    """A table row: mostly a single entry, sometimes several, rarely
+    empty; the values mixed as mixed_scalar makes them."""
+    size = min(rng.choice([1, 1, 1, 1, 2, 3, 0]), len(keys))
+    return {k: mixed_scalar(rng, order) for k in rng.sample(keys, size)}
+
+
+def mixed_table(rng, order, domain, keys):
+    """{i: row} over domain, some rows missing."""
+    return {i: mixed_row(rng, order, keys) for i in domain
+            if rng.random() < 0.85}
+
+
+def mixed_tensor(rng, order, keys, density):
+    """A sparse tensor in shuffled key order, values from a small set so
+    that contributions at one key cancel often."""
+    keys = [k for k in keys if rng.random() < density]
+    rng.shuffle(keys)
+    return {k: mixed_scalar(rng, order) for k in keys}
+
+
+ORACLE_PATTERNS = LEG_PATTERNS + [(None, True, True, None),
+                                  (True, None, None, True),
+                                  (True, True, None, True, None)]
+
+
+@pytest.mark.parametrize("order", [None, 5])
+def test_act_keeps_the_order_and_types_of_the_product_loop(order):
+    rng = random.Random(f"act order {order}")
+    REAPPEARED.clear()
+    for pattern in ORACLE_PATTERNS:
+        for _ in range(6):
+            tables = [mixed_table(rng, order, product(range(D), repeat=2),
+                                  range(D)) if live else None
+                      for live in pattern]
+            n_live = sum(1 for live in pattern if live)
+            x = mixed_tensor(rng, order, product(range(D), repeat=n_live), 0.5)
+            y = mixed_tensor(rng, order,
+                             product(range(D), repeat=len(pattern)), 0.5)
+            same(act(tables, x, y), act_oracle(tables, x, y))
+    assert REAPPEARED
+
+
+@pytest.mark.parametrize("order", [None, 5])
+def test_on_leg_keeps_the_order_and_types_of_add_term(order):
+    rng = random.Random(f"on_leg order {order}")
+    REAPPEARED.clear()
+    for legs in (1, 2, 3) * 6:
+        t = mixed_tensor(rng, order, product(range(D), repeat=legs), 0.6)
+        ops = [mixed_table(rng, order, range(D), range(D)),
+               mixed_table(rng, order, range(D),
+                           list(product(range(D), repeat=2))),
+               mixed_table(rng, order, range(D), [()])]
+        for leg in range(legs):
+            for op in ops:
+                same(on_leg(t, leg, op), on_leg_oracle(t, leg, op))
+        if legs > 1:
+            mult = mixed_table(rng, order, product(range(D), repeat=2),
+                               range(D))
+            for span in (slice(0, 2), slice(legs - 2, legs)):
+                same(on_leg(t, span, mult), on_leg_oracle(t, span, mult))
+    assert REAPPEARED
+
+
+def mixed_map(rng, order, n, m):
+    """A LinMap n -> m whose columns are mixed rows."""
+    entries = {}
+    for c in range(n):
+        for r, v in mixed_row(rng, order, range(m)).items():
+            entries[(r, c)] = v
+    return LinMap(VectorSpace(n), VectorSpace(m), entries)
+
+
+@pytest.mark.parametrize("order", [None, 5])
+def test_maps_keep_the_order_and_types_of_add_term(order):
+    rng = random.Random(f"maps order {order}")
+    REAPPEARED.clear()
+    for _ in range(30):
+        f, g = mixed_map(rng, order, 5, 4), mixed_map(rng, order, 4, 5)
+        vec = mixed_tensor(rng, order, range(5), 0.7)
+        same(f(vec), call_oracle(f, vec))
+        same(f.compose(g).entries, compose_oracle(f, g))
+        same(g.compose(f).entries, compose_oracle(g, f))
+        # a projection read on pairs (a, b) in {0, 1} x {0, 1}, with the
+        # column leg of t in shuffled order, so columns recur
+        t = mixed_tensor(rng, order, product(range(2), range(2), range(3)),
+                         0.7)
+        out = project_columns(f, 2, t)
+        expected = project_columns_oracle(f, 2, t)
+        assert list(out) == list(expected)
+        for j, rows in out.items():
+            same(rows, expected[j])
+    assert REAPPEARED

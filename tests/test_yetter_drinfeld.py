@@ -16,9 +16,9 @@ from whakit.yetter_drinfeld import (YDModule, check_comodule_braiding,
                                     check_equivalence_roundtrip,
                                     check_rh_comodule, check_yd,
                                     comodule_braiding, comodule_braiding_inv,
-                                    functor_F, functor_G, induced_yd,
-                                    regular_rh_comodule, trivial_comodule,
-                                    yd_braiding)
+                                    comodule_tensor, functor_F, functor_G,
+                                    induced_yd, regular_rh_comodule,
+                                    trivial_comodule, yd_braiding, yd_tensor)
 
 EXAMPLES = {
     "sweedler": sweedler,
@@ -71,18 +71,27 @@ def test_comodule_braiding_and_hexagons(certified):
 
 def test_roundtrip_translates_each_sample_once(certified, monkeypatch):
     """functor_G runs once per sample and once per tensor of two samples,
-    however many checks use a translation."""
+    however many checks use a translation, and each pair of samples gets
+    one carrier, shared by its YD tensor and its comodule tensor."""
     H, R, B = certified
     calls = []
+    carriers = []
 
     def counting_functor_G(Y, braided):
         calls.append(Y)
         return functor_G(Y, braided)
+
+    def counting_truncated_tensor(M, N):
+        carriers.append((M, N))
+        return truncated_tensor(M, N)
     monkeypatch.setattr(yetter_drinfeld, "functor_G", counting_functor_G)
+    monkeypatch.setattr(yetter_drinfeld, "truncated_tensor",
+                        counting_truncated_tensor)
     report = check_equivalence_roundtrip(H, R, braided=B)
     assert report.passed, report.first_failure()
     samples, comodules = 3, 4
     assert len(calls) == samples + comodules + samples ** 2
+    assert len(carriers) == samples ** 2
 
 
 def test_braidings_reject_carriers_that_do_not_match(certified):
@@ -111,6 +120,22 @@ def test_braidings_reject_carriers_that_do_not_match(certified):
         yd_braiding(Y, vu, uv)
     with pytest.raises(ValueError):
         comodule_braiding(V, uv, vu)
+
+
+def test_tensors_reject_carriers_that_do_not_match(certified):
+    H, R, B = certified
+    Y1, Y2 = induced_yd(regular_module(H), R), induced_yd(unit_object(H), R)
+    U, V = functor_G(Y1, B), functor_G(Y2, B)
+    tt = truncated_tensor(Y1.module, Y2.module)
+    assert yd_tensor(tt, Y1, Y2).module is tt
+    assert comodule_tensor(tt, U, V).module is tt
+    # the carrier holds the legs swapped, or other modules
+    for other in (truncated_tensor(Y2.module, Y1.module),
+                  truncated_tensor(Y1.module, Y1.module)):
+        with pytest.raises(ValueError, match="legs are not the two modules"):
+            yd_tensor(other, Y1, Y2)
+        with pytest.raises(ValueError, match="legs are not the two modules"):
+            comodule_tensor(other, U, V)
 
 
 def test_every_check_yd_check_can_fail_with_a_witness():
