@@ -42,6 +42,7 @@ from itertools import product
 from .linalg import (_ONE, LinMap, Subspace, VectorSpace, act, add_term,
                      check_keys, flatten, on_leg, permute, split_idempotent,
                      unflatten)
+from .quasitriangular import r13_r12, r13_r23
 from .weak_hopf import (VerificationReport, entries_witness, first_unequal,
                         first_witness, map_witness)
 
@@ -467,39 +468,25 @@ def carrier_mismatch(carrier: Subspace, dims, lhs, rhs):
                          lambda j: (left[j], right[j]))
 
 
-def _hexagon_braids(H, R, M, N, P):
-    """The one-step and two-step braids of both hexagons on M, N and P.
+def _hexagon_braids(terms, M, N, P):
+    """The one-step and two-step braids of both hexagons on M, N and P;
+    terms gives each hexagon's final leg order and its two elements of
+    H tensor H tensor H.
 
-    Forward braids the product of M and N past P, against first N then M
-    past P; backward braids M past the product of N and P, against M
-    first past N, then past P.
+    Forward braids the product of M and N past P by (Delta tensor id)(R),
+    against first N then M past P, which is R23 and then R13 acting:
+    R13 R23 in one act.  Backward braids M past the product of N and P
+    by (id tensor Delta)(R), against M first past N, then past P: R13 R12.
+    Acting with a product is acting with its factors in turn because M,
+    N and P are modules, which module_axioms checks first in the same
+    report.
     """
     legs = (M.action, N.action, P.action, None)
-    r = R.r
-    # R with the coproduct applied to its first, then to its second leg
-    forward_terms = on_leg(r, 0, H.comult)
-    backward_terms = on_leg(r, 1, H.comult)
 
-    def forward_one(x):
-        return permute(act(legs, forward_terms, x), (2, 0, 1, 3))
-
-    def forward_two(x):
-        step = permute(act((None, N.action, P.action, None), r, x),
-                       (0, 2, 1, 3))
-        return permute(act((M.action, P.action, None, None), r, step),
-                       (1, 0, 2, 3))
-
-    def backward_one(x):
-        return permute(act(legs, backward_terms, x), (1, 2, 0, 3))
-
-    def backward_two(x):
-        step = permute(act((M.action, N.action, None, None), r, x),
-                       (1, 0, 2, 3))
-        return permute(act((None, M.action, P.action, None), r, step),
-                       (0, 2, 1, 3))
-
-    return {"hexagon_forward": (forward_one, forward_two),
-            "hexagon_backward": (backward_one, backward_two)}
+    def braid(perm, t):
+        return lambda x: permute(act(legs, t, x), perm)
+    return {name: (braid(perm, one), braid(perm, two))
+            for name, (perm, one, two) in terms.items()}
 
 
 def _naturality_mismatch(fwd: TruncatedTensor, back: TruncatedTensor,
@@ -624,6 +611,11 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
     report.record_first_witnesses(
         ("braiding_invertible", "braiding_h_linear", "braiding_natural"),
         braiding_cases())
+    hexagons = {
+        "hexagon_forward": ((2, 0, 1, 3), on_leg(R.r, 0, H.comult),
+                            r13_r23(H, R.r)),
+        "hexagon_backward": ((1, 2, 0, 3), on_leg(R.r, 1, H.comult),
+                             r13_r12(H, R.r))}
 
     def triple_cases():
         # one split triple carrier serves the three checks of a triple
@@ -637,7 +629,7 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
                     or _nested_carrier_mismatch(
                         split3, truncated_tensor(M, tts[(j, k)]), 1, dims)),
                 **{name: partial(carrier_mismatch, split3, dims, *braids)
-                   for name, braids in _hexagon_braids(H, R, M, N, P).items()},
+                   for name, braids in _hexagon_braids(hexagons, M, N, P).items()},
             }
     report.record_first_witnesses(
         ("nested_carriers_coincide", "hexagon_forward", "hexagon_backward"),
@@ -648,13 +640,19 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
 def _nested_carrier_mismatch(split3: Subspace, outer: TruncatedTensor,
                              inner_leg: int, dims):
     """Check that one nesting order, with the inner truncated product on
-    leg inner_leg of outer, spans exactly the triple projector image."""
+    leg inner_leg of outer, spans exactly the triple projector image: the
+    carriers have one dimension, and split3's inclusion after its
+    projection fixes every embedded column of outer, all in one product."""
     if outer.dim != split3.dim:
         return ((), {0: outer.dim}, {0: split3.dim})
     inner = (outer.left, outer.right)[inner_leg].inclusion_table()
-    embedded = outer.inclusion_table()
-    for j in range(outer.dim):
-        flat = flatten(on_leg(embedded[j], inner_leg, inner), dims)
-        if not split3.contains(flat):
-            return ((j,), flat, {})
-    return None
+    _, n, p = dims
+    cols = LinMap._adopt(outer.space, split3.ambient, {
+        ((a * n + b) * p + c, j): v for (a, b, c, j), v in
+        on_leg(outer.inclusion_tensor(), inner_leg, inner).items()})
+    back = split3.inclusion.compose(split3.projection.compose(cols))
+    if back == cols:
+        return None
+    fixed = back.columns()
+    j = next(j for j in range(outer.dim) if cols.column(j) != fixed.get(j, {}))
+    return ((j,), cols.column(j), {})

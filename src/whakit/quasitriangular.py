@@ -58,18 +58,18 @@ class RMatrix:
                 f"{flag})")
 
 
-def _comult_second_leg_mismatch(H, r):
-    """Coproduct applied to the second leg of R against R13 R12."""
-    rhs = on_leg({(a, c, d, b): v * w for (a, b), v in r.items()
-                  for (c, d), w in r.items()}, slice(0, 2), H.mult)
-    return scalar_table_mismatch(on_leg(r, 1, H.comult), rhs)
+def r13_r23(H, r):
+    """R13 R23 in H tensor H tensor H: (Delta tensor id)(R) when R is
+    quasitriangular."""
+    return on_leg({(a, c, b, d): v * w for (a, b), v in r.items()
+                   for (c, d), w in r.items()}, slice(2, 4), H.mult)
 
 
-def _comult_first_leg_mismatch(H, r):
-    """Coproduct applied to the first leg of R against R13 R23."""
-    rhs = on_leg({(a, c, b, d): v * w for (a, b), v in r.items()
-                  for (c, d), w in r.items()}, slice(2, 4), H.mult)
-    return scalar_table_mismatch(on_leg(r, 0, H.comult), rhs)
+def r13_r12(H, r):
+    """R13 R12 in H tensor H tensor H: (id tensor Delta)(R) when R is
+    quasitriangular."""
+    return on_leg({(a, c, d, b): v * w for (a, b), v in r.items()
+                   for (c, d), w in r.items()}, slice(0, 2), H.mult)
 
 
 def _intertwine_mismatch(H, r):
@@ -116,8 +116,10 @@ def check_quasitriangular(H, R: RMatrix) -> VerificationReport:
     report.record("r_inverse_in_opposite_corner",
                   scalar_table_mismatch(corner_bar, rb))
 
-    report.record("comult_second_leg_of_r", _comult_second_leg_mismatch(H, r))
-    report.record("comult_first_leg_of_r", _comult_first_leg_mismatch(H, r))
+    report.record("comult_second_leg_of_r", scalar_table_mismatch(
+        on_leg(r, 1, H.comult), r13_r12(H, r)))
+    report.record("comult_first_leg_of_r", scalar_table_mismatch(
+        on_leg(r, 0, H.comult), r13_r23(H, r)))
     report.record("r_intertwines_comult", _intertwine_mismatch(H, r))
 
     r_rb = pair_mult(H, r, rb)

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from whakit import module_cat
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
 from whakit.linalg import (DimensionMismatch, LinMap, VectorSpace, act,
@@ -13,11 +14,12 @@ from whakit.linalg import (DimensionMismatch, LinMap, VectorSpace, act,
 from whakit.module_cat import (HModule, act_pair, braiding_c,
                                braiding_c_inv, carrier_map, carrier_mismatch,
                                check_module, check_monoidal_coherence,
+                               column_tensor,
                                h_linear_mismatch, left_unitor, regular_module,
                                right_unitor, sample_endomorphisms,
                                triple_projector, truncated_tensor,
                                truncation_projector, unit_object)
-from whakit.quasitriangular import certify_quasitriangular
+from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import transmute
 from whakit.weak_hopf import NotCertified, certify, first_unequal
 from whakit.yetter_drinfeld import (_braid_step, comodule_braiding,
@@ -230,6 +232,88 @@ def test_failing_carrier_mismatch_matches_per_column_search(build):
         tt.carrier, (H.dim, H.dim), H.fold,
         lambda x: {k: c for (k,), c in on_leg(x, slice(0, 2), bad).items()})
     assert witness is not None
+
+
+def braids_in_steps(H, R, M, N, P):
+    """Both hexagons on M, N and P as the braidings they compare: the
+    one-step side acts with R with the coproduct applied to one leg, the
+    two-step side acts with R twice, one braiding step at a time."""
+    r = R.r
+    legs = (M.action, N.action, P.action, None)
+
+    def forward_two(x):
+        step = permute(act((None, N.action, P.action, None), r, x),
+                       (0, 2, 1, 3))
+        return permute(act((M.action, P.action, None, None), r, step),
+                       (1, 0, 2, 3))
+
+    def backward_two(x):
+        step = permute(act((M.action, N.action, None, None), r, x),
+                       (1, 0, 2, 3))
+        return permute(act((None, M.action, P.action, None), r, step),
+                       (0, 2, 1, 3))
+    return {"hexagon_forward": (lambda x: permute(act(
+                legs, on_leg(r, 0, H.comult), x), (2, 0, 1, 3)), forward_two),
+            "hexagon_backward": (lambda x: permute(act(
+                legs, on_leg(r, 1, H.comult), x), (1, 2, 0, 3)), backward_two)}
+
+
+def assert_same_tensor(t, reference):
+    # values and scalar types; the key order may differ
+    assert t == reference
+    assert {k: type(c) for k, c in t.items()} == {
+        k: type(c) for k, c in reference.items()}
+
+
+HEXAGON_BUILDS = BUILDS + [lambda: group_algebra_zn_anyonic(4),
+                           lambda: groupoid_algebra(3, 2)]
+HEXAGON_IDS = BUILD_IDS + ["anyonic_z4", "groupoid_3x2"]
+
+
+@pytest.mark.parametrize("build", HEXAGON_BUILDS, ids=HEXAGON_IDS)
+def test_hexagon_braids_match_braiding_in_steps(build, monkeypatch):
+    H, R = build()
+    certify(H)
+    certify_quasitriangular(H, R)
+    seen = []
+    braids = module_cat._hexagon_braids
+
+    def record(terms, M, N, P):
+        out = braids(terms, M, N, P)
+        seen.append(((M, N, P), out))
+        return out
+    monkeypatch.setattr(module_cat, "_hexagon_braids", record)
+    modules = [regular_module(H), unit_object(H)]
+    assert check_monoidal_coherence(H, R, modules, random.Random(0)).passed
+    # every triple of the two modules, each braid on its whole carrier
+    assert [tuple(map(modules.index, mnp)) for mnp, _ in seen] == list(
+        product(range(2), repeat=3))
+    for (M, N, P), out in seen:
+        x = column_tensor(split_idempotent(triple_projector(M, N, P)).inclusion,
+                          (M.dim, N.dim, P.dim))
+        reference = braids_in_steps(H, R, M, N, P)
+        assert set(out) == set(reference)
+        for name, sides in out.items():
+            for side, ref in zip(sides, reference[name]):
+                assert_same_tensor(side(x), ref(x))
+
+
+def test_doubled_r_hexagon_witnesses_match_braiding_in_steps():
+    H, R = group_algebra_zn(3)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    key = sorted(R.r)[0]
+    bad = RMatrix(H, {**R.r, key: 2 * R.r[key]}, R.r_bar)
+    bad.certified = True
+    M = regular_module(H)
+    report = check_monoidal_coherence(H, bad, [M], random.Random(0))
+    split3 = split_idempotent(triple_projector(M, M, M))
+    for name, (one, two) in braids_in_steps(H, bad, M, M, M).items():
+        (j,), lhs, rhs = carrier_mismatch(split3, (M.dim,) * 3, one, two)
+        assert j == 0
+        key, got_lhs, got_rhs = report.find(name).witness
+        assert key == (0, 0, 0, j)
+        assert_same_tensor(got_lhs, lhs)
+        assert_same_tensor(got_rhs, rhs)
 
 
 def assert_validated(f):

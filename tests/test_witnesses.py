@@ -7,10 +7,10 @@ from itertools import product
 from whakit import module_cat, yetter_drinfeld
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
-from whakit.linalg import LinMap, on_leg
-from whakit.module_cat import (HModule, braiding_c, carrier_map,
+from whakit.linalg import LinMap, flatten, on_leg, split_idempotent
+from whakit.module_cat import (HModule, braiding_c, carrier_map, check_module,
                                check_monoidal_coherence, regular_module,
-                               truncated_tensor)
+                               triple_projector, truncated_tensor)
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import (BraidedHopfAlgebra, check_braided_hopf,
                                   transmute)
@@ -87,6 +87,67 @@ def test_hexagon_witnesses():
         # module indices (i, j, k), then the carrier column
         assert len(key) == 4 and key[:3] == (0, 0, 0)
         assert {k: 2 * c for k, c in lhs.items()} == rhs
+
+
+def test_module_axioms_witness():
+    # one doubled entry of the regular action of a non-unit basis element
+    # breaks the product law; the hexagons act with products of R terms,
+    # so they rely on this check
+    H, R, _ = certified_z3()
+    reg = regular_module(H)
+    action = {(i, r, c): v for i in range(H.dim)
+              for (r, c), v in reg.rho(i).entries.items()}
+    key = sorted(k for k in action if k[0] not in H.unit)[0]
+    action[key] *= 2
+    bad = HModule(H, H.space, action)
+    report = check_monoidal_coherence(H, R, [reg, bad], random.Random(0))
+    key, lhs, rhs = failing_witness(report, "module_axioms")
+    own = check_module(bad).find("action_respects_products").witness
+    assert (key, lhs, rhs) == ((1,) + own[0],) + own[1:]
+
+
+def test_nested_carriers_coincide_witness():
+    # On the pair groupoid with two objects, move the term e_11 (x) e_11
+    # from the coproduct of e_11 to that of e_00: the coproduct of 1 stays
+    # e_00 (x) e_00 + e_11 (x) e_11, so every pair carrier and the unit
+    # object are as before, but coassociativity fails on 1.  The triple
+    # carrier, from (Delta (x) id) Delta(1), has e_00 (x) e_00 (x) e_00 and
+    # e_11 (x) e_11 (x) e_00 as its summands; M (x) (M (x) M) has
+    # e_00 (x) e_00 (x) e_00 and e_00 (x) e_11 (x) e_11, of the same
+    # dimension but not inside it.
+    H, R = groupoid_algebra(2, 1)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    e00, e11 = (H.space.labels.index(f"{x}<-{x}:g^0") for x in range(2))
+    comult = {(i, j, k): c for i, cop in H.comult.items()
+              for (j, k), c in cop.items()}
+    del comult[(e11, e11, e11)]
+    comult[(e00, e11, e11)] = 1
+    bad = WeakHopfAlgebra(
+        name="pair-groupoid-moved-coproduct", field=H.field,
+        labels=H.space.labels,
+        mult={(i, j, k): c for (i, j), p in H.mult.items() for k, c in p.items()},
+        unit=H.unit, comult=comult, counit=H.counit,
+        antipode={(i, j): c for (j, i), c in H.antipode_map.entries.items()},
+        antipode_inverse={(i, j): c for (j, i), c in
+                          H.antipode_inverse_map.entries.items()})
+    assert bad.delta_one() == H.delta_one()
+    bad.certified = True
+    bad_r = RMatrix(bad, R.r, R.r_bar)
+    bad_r.certified = True
+    reg = regular_module(bad)
+    report = check_monoidal_coherence(bad, bad_r, [reg], random.Random(0))
+    (i, j, k, col), lhs, rhs = failing_witness(report, "nested_carriers_coincide")
+    assert (i, j, k) == (0, 0, 0) and rhs == {}
+    # the first column of M (x) (M (x) M) outside the triple carrier,
+    # embedded one column at a time
+    outer = truncated_tensor(reg, truncated_tensor(reg, reg))
+    inner = outer.right.inclusion_table()
+    split3 = split_idempotent(triple_projector(reg, reg, reg))
+    assert outer.dim == split3.dim
+    embedded = [flatten(on_leg(col, 1, inner), (reg.dim,) * 3)
+                for col in outer.inclusion_table().values()]
+    assert [j for j, v in enumerate(embedded) if not split3.contains(v)][0] == col
+    assert lhs == embedded[col]
 
 
 def test_matches_translated_module_braiding_witness(monkeypatch):
