@@ -16,7 +16,9 @@ from whakit.transmutation import (BraidedHopfAlgebra, check_braided_hopf,
                                   transmute)
 from whakit.weak_hopf import (WeakHopfAlgebra, certify, check_weak_hopf,
                               entries_witness, first_witness)
-from whakit.yetter_drinfeld import check_comodule_braiding, regular_rh_comodule
+from whakit.yetter_drinfeld import (check_comodule_braiding,
+                                    check_equivalence_roundtrip,
+                                    regular_rh_comodule)
 
 
 def certified_z3():
@@ -71,6 +73,25 @@ def test_braiding_invertible_witness():
                             B.antipode_bar, B.unit_bar)
     regc = regular_rh_comodule(Bb)
     failing_witness(check_comodule_braiding(regc, regc), "braiding_invertible")
+
+
+def test_comodule_invariants_hold_witness():
+    # one doubled term of the deformed coproduct of carrier basis 2, so
+    # Delta(e2) = 2 e1 (x) e2 + e2 (x) e1: the regular comodule, the
+    # fourth comodule sample, coacts through it and stops being
+    # coassociative; the trivial comodules before it never read Delta(e2)
+    H, R, B = certified(sweedler)
+    comult = {i: dict(c) for i, c in B.comult.items()}
+    comult[2][(1, 2)] *= 2
+    bent = BraidedHopfAlgebra(H, R, B.carrier, B.module, B.square,
+                              B.unit_module, B.mult, comult, B.counit_bar,
+                              B.antipode_bar, B.unit_bar)
+    report = check_equivalence_roundtrip(H, R, braided=bent)
+    key, inner, _ = failing_witness(report, "comodule_invariants_hold")
+    assert key == (3, "coaction_coassociative_deformed")
+    # the witness of check_rh_comodule: basis e2 and both sides
+    basis, lhs, rhs = inner
+    assert basis == (2,) and lhs and rhs and lhs != rhs
 
 
 def test_hexagon_witnesses():

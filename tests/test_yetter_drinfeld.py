@@ -1,18 +1,21 @@
 """Compatible coactions, carrier comodules and their braidings."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
-from whakit.linalg import LinMap
+from whakit.linalg import LinMap, VectorSpace, flatten, on_leg, permute
 from whakit.module_cat import regular_module, truncated_tensor, unit_object
 from whakit.quasitriangular import certify_quasitriangular
+from whakit.scalars import omega
 from whakit.transmutation import certify_braided_hopf, transmute
 from whakit.weak_hopf import certify
 from whakit import yetter_drinfeld
-from whakit.yetter_drinfeld import (YDModule, check_comodule_braiding,
+from whakit.yetter_drinfeld import (CoactionEscapesCarrier, RHComodule,
+                                    YDModule, check_comodule_braiding,
                                     check_equivalence_roundtrip,
                                     check_rh_comodule, check_yd,
                                     comodule_braiding, comodule_braiding_inv,
@@ -159,3 +162,152 @@ def test_every_check_yd_check_can_fail_with_a_witness():
         "coaction_lands_in_truncated", "coaction_counital",
         "coaction_coassociative", "action_coaction_compatible",
         "split_unit_absorbed"}
+
+
+# The translations as they were written before the one-pass kernel: a
+# chain of on_leg passes per column.  They are the reference for
+# functor_G, functor_F and yd_tensor.
+
+def reference_G(Y, B):
+    H, M = Y.algebra, Y.module
+    S = H.antipode_map.columns()
+    proj = B.carrier.projection.columns()
+    table = Y.table()
+
+    def column(j):
+        pd = {(a, q, p, m): v * w for (a, m), v in table[j].items()
+              for (p, q), w in B.rmatrix.r.items()}
+        pd = on_leg(on_leg(on_leg(pd, 1, S), slice(0, 2), H.mult),
+                    slice(1, 3), M.action)
+        return flatten(on_leg(pd, 0, proj), (B.dim, M.dim))
+    return LinMap.from_function(M.space, VectorSpace(B.dim * M.dim), column)
+
+
+def reference_F(N):
+    B, H, M = N.braided, N.algebra, N.module
+    incl = B.carrier.inclusion.columns()
+    table = N.table()
+
+    def column(j):
+        t = {(a, q, p, m): v * w for (a, m), v in table[j].items()
+             for (p, q), w in B.rmatrix.r.items()}
+        t = on_leg(on_leg(on_leg(t, 0, incl), slice(0, 2), H.mult),
+                   slice(1, 3), M.action)
+        return flatten(t, (H.dim, M.dim))
+    return LinMap.from_function(M.space, VectorSpace(H.dim * M.dim), column)
+
+
+def reference_yd_tensor(tt, Y1, Y2):
+    H = Y1.algebra
+    t1, t2 = Y1.table(), Y2.table()
+    return yetter_drinfeld._tensor_coaction(tt, H.dim, lambda pd: on_leg(
+        permute(on_leg(on_leg(pd, 0, t1), 2, t2), (0, 2, 1, 3)),
+        slice(0, 2), H.mult))
+
+
+def same_entries(f, g):
+    """Equal entries with equal scalar types: an int 1 and Fraction(1)
+    compare alike, so == alone would not tell them apart."""
+    assert f.entries == g.entries
+    assert {k: type(v) for k, v in f.entries.items()} == {
+        k: type(v) for k, v in g.entries.items()}
+
+
+ORACLE_EXAMPLES = dict(EXAMPLES,
+                       anyonic_z4=lambda: group_algebra_zn_anyonic(4))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_EXAMPLES))
+def test_translations_match_the_on_leg_chains(name):
+    """functor_G, functor_F and yd_tensor equal the on_leg chains, values
+    and scalar types, on the roundtrip's samples and their tensors."""
+    H, R = ORACLE_EXAMPLES[name]()
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+    samples = [regular_module(H), unit_object(H), B.module]
+    yds = [induced_yd(M, R) for M in samples]
+    comods = [trivial_comodule(B, M) for M in samples]
+    comods += [regular_rh_comodule(B)] + [functor_G(Y, B) for Y in yds]
+    for Y in yds:
+        same_entries(functor_G(Y, B).coaction_rh, reference_G(Y, B))
+    for N in comods:
+        same_entries(functor_F(N).coaction_h, reference_F(N))
+    for Y1 in yds:
+        for Y2 in yds:
+            tt = truncated_tensor(Y1.module, Y2.module)
+            Y = yd_tensor(tt, Y1, Y2)
+            same_entries(Y.coaction_h, reference_yd_tensor(tt, Y1, Y2))
+            same_entries(functor_G(Y, B).coaction_rh, reference_G(Y, B))
+
+
+def mixed_scalar(rng, order):
+    """A positive monomial, often one: the int 1, Fraction(1), 2, 1/2,
+    3/2 or, over Q(w), w or w/2.  Products of such values are positive
+    rational multiples of powers of w, and no two of them sum to zero.
+    So no partial sum of the tables below cancels.  Where a sum does
+    cancel and a later term enters again, that term sets its type, and
+    the order of terms is the kernels' own."""
+    values = [1, Fraction(1), 2, Fraction(1, 2), Fraction(3, 2)]
+    if order:
+        values += [omega(order), omega(order) * Fraction(1, 2)]
+    return rng.choice(values)
+
+
+def random_coaction(rng, rows, cols, order):
+    return LinMap(VectorSpace(cols), VectorSpace(rows), {
+        (r, c): mixed_scalar(rng, order) for r in range(rows)
+        for c in range(cols) if rng.random() < 0.6})
+
+
+@pytest.mark.parametrize("name,order", [("z3", None), ("anyonic_z3", 3)])
+def test_translations_match_on_random_mixed_coactions(name, order):
+    """The same comparison on random coaction tables whose entries mix
+    the int 1, Fraction(1), other rationals and cyclotomic values, so
+    that equal values of different types meet in one column.  Over Z_3
+    with R = 1 (x) 1 every structure constant is the int 1, so a product
+    of table entries keeps an int type only if every factor is an int."""
+    H, R = EXAMPLES[name]()
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+    M = regular_module(H)
+    tt = truncated_tensor(M, M)
+    rng = random.Random(f"mixed {name}")
+    for _ in range(12):
+        Y1, Y2 = (YDModule(M, random_coaction(rng, H.dim * M.dim, M.dim,
+                                              order)) for _ in range(2))
+        N = RHComodule(B, M, random_coaction(rng, B.dim * M.dim, M.dim, order))
+        same_entries(functor_G(Y1, B).coaction_rh, reference_G(Y1, B))
+        same_entries(functor_F(N).coaction_h, reference_F(N))
+        same_entries(yd_tensor(tt, Y1, Y2).coaction_h,
+                     reference_yd_tensor(tt, Y1, Y2))
+
+
+def shifted_coaction(M, first, shift):
+    """The coaction m -> e_first (x) e_(m XOR shift) on the module M."""
+    H = M.algebra
+    return YDModule(M, LinMap(M.space, VectorSpace(H.dim * M.dim), {
+        (first * M.dim + (m ^ shift), m): 1 for m in range(M.dim)}))
+
+
+def test_translated_coaction_leaving_the_carrier_raises():
+    """On the pair groupoid 2 x Z_2 the carrier has dimension 4 of 8.  The
+    coaction m -> e_2 (x) m, e_2 the arrow 0 <- 1, translates outside it."""
+    H, R = groupoid_algebra(2, 2)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+    assert (B.dim, H.dim) == (4, 8)
+    with pytest.raises(CoactionEscapesCarrier, match="left the carrier"):
+        functor_G(shifted_coaction(regular_module(H), 2, 0), B)
+
+
+def test_tensor_coaction_leaving_the_truncated_square_raises():
+    """A coaction that moves the target object of each groupoid arrow
+    (index bit 4) sends pairs of the truncated square, whose legs share
+    a target, to pairs outside it."""
+    H, R = groupoid_algebra(2, 2)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    M = regular_module(H)
+    tt = truncated_tensor(M, M)
+    with pytest.raises(CoactionEscapesCarrier,
+                       match="missed the truncated square"):
+        yd_tensor(tt, shifted_coaction(M, 0, 4), induced_yd(M, R))
