@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import product
 
 from .linalg import (LinMap, Subspace, VectorSpace, act, add_term, check_keys,
-                     image, on_leg)
+                     image, on_leg, permute)
 
 
 class NotCertified(RuntimeError):
@@ -255,15 +255,12 @@ class WeakHopfAlgebra:
 
     def _counital_map(self, key, target):
         if key not in self._cache:
-            form = _counit_form(self)
-            entries = {}
-            for (a, b), v in self.delta_one().items():
-                for j in range(self.dim):
-                    c = (form.get(a, {}).get(j) if target
-                         else form.get(j, {}).get(b))
-                    if c:
-                        add_term(entries, (b if target else a, j), v * c)
-            self._cache[key] = LinMap(self.space, self.space, entries)
+            # eps(1_1 e_j) 1_2 at (1_2, j), or 1_1 eps(e_j 1_2) at (1_1, j)
+            rows, cols = _counit_form(self)
+            d1 = self.delta_one()
+            self._cache[key] = LinMap(self.space, self.space, on_leg(
+                {(b, a): v for (a, b), v in d1.items()}, 1, rows) if target
+                else on_leg(d1, 1, cols))
         return self._cache[key]
 
     def target_space(self):
@@ -346,43 +343,33 @@ def _check_unit_comult(H, report):
     report.record("unit_comult_compatible", mism)
 
 
+def _mult_tensor(H):
+    """The product table as the three-leg tensor {(i, j, k): c}."""
+    return {(i, j, k): c for (i, j), p in H.mult.items() for k, c in p.items()}
+
+
 def _counit_form(H):
-    """Bilinear form (i, j) -> eps(e_i e_j) as sparse row dicts."""
+    """The form eps(e_i e_j) as the tables {i: {j: c}} and {j: {i: c}},
+    inner keys ascending, the order the counital maps' entries take."""
     if "counit_form" not in H._cache:
-        rows = {}
-        for (i, j), prod in H.mult.items():
-            c = 0
-            for k, w in prod.items():
-                e = H.counit.get(k)
-                if e is not None:
-                    c = c + w * e
-            if c != 0:
-                rows.setdefault(i, {})[j] = c
-        H._cache["counit_form"] = rows
+        eps = {k: {(): c} for k, c in H.counit.items()}
+        rows, cols = {}, {}
+        for (i, j), c in sorted(on_leg(_mult_tensor(H), 2, eps).items()):
+            rows.setdefault(i, {})[j] = c
+            cols.setdefault(j, {})[i] = c
+        H._cache["counit_form"] = rows, cols
     return H._cache["counit_form"]
 
 
 def _check_weak_counit(H, report):
-    B = _counit_form(H)
-    Bcols = {}
-    for i, row in B.items():
-        for j, c in row.items():
-            Bcols.setdefault(j, {})[i] = c
-    lhs = {}
-    for (h, k), prod in H.mult.items():
-        for m, c in prod.items():
-            for l, w in B.get(m, {}).items():
-                add_term(lhs, (h, k, l), c * w)
-    rhs = {}
-    rhs_op = {}
-    for k in range(H.dim):
-        for (a, b), c in H.comult.get(k, {}).items():
-            for acc, left, right in ((rhs, a, b), (rhs_op, b, a)):
-                for h, u in Bcols.get(left, {}).items():
-                    for l, v in B.get(right, {}).items():
-                        add_term(acc, (h, k, l), c * u * v)
-    report.record("counit_weak_mult", scalar_table_mismatch(lhs, rhs))
-    report.record("counit_weak_mult_op", scalar_table_mismatch(lhs, rhs_op))
+    # eps(h k l) against eps(h k_1) eps(k_2 l), then eps(h k_2) eps(k_1 l)
+    rows, cols = _counit_form(H)
+    lhs = on_leg(_mult_tensor(H), 2, rows)
+    co = {(a, k, b): c for k, cop in H.comult.items() for (a, b), c in cop.items()}
+    for name, t in (("counit_weak_mult", co),
+                    ("counit_weak_mult_op", permute(co, (2, 1, 0)))):
+        rhs = on_leg(on_leg(t, 0, cols), 2, rows)
+        report.record(name, scalar_table_mismatch(lhs, rhs))
 
 
 def _check_antipode_axioms(H, report):
@@ -438,7 +425,7 @@ def entries_witness(lhs: LinMap, rhs: LinMap):
 
 def _check_counit_absorption(H, report):
     Bmap = LinMap(H.space, H.space, {(i, j): c for i, row in
-                                     _counit_form(H).items()
+                                     _counit_form(H)[0].items()
                                      for j, c in row.items()})
     et = H.epsilon_t_map()
     es = H.epsilon_s_map()
