@@ -1,12 +1,15 @@
-"""Compatible-coaction modules and carrier comodules, with both braidings.
+"""Comodules over an algebra and over its transmutation, with both braidings.
 
-Two equivalent pictures of the same data live here.  A YDModule pairs a
-left module with an ambient-valued coaction satisfying the adjoint-style
-compatibility law; an RHComodule pairs a module with a coaction valued
-in the transmuted carrier, H-linear and coassociative over the deformed
-coproduct.  functor_G and functor_F translate between the pictures and
-are mutually inverse on the nose, which check_equivalence_roundtrip
-verifies table by table, together with monoidality.
+The two pictures of the equivalence share one class.  A Comodule keeps
+its module and records where its coaction lands: in H (x) M, over the
+algebra H of the module, where check_yd verifies the compatible-coaction
+laws, or in the carrier of a transmuted algebra (x) M, where
+check_rh_comodule verifies H-linearity and coassociativity over the
+deformed coproduct.  functor_G and functor_F move a coaction from one
+side to the other and are mutually inverse on the nose, which
+check_equivalence_roundtrip verifies table by table, together with
+monoidality.  A function that reads one side raises ValueError when
+given a comodule over the other.
 
 Both functors and yd_tensor run one kernel, _products, on terms grouped
 by distinct value and type (int 1 and Fraction(1) are equal but multiply
@@ -44,28 +47,26 @@ class AntipodeNotInvertible(RuntimeError):
     """The inverse braiding needs an antipode inverse the algebra lacks."""
 
 
-def _coaction_table(coaction: LinMap, first_dim: int) -> dict:
-    """A flattened coaction as a splice table {j: {(a, m): c}}."""
-    dims = (first_dim, coaction.domain.dim)
-    return {j: unflatten(coaction.column(j), dims)
-            for j in range(coaction.domain.dim)}
+class Comodule:
+    """A module M with a coaction over `over`: the algebra H of M, the
+    coaction landing in H (x) M, or a transmuted algebra of H, the
+    coaction landing in its carrier (x) M.
 
-
-class YDModule:
-    """A left module with an ambient-valued compatible coaction.
-
-    coaction_h maps the module into the flattened tensor H (x) M, first
-    leg major, in ambient algebra coordinates.
+    coaction maps the module into that flattened tensor, first leg major,
+    first leg in the coordinates of over.
     """
 
-    def __init__(self, module: HModule, coaction_h: LinMap):
+    def __init__(self, over, module: HModule, coaction: LinMap):
+        self.over = over
         self.module = module
         self.algebra = module.algebra
-        if coaction_h.domain.dim != module.dim:
+        if getattr(over, "algebra", over) is not self.algebra:
+            raise ValueError("the module is over another algebra")
+        if coaction.domain.dim != module.dim:
             raise ValueError("coaction domain does not match the module")
-        if coaction_h.codomain.dim != self.algebra.dim * module.dim:
-            raise ValueError("coaction codomain is not the tensor square")
-        self.coaction_h = coaction_h
+        if coaction.codomain.dim != over.dim * module.dim:
+            raise ValueError("coaction codomain is not over (x) module")
+        self.coaction = coaction
         self._table = None
 
     @property
@@ -73,46 +74,24 @@ class YDModule:
         return self.module.dim
 
     def coaction_pairs(self, vec: dict) -> dict:
-        return unflatten(self.coaction_h(vec), (self.algebra.dim, self.dim))
+        return unflatten(self.coaction(vec), (self.over.dim, self.dim))
 
     def table(self) -> dict:
         """The coaction as a splice table {j: {(a, m): c}}."""
         if self._table is None:
-            self._table = _coaction_table(self.coaction_h, self.algebra.dim)
+            dims = (self.over.dim, self.dim)
+            self._table = {j: unflatten(self.coaction.column(j), dims)
+                           for j in range(self.dim)}
         return self._table
 
 
-class RHComodule:
-    """A module with a coaction valued in the transmuted carrier.
-
-    coaction_rh maps into the flattened tensor carrier (x) M, first leg
-    major, first leg in carrier coordinates.
-    """
-
-    def __init__(self, braided: BraidedHopfAlgebra, module: HModule,
-                 coaction_rh: LinMap):
-        self.braided = braided
-        self.module = module
-        self.algebra = module.algebra
-        if coaction_rh.domain.dim != module.dim:
-            raise ValueError("coaction domain does not match the module")
-        if coaction_rh.codomain.dim != braided.dim * module.dim:
-            raise ValueError("coaction codomain is not carrier by module")
-        self.coaction_rh = coaction_rh
-        self._table = None
-
-    @property
-    def dim(self):
-        return self.module.dim
-
-    def coaction_pairs(self, vec: dict) -> dict:
-        return unflatten(self.coaction_rh(vec), (self.braided.dim, self.dim))
-
-    def table(self) -> dict:
-        """The coaction as a splice table {j: {(a, m): c}}."""
-        if self._table is None:
-            self._table = _coaction_table(self.coaction_rh, self.braided.dim)
-        return self._table
+def _over(C: Comodule, braided: bool):
+    """What C coacts over; ValueError unless that is a transmuted algebra
+    exactly when braided is True."""
+    if isinstance(C.over, BraidedHopfAlgebra) is not braided:
+        side = "a transmuted algebra" if braided else "its module's algebra"
+        raise ValueError(f"the comodule does not coact over {side}")
+    return C.over
 
 
 def _coassociative(table: dict, comult: dict, dim: int):
@@ -121,16 +100,16 @@ def _coassociative(table: dict, comult: dict, dim: int):
         on_leg(table[j], 0, comult), on_leg(table[j], 1, table)))
 
 
-def check_yd(Y: YDModule) -> VerificationReport:
+def check_yd(Y: Comodule) -> VerificationReport:
     """Verify every compatible-coaction law on all basis elements."""
-    H = Y.algebra
+    H = _over(Y, False)
     M = Y.module
     H.require_certified()
     report = VerificationReport(subject=f"{H.name} compatible coaction")
 
     P = truncation_projector(regular_module(H), M)
     report.record("coaction_lands_in_truncated",
-                  map_witness(P.compose(Y.coaction_h), Y.coaction_h))
+                  map_witness(P.compose(Y.coaction), Y.coaction))
 
     table = Y.table()
     eps = {i: {(): c} for i, c in H.counit.items()}
@@ -164,27 +143,27 @@ def check_yd(Y: YDModule) -> VerificationReport:
     return report
 
 
-def induced_yd(M: HModule, R) -> YDModule:
+def induced_yd(M: HModule, R) -> Comodule:
     """The coaction every plain module carries: act with one R-matrix leg
     and expose the other."""
     R.require_certified()
     H = M.algebra
-    return YDModule(M, LinMap.from_function(
+    return Comodule(H, M, LinMap.from_function(
         M.space, VectorSpace(H.dim * M.dim), lambda j: flatten(on_leg(
             {(q, p, j): v for (p, q), v in R.r.items()}, slice(1, 3),
             M.action), (H.dim, M.dim))))
 
 
-def check_rh_comodule(N: RHComodule) -> VerificationReport:
+def check_rh_comodule(N: Comodule) -> VerificationReport:
     """Verify the carrier-comodule laws on all basis elements."""
-    B = N.braided
+    B = _over(N, True)
     H = N.algebra
     M = N.module
     report = VerificationReport(subject=f"{H.name} carrier comodule")
 
     P = truncation_projector(B.module, M)
     report.record("coaction_lands_in_truncated",
-                  map_witness(P.compose(N.coaction_rh), N.coaction_rh))
+                  map_witness(P.compose(N.coaction), N.coaction))
 
     table = N.table()
     report.record("coaction_coassociative_deformed",
@@ -253,10 +232,10 @@ def _absorb_r(table: dict, read: dict, twist: dict, M: HModule, B):
         (v, reads[x], kernel[m]) for (x, m), v in table[j].items()))
 
 
-def functor_G(Y: YDModule, B: BraidedHopfAlgebra) -> RHComodule:
+def functor_G(Y: Comodule, B: BraidedHopfAlgebra) -> Comodule:
     """Translate an ambient coaction into a carrier coaction by absorbing
     one antipode-twisted R-matrix leg: m_(-1) S(R^2) (x) R^1 . m_(0)."""
-    H, M = Y.algebra, Y.module
+    H, M = _over(Y, False), Y.module
     proj = B.carrier.projection.columns()
     outside = {t for t in range(H.dim) if not B.carrier.contains({t: 1})}
     absorbed = _absorb_r(Y.table(), {i: {i: 1} for i in range(H.dim)},
@@ -268,34 +247,34 @@ def functor_G(Y: YDModule, B: BraidedHopfAlgebra) -> RHComodule:
             raise CoactionEscapesCarrier(
                 f"translated coaction of basis {j} left the carrier")
         return flatten(on_leg(pd, 0, proj), (B.dim, M.dim))
-    return RHComodule(B, M, LinMap.from_function(
+    return Comodule(B, M, LinMap.from_function(
         M.space, VectorSpace(B.dim * M.dim), column))
 
 
-def functor_F(N: RHComodule) -> YDModule:
+def functor_F(N: Comodule) -> Comodule:
     """Translate a carrier coaction back by restoring the R-matrix leg:
     m_(-1) R^2 (x) R^1 . m_(0), the carrier leg read in the algebra."""
-    B, H, M = N.braided, N.algebra, N.module
+    B, H, M = _over(N, True), N.algebra, N.module
     restored = _absorb_r(N.table(), B.carrier.inclusion.columns(),
                          {i: {i: 1} for i in range(H.dim)}, M, B)
-    return YDModule(M, LinMap.from_function(
+    return Comodule(H, M, LinMap.from_function(
         M.space, VectorSpace(H.dim * M.dim),
         lambda j: flatten(restored(j), (H.dim, M.dim))))
 
 
-def trivial_comodule(B: BraidedHopfAlgebra, M: HModule) -> RHComodule:
+def trivial_comodule(B: BraidedHopfAlgebra, M: HModule) -> Comodule:
     """The coaction pairing each vector with the truncated unit."""
     H = B.algebra
     one_c = B.carrier.projection(dict(H.unit))
-    return RHComodule(B, M, LinMap.from_function(
+    return Comodule(B, M, LinMap.from_function(
         M.space, VectorSpace(B.dim * M.dim), lambda j: flatten(act(
             (B.module.action, M.action), H.delta_one(),
             {(a, j): c for a, c in one_c.items()}), (B.dim, M.dim))))
 
 
-def regular_rh_comodule(B: BraidedHopfAlgebra) -> RHComodule:
+def regular_rh_comodule(B: BraidedHopfAlgebra) -> Comodule:
     """The carrier coacting on itself through the deformed coproduct."""
-    return RHComodule(B, B.module, LinMap.from_function(
+    return Comodule(B, B.module, LinMap.from_function(
         B.space, VectorSpace(B.dim * B.dim),
         lambda i: flatten(B.comult.get(i, {}), (B.dim, B.dim))))
 
@@ -319,35 +298,36 @@ def _tensor_coaction(tt, first_dim: int, coact) -> LinMap:
                                 column)
 
 
-def _tensor_legs(tt, left: HModule, right: HModule) -> None:
-    """ValueError unless the carrier tt is the truncated tensor of left
-    and right, in that order."""
-    if tt.left is not left or tt.right is not right:
+def _tensor_legs(tt, C1: Comodule, C2: Comodule, braided: bool):
+    """What C1 and C2 both coact over, checked by _over(C1, braided);
+    ValueError unless the carrier tt is the truncated tensor of their
+    modules, in order."""
+    over = _over(C1, braided)
+    if C2.over is not over:
+        raise ValueError("the comodules coact over different algebras")
+    if tt.left is not C1.module or tt.right is not C2.module:
         raise ValueError("the carrier's legs are not the two modules")
+    return over
 
 
-def yd_tensor(tt, Y1: YDModule, Y2: YDModule) -> YDModule:
+def yd_tensor(tt, Y1: Comodule, Y2: Comodule) -> Comodule:
     """The compatible coaction on tt, the truncated tensor of the modules
     of Y1 and Y2: m_(-1) n_(-1) (x) m_(0) (x) n_(0), in one pass."""
-    _tensor_legs(tt, Y1.module, Y2.module)
+    H = _tensor_legs(tt, Y1, Y2, False)
     t1 = {m: _by_value(c) for m, c in Y1.table().items()}
     t2 = {n: _by_value(c) for n, c in Y2.table().items()}
-    mult = Y1.algebra.mult
-    return YDModule(tt, _tensor_coaction(tt, Y1.algebra.dim, lambda pd: (
-        _products(mult, ((c, t1[m], t2[n]) for (m, n), c in pd.items())))))
+    return Comodule(H, tt, _tensor_coaction(tt, H.dim, lambda pd: (
+        _products(H.mult, ((c, t1[m], t2[n]) for (m, n), c in pd.items())))))
 
 
-def comodule_tensor(tt, M: RHComodule, N: RHComodule) -> RHComodule:
+def comodule_tensor(tt, M: Comodule, N: Comodule) -> Comodule:
     """Tensor two carrier comodules on tt, the truncated tensor of their
     modules: braid the inner legs with the R-matrix, multiply the carrier
     legs with the deformed product."""
-    B = M.braided
-    if N.braided is not B:
-        raise ValueError("comodules live over different transmutations")
-    _tensor_legs(tt, M.module, N.module)
+    B = _tensor_legs(tt, M, N, True)
     t1, t2 = M.table(), N.table()
     inner = (None, M.module.action, B.module.action, None)
-    return RHComodule(B, tt, _tensor_coaction(tt, B.dim, lambda pd: on_leg(
+    return Comodule(B, tt, _tensor_coaction(tt, B.dim, lambda pd: on_leg(
         permute(act(inner, B.rmatrix.r, on_leg(on_leg(pd, 0, t1), 2, t2)),
                 (0, 2, 1, 3)), slice(0, 2), B.mult)))
 
@@ -373,15 +353,14 @@ def check_equivalence_roundtrip(H, R, braided) -> VerificationReport:
     # roundtrip and every monoidality pair it enters
     translated = cache(lambda k: functor_G(yds[k], B))
     report.record("g_then_f_restores_coaction", first_witness(
-        ((k,), entries_witness(functor_F(translated(k)).coaction_h,
-                               Y.coaction_h))
+        ((k,), entries_witness(functor_F(translated(k)).coaction, Y.coaction))
         for k, Y in enumerate(yds)))
 
     comods = [trivial_comodule(B, M) for M in samples]
     comods.append(regular_rh_comodule(B))
     report.record("f_then_g_restores_coaction", first_witness(
-        ((k,), entries_witness(functor_G(functor_F(N), B).coaction_rh,
-                               N.coaction_rh))
+        ((k,), entries_witness(functor_G(functor_F(N), B).coaction,
+                               N.coaction))
         for k, N in enumerate(comods)))
 
     def failure(rep):
@@ -396,34 +375,36 @@ def check_equivalence_roundtrip(H, R, braided) -> VerificationReport:
         Y1, Y2 = yds[k1], yds[k2]
         tt = truncated_tensor(Y1.module, Y2.module)
         return entries_witness(
-            functor_G(yd_tensor(tt, Y1, Y2), B).coaction_rh,
-            comodule_tensor(tt, translated(k1), translated(k2)).coaction_rh)
+            functor_G(yd_tensor(tt, Y1, Y2), B).coaction,
+            comodule_tensor(tt, translated(k1), translated(k2)).coaction)
     report.record("translation_monoidal", first_witness(
         ((k1, k2), monoidal(k1, k2))
         for k1, k2 in product(range(len(yds)), repeat=2)))
     return report
 
 
-def _braided_past(coacting, source, target):
-    """The right leg of source, which coacting braids past; ValueError
-    unless target holds the source legs swapped and coacting is the left."""
+def _braided_past(C: Comodule, braided: bool, source, target):
+    """The right leg of source, which the module of C braids past;
+    ValueError unless _over(C, braided) holds, target holds the source
+    legs swapped and the module of C is the left."""
+    _over(C, braided)
     M, N = swapped_legs(source, target)
-    if M is not coacting:
+    if M is not C.module:
         raise ValueError("the coacting module is not the left leg")
     return N
 
 
-def yd_braiding(V: YDModule, source, target) -> LinMap:
+def yd_braiding(V: Comodule, source, target) -> LinMap:
     """Braid the truncated tensor source of V and W onto target, the
     tensor of W and V, by acting with the exposed coaction leg: v (x) w
     maps to the coaction leg of v acting on w, tensor the rest of v."""
-    W = _braided_past(V.module, source, target)
+    W = _braided_past(V, False, source, target)
     return carrier_map(source, target, lambda x: on_leg(
         permute(on_leg(x, 0, V.table()), (0, 2, 1, 3)), slice(0, 2),
         W.action))
 
 
-def _braid_step(com: RHComodule, other: HModule, t: dict, leg: int,
+def _braid_step(com: Comodule, other: HModule, t: dict, leg: int,
                 twist) -> dict:
     """One comodule braiding step on legs leg (in com) and leg + 1 (in
     other) of t; the other legs pass through.
@@ -433,7 +414,7 @@ def _braid_step(com: RHComodule, other: HModule, t: dict, leg: int,
     acts on leg + 1; the first R-matrix leg acts on what is left of leg;
     the two outputs swap places.
     """
-    B = com.braided
+    B = com.over
     t = on_leg(on_leg(t, leg, com.table()), leg,
                B.carrier.inclusion.columns())
     # (.., h, x, y, ..) -> (.., h, R^2, y, R^1, x, ..)
@@ -446,30 +427,30 @@ def _braid_step(com: RHComodule, other: HModule, t: dict, leg: int,
     return on_leg(t, slice(leg + 1, leg + 3), com.module.action)
 
 
-def comodule_braiding(U: RHComodule, source, target) -> LinMap:
+def comodule_braiding(U: Comodule, source, target) -> LinMap:
     """Braid the truncated tensor source of carrier comodules U and V onto
     target, the tensor of V and U: the coaction leg of u, pushed through
     an R-matrix leg, acts on v; the other R-matrix leg acts on what is
     left of u, and the two outputs swap places."""
-    V = _braided_past(U.module, source, target)
+    V = _braided_past(U, True, source, target)
     return carrier_map(source, target, lambda x: _braid_step(U, V, x, 0, None))
 
 
-def comodule_braiding_inv(U: RHComodule, source, target) -> LinMap:
+def comodule_braiding_inv(U: Comodule, source, target) -> LinMap:
     """The inverse braiding, from the tensor of V and U back to that of U
     and V; needs the antipode inverse to untwist the coaction leg."""
     H = U.algebra
     if H.antipode_inverse_map is None:
         raise AntipodeNotInvertible(
             f"{H.name} carries no antipode inverse")
-    V = _braided_past(U.module, target, source)
+    V = _braided_past(U, True, target, source)
     return carrier_map(source, target, lambda x: permute(_braid_step(
         U, V, permute(x, (1, 0, 2)), 0, H.antipode_inverse_map.columns()),
         (1, 0, 2)))
 
 
-def check_comodule_braiding(U: RHComodule, V: RHComodule,
-                            P: RHComodule | None = None) -> VerificationReport:
+def check_comodule_braiding(U: Comodule, V: Comodule,
+                            P: Comodule | None = None) -> VerificationReport:
     """Invertibility, agreement with the translated module braiding, and,
     given a third comodule, both hexagon identities."""
     H = U.algebra
@@ -510,7 +491,7 @@ def _hexagon_braids(uv, U, V, P):
     proj = UV.module.projection_table()
     incl = UV.module.inclusion_table()
     H = U.algebra
-    R = U.braided.rmatrix
+    R = U.over.rmatrix
 
     def forward_one(x):
         # the truncated tensor of U and V, one comodule, braids past P
@@ -525,7 +506,7 @@ def _hexagon_braids(uv, U, V, P):
         # the coaction leg of u, times R^2, acts on the V and P legs
         # through its coproduct; R^1 acts on what is left of u
         t = on_leg(on_leg(x, 0, U.table()), 0,
-                   U.braided.carrier.inclusion.columns())
+                   U.over.carrier.inclusion.columns())
         # (h, u, v, w, j) -> (h, R^2, v, w, R^1, u, j)
         t = {(h, q, v, w, p, u, j): c * r for (h, u, v, w, j), c in t.items()
              for (p, q), r in R.r.items()}

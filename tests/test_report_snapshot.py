@@ -36,7 +36,7 @@ from whakit.transmutation import (BraidedHopfAlgebra, certify_braided_hopf,
                                   check_braided_hopf,
                                   check_cocommutative_surrogate, transmute)
 from whakit.weak_hopf import WeakHopfAlgebra, certify, is_hopf, is_regular
-from whakit.yetter_drinfeld import (RHComodule, YDModule, check_comodule_braiding,
+from whakit.yetter_drinfeld import (Comodule, check_comodule_braiding,
                                     check_equivalence_roundtrip, check_rh_comodule,
                                     check_yd, induced_yd, regular_rh_comodule,
                                     trivial_comodule)
@@ -135,13 +135,12 @@ def perturbed(H, R, B):
     out["check_module"] = attempt(check_module,
                                   HModule(H, H.space, _doubled(action)))
     Y = induced_yd(reg, R)
-    out["check_yd"] = attempt(check_yd, YDModule(reg, LinMap(
-        Y.coaction_h.domain, Y.coaction_h.codomain,
-        _doubled(Y.coaction_h.entries))))
     N = regular_rh_comodule(B)
-    out["check_rh_comodule"] = attempt(check_rh_comodule, RHComodule(
-        B, N.module, LinMap(N.coaction_rh.domain, N.coaction_rh.codomain,
-                            _doubled(N.coaction_rh.entries))))
+    for name, check, C in (("check_yd", check_yd, Y),
+                           ("check_rh_comodule", check_rh_comodule, N)):
+        out[name] = attempt(check, Comodule(C.over, C.module, LinMap(
+            C.coaction.domain, C.coaction.codomain,
+            _doubled(C.coaction.entries))))
     parts = (B.carrier, B.module, B.square, B.unit_module)
     maps = (B.counit_bar, B.antipode_bar, B.unit_bar)
     out["check_braided_hopf_mult"] = attempt(check_braided_hopf,

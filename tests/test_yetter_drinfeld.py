@@ -8,14 +8,15 @@ import pytest
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
 from whakit.linalg import LinMap, VectorSpace, flatten, on_leg, permute
-from whakit.module_cat import regular_module, truncated_tensor, unit_object
+from whakit.module_cat import (HModule, regular_module, truncated_tensor,
+                               unit_object)
 from whakit.quasitriangular import certify_quasitriangular
 from whakit.scalars import omega
 from whakit.transmutation import certify_braided_hopf, transmute
 from whakit.weak_hopf import certify
 from whakit import yetter_drinfeld
-from whakit.yetter_drinfeld import (CoactionEscapesCarrier, RHComodule,
-                                    YDModule, check_comodule_braiding,
+from whakit.yetter_drinfeld import (CoactionEscapesCarrier, Comodule,
+                                    check_comodule_braiding,
                                     check_equivalence_roundtrip,
                                     check_rh_comodule, check_yd,
                                     comodule_braiding, comodule_braiding_inv,
@@ -125,6 +126,26 @@ def test_braidings_reject_carriers_that_do_not_match(certified):
         comodule_braiding(V, uv, vu)
 
 
+def test_each_side_rejects_a_comodule_over_the_other(certified):
+    """A coaction in H (x) M and one in the carrier (x) M are both a
+    Comodule; what reads one side raises ValueError on the other."""
+    H, R, B = certified
+    Y = induced_yd(B.module, R)
+    N = regular_rh_comodule(B)
+    tt = truncated_tensor(B.module, B.module)
+    for call in (lambda: check_yd(N), lambda: functor_G(N, B),
+                 lambda: yd_tensor(tt, N, N), lambda: yd_braiding(N, tt, tt),
+                 lambda: check_rh_comodule(Y), lambda: functor_F(Y),
+                 lambda: comodule_tensor(tt, Y, Y),
+                 lambda: comodule_braiding(Y, tt, tt),
+                 lambda: yd_tensor(tt, Y, N), lambda: comodule_tensor(tt, N, Y)):
+        with pytest.raises(ValueError, match="coact over"):
+            call()
+    other = HModule(group_algebra_zn(2)[0], B.module.space, {})
+    with pytest.raises(ValueError, match="over another algebra"):
+        Comodule(H, other, Y.coaction)
+
+
 def test_tensors_reject_carriers_that_do_not_match(certified):
     H, R, B = certified
     Y1, Y2 = induced_yd(regular_module(H), R), induced_yd(unit_object(H), R)
@@ -148,13 +169,13 @@ def test_every_check_yd_check_can_fail_with_a_witness():
     certify(H)
     certify_quasitriangular(H, R)
     M = regular_module(H)
-    coaction = induced_yd(M, R).coaction_h
+    coaction = induced_yd(M, R).coaction
     failed = {}
     for k in range(coaction.codomain.dim):
         entries = dict(coaction.entries)
         entries[(k, 0)] = entries.get((k, 0), 0) + Fraction(1)
         bent = LinMap(coaction.domain, coaction.codomain, entries)
-        for check in check_yd(YDModule(M, bent)).checks:
+        for check in check_yd(Comodule(H, M, bent)).checks:
             if not check.passed:
                 assert check.witness is not None, check.name
                 failed.setdefault(check.name, k)
@@ -184,7 +205,7 @@ def reference_G(Y, B):
 
 
 def reference_F(N):
-    B, H, M = N.braided, N.algebra, N.module
+    B, H, M = N.over, N.algebra, N.module
     incl = B.carrier.inclusion.columns()
     table = N.table()
 
@@ -229,15 +250,15 @@ def test_translations_match_the_on_leg_chains(name):
     comods = [trivial_comodule(B, M) for M in samples]
     comods += [regular_rh_comodule(B)] + [functor_G(Y, B) for Y in yds]
     for Y in yds:
-        same_entries(functor_G(Y, B).coaction_rh, reference_G(Y, B))
+        same_entries(functor_G(Y, B).coaction, reference_G(Y, B))
     for N in comods:
-        same_entries(functor_F(N).coaction_h, reference_F(N))
+        same_entries(functor_F(N).coaction, reference_F(N))
     for Y1 in yds:
         for Y2 in yds:
             tt = truncated_tensor(Y1.module, Y2.module)
             Y = yd_tensor(tt, Y1, Y2)
-            same_entries(Y.coaction_h, reference_yd_tensor(tt, Y1, Y2))
-            same_entries(functor_G(Y, B).coaction_rh, reference_G(Y, B))
+            same_entries(Y.coaction, reference_yd_tensor(tt, Y1, Y2))
+            same_entries(functor_G(Y, B).coaction, reference_G(Y, B))
 
 
 def mixed_scalar(rng, order):
@@ -273,19 +294,19 @@ def test_translations_match_on_random_mixed_coactions(name, order):
     tt = truncated_tensor(M, M)
     rng = random.Random(f"mixed {name}")
     for _ in range(12):
-        Y1, Y2 = (YDModule(M, random_coaction(rng, H.dim * M.dim, M.dim,
-                                              order)) for _ in range(2))
-        N = RHComodule(B, M, random_coaction(rng, B.dim * M.dim, M.dim, order))
-        same_entries(functor_G(Y1, B).coaction_rh, reference_G(Y1, B))
-        same_entries(functor_F(N).coaction_h, reference_F(N))
-        same_entries(yd_tensor(tt, Y1, Y2).coaction_h,
+        Y1, Y2 = (Comodule(H, M, random_coaction(rng, H.dim * M.dim, M.dim,
+                                                 order)) for _ in range(2))
+        N = Comodule(B, M, random_coaction(rng, B.dim * M.dim, M.dim, order))
+        same_entries(functor_G(Y1, B).coaction, reference_G(Y1, B))
+        same_entries(functor_F(N).coaction, reference_F(N))
+        same_entries(yd_tensor(tt, Y1, Y2).coaction,
                      reference_yd_tensor(tt, Y1, Y2))
 
 
 def shifted_coaction(M, first, shift):
     """The coaction m -> e_first (x) e_(m XOR shift) on the module M."""
     H = M.algebra
-    return YDModule(M, LinMap(M.space, VectorSpace(H.dim * M.dim), {
+    return Comodule(H, M, LinMap(M.space, VectorSpace(H.dim * M.dim), {
         (first * M.dim + (m ^ shift), m): 1 for m in range(M.dim)}))
 
 
