@@ -5,8 +5,8 @@ claimed weak inverse, both as sparse pair-keyed tensors in H tensor H.
 check_quasitriangular verifies the defining identities: corner
 memberships, the two coproduct expansions, the intertwining law, the
 weak-inverse products, and Yang-Baxter as a cross check on the
-contraction engine.  check_derived_r_identities covers consequences of
-those axioms, so its failures are flagged as internal errors.
+contraction engine.  Consequences of these axioms that guard nothing
+beyond the contraction engine are asserted in the tests, not here.
 """
 
 from __future__ import annotations
@@ -147,62 +147,6 @@ def certify_quasitriangular(H, R: RMatrix) -> VerificationReport:
 def is_triangular(R: RMatrix) -> bool:
     """True when the weak inverse is the flip of R itself."""
     return R.r_bar == flip_pairs(R.r)
-
-
-def check_derived_r_identities(H, R: RMatrix) -> VerificationReport:
-    """Verify consequences of the quasitriangular axioms.
-
-    Every identity here follows from the ones check_quasitriangular
-    certifies, so a failure means the contraction engine itself is
-    broken; all entries carry severity "internal".
-    """
-    R.require_certified()
-    if R.algebra is not H:
-        raise ValueError("R-matrix belongs to a different algebra")
-    report = VerificationReport(subject=f"{H.name} derived R identities")
-    sev = "internal"
-    r = R.r
-    S = H.antipode
-
-    def mul(z, pos, leg):
-        """z inserted as leg pos of R, then multiplied into leg `leg`."""
-        return on_leg({k[:pos] + (p,) + k[pos:]: v * c
-                       for k, v in r.items() for p, c in z.items()},
-                      slice(leg, leg + 2), H.mult)
-
-    tgt = H.target_space()
-    src = H.source_space()
-    for name, sub, sides in (
-            ("slide_target_across_r", tgt,
-             lambda z: (mul(z, 1, 1), mul(z, 1, 0))),
-            ("antipode_swaps_target_before_r", tgt,
-             lambda z: (mul(z, 0, 0), mul(S(z), 1, 1))),
-            ("antipode_swaps_target_after_r", tgt,
-             lambda z: (mul(z, 2, 1), mul(S(z), 1, 0))),
-            ("slide_source_across_r", src,
-             lambda y: (mul(y, 0, 0), mul(y, 2, 1))),
-            ("antipode_swaps_source_before_r", src,
-             lambda y: (mul(y, 1, 1), mul(S(y), 0, 0))),
-            ("antipode_swaps_source_after_r", src,
-             lambda y: (mul(y, 1, 0), mul(S(y), 2, 1)))):
-        report.record(name, first_unequal(
-            product(range(sub.dim)),
-            lambda j: sides(sub.inclusion.column(j))), severity=sev)
-
-    d1 = H.delta_one()
-    es = H.epsilon_s_map().columns()
-    et = H.epsilon_t_map().columns()
-    s_table = H.antipode_map.columns()
-    for name, lhs, rhs in (
-            ("source_counit_collapses_first_leg", on_leg(r, 0, es), d1),
-            ("source_counit_collapses_second_leg", on_leg(r, 1, es),
-             flip_pairs(on_leg(d1, 1, s_table))),
-            ("target_counit_collapses_first_leg", on_leg(r, 0, et),
-             flip_pairs(d1)),
-            ("target_counit_collapses_second_leg", on_leg(r, 1, et),
-             on_leg(d1, 0, s_table))):
-        report.record(name, scalar_table_mismatch(lhs, rhs), severity=sev)
-    return report
 
 
 def solve_r_bar(H, r: dict):

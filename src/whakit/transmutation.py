@@ -11,9 +11,7 @@ action h . x = h_1 x S(h_2).  The deformed structure maps are:
   counit         the target counital map, restricted
   antipode       x  ->  R^2 R'^2 S(R^1 x S(R'^1)),  R' a second copy of R
 
-check_braided_hopf verifies every braided Hopf law on the carrier;
-check_cocommutative_surrogate tests the concrete half-braiding identity
-used downstream, without claiming any stronger categorical property.
+check_braided_hopf verifies every braided Hopf law on the carrier.
 """
 
 from __future__ import annotations
@@ -299,38 +297,3 @@ def certify_braided_hopf(B: BraidedHopfAlgebra) -> VerificationReport:
     B.certified = report.passed
     return report
 
-
-def check_cocommutative_surrogate(B: BraidedHopfAlgebra) -> VerificationReport:
-    """Test whether the half-braiding fixes the deformed coproduct.
-
-    The half-braiding sends h tensor m to r^2 R^1 . m tensor r^1 h R^2,
-    with r and R two copies of the R-matrix, the first leg read as an
-    algebra element and the second acted on through the module.  This is
-    a concrete surrogate for cocommutativity; the report makes no claim
-    beyond the identity itself.
-    """
-    B.require_certified()
-    H = B.algebra
-    R = B.rmatrix
-    carrier = B.carrier
-    report = VerificationReport(subject=f"{H.name} transmutation surrogate")
-    # r^2 R^1 (x) r^1 (x) R^2, keyed (r^2, R^1, r^1, R^2)
-    movers = {(q2, p, p2, q): w * w2 for (p, q), w in R.r.items()
-              for (p2, q2), w2 in R.r.items()}
-    movers = on_leg(movers, slice(0, 2), H.mult)
-    incl = carrier.inclusion.columns()
-
-    def half_braiding(i):
-        # h (x) m = B.comult[i], spliced between r^1 and R^2, with m
-        # after the mover it meets
-        t = {(k, b, p2, a, q): c * v for (k, p2, q), c in movers.items()
-             for (a, b), v in B.comult.get(i, {}).items()}
-        t = on_leg(on_leg(t, 3, incl), slice(0, 2), B.module.action)
-        amb = on_leg(on_leg(t, slice(1, 3), H.mult), slice(1, 3), H.mult)
-        proj = on_leg(amb, 1, carrier.projection.columns())
-        if on_leg(proj, 1, incl) != amb:
-            raise CarrierInvariantError("half-braiding left the carrier")
-        return proj, B.comult.get(i, {})
-    report.record("half_braiding_fixes_comult",
-                  first_unequal(product(range(B.dim)), half_braiding))
-    return report

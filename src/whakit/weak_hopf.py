@@ -4,8 +4,10 @@ An algebra is built from sparse multiplication and comultiplication
 constants, a unit vector, a counit covector, and an antipode matrix.
 check_weak_hopf compiles every axiom into tensor contractions over those
 constants and reports each identity separately, with a witness on
-failure.  Constructors return unverified values; certify() gates
-downstream use.
+failure: VerificationReport.record takes a name and None (pass) or a
+(key, lhs, rhs) witness.  Only add sets a severity, for a flag such as
+"triangular"; an "info" entry never gates.  Constructors return
+unverified values; certify() gates downstream use.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ class VerificationReport:
         self.checks.append(CheckResult(name, passed, witness, severity))
         return self
 
-    def record(self, name, mismatch, severity="normal"):
+    def record(self, name, mismatch):
         """mismatch is None (pass) or a (key, lhs, rhs) witness triple."""
-        self.add(name, mismatch is None, mismatch, severity)
+        self.add(name, mismatch is None, mismatch)
         return self
 
     def record_first_witnesses(self, names, cases):

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from whakit.examples import group_algebra_zn, sweedler
+from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
+                             groupoid_algebra, sweedler)
+from whakit.linalg import on_leg
 from whakit.quasitriangular import (RMatrix, certify_quasitriangular,
-                                    check_derived_r_identities,
                                     check_quasitriangular, flip_pairs,
                                     is_triangular, solve_r_bar)
 from whakit.weak_hopf import NotCertified, certify, pair_mult
@@ -76,28 +77,54 @@ def test_foreign_r_matrix_is_rejected(h4_pair):
         check_quasitriangular(H, R_other)
 
 
-def test_derived_identities_pass(h4_pair, z4_pair):
-    for H, R in (h4_pair, z4_pair):
-        report = check_derived_r_identities(H, R)
-        assert report.passed
-        assert all(c.severity == "internal" for c in report.checks)
-        for name in ("slide_target_across_r", "slide_source_across_r",
-                     "antipode_swaps_target_before_r",
-                     "antipode_swaps_source_before_r",
-                     "antipode_swaps_source_after_r",
-                     "antipode_swaps_target_after_r",
-                     "source_counit_collapses_first_leg",
-                     "source_counit_collapses_second_leg",
-                     "target_counit_collapses_first_leg",
-                     "target_counit_collapses_second_leg"):
-            assert name in report.names()
+EXAMPLES = {
+    "sweedler": sweedler,
+    "z3": lambda: group_algebra_zn(3),
+    "anyonic_z3": lambda: group_algebra_zn_anyonic(3),
+    "groupoid_2x2": lambda: groupoid_algebra(2, 2),
+}
 
 
-def test_derived_identities_require_certified_r():
-    H, R = sweedler()
-    certify(H)
-    with pytest.raises(NotCertified):
-        check_derived_r_identities(H, R)
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_derived_r_identities_hold(name):
+    """Consequences of the quasitriangular axioms: the target and source
+    subalgebras slide across R, the antipode swaps them between its legs,
+    and the counital maps collapse one leg of R onto the split unit.  They
+    hold wherever R certifies, so a failure means act or on_leg is
+    broken."""
+    H, R = EXAMPLES[name]()
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    r, S = R.r, H.antipode
+
+    def mul(z, pos, leg):
+        # z inserted as leg pos of R, then multiplied into leg `leg`
+        return on_leg({k[:pos] + (p,) + k[pos:]: v * c for k, v in r.items()
+                       for p, c in z.items()}, slice(leg, leg + 2), H.mult)
+    tgt, src = H.target_space(), H.source_space()
+    for identity, sub, sides in (
+            ("slide_target_across_r", tgt,
+             lambda z: (mul(z, 1, 1), mul(z, 1, 0))),
+            ("antipode_swaps_target_before_r", tgt,
+             lambda z: (mul(z, 0, 0), mul(S(z), 1, 1))),
+            ("antipode_swaps_target_after_r", tgt,
+             lambda z: (mul(z, 2, 1), mul(S(z), 1, 0))),
+            ("slide_source_across_r", src,
+             lambda y: (mul(y, 0, 0), mul(y, 2, 1))),
+            ("antipode_swaps_source_before_r", src,
+             lambda y: (mul(y, 1, 1), mul(S(y), 0, 0))),
+            ("antipode_swaps_source_after_r", src,
+             lambda y: (mul(y, 1, 0), mul(S(y), 2, 1)))):
+        for j in range(sub.dim):
+            lhs, rhs = sides(sub.inclusion.column(j))
+            assert lhs == rhs, (identity, j)
+
+    d1, s_table = H.delta_one(), H.antipode_map.columns()
+    es, et = H.epsilon_s_map().columns(), H.epsilon_t_map().columns()
+    # the source and target counits collapse the first, then second leg
+    assert on_leg(r, 0, es) == d1
+    assert on_leg(r, 1, es) == flip_pairs(on_leg(d1, 1, s_table))
+    assert on_leg(r, 0, et) == flip_pairs(d1)
+    assert on_leg(r, 1, et) == on_leg(d1, 0, s_table)
 
 
 def test_hopf_counit_collapse_degenerates(h4_pair):

@@ -9,7 +9,10 @@ pipeline, up to the first failing stage, and the later-stage checks on
 inputs with one doubled entry (a module action, a coaction, a table of
 the transmuted algebra, or R), so that their failure witnesses are
 recorded too.  Any change to how a check is computed that alters a
-report, a witness included, fails this test.
+report, a witness included, fails this test.  Identities that follow
+from the certified axioms and gate nothing (the derived R-matrix
+identities and the half-braiding of the transmuted coproduct) produce no
+report; test_quasitriangular.py and test_transmutation.py assert them.
 
 Regenerate the fixture, after a deliberate report change only, with
 
@@ -29,12 +32,10 @@ from whakit.linalg import LinMap
 from whakit.module_cat import (HModule, check_module, check_monoidal_coherence,
                                regular_module, unit_object)
 from whakit.quasitriangular import (RMatrix, certify_quasitriangular,
-                                    check_derived_r_identities, is_triangular,
-                                    solve_r_bar)
+                                    is_triangular, solve_r_bar)
 from whakit.scalars import Cyclo, render_scalar
 from whakit.transmutation import (BraidedHopfAlgebra, certify_braided_hopf,
-                                  check_braided_hopf,
-                                  check_cocommutative_surrogate, transmute)
+                                  check_braided_hopf, transmute)
 from whakit.weak_hopf import WeakHopfAlgebra, certify, is_hopf, is_regular
 from whakit.yetter_drinfeld import (Comodule, check_comodule_braiding,
                                     check_equivalence_roundtrip, check_rh_comodule,
@@ -151,16 +152,12 @@ def perturbed(H, R, B):
                            *maps))
     bad = RMatrix(H, _doubled(R.r), R.r_bar)
     bad.certified = True
-    out["check_derived_r_identities"] = attempt(check_derived_r_identities,
-                                                H, bad)
     out["check_monoidal_coherence"] = attempt(
         check_monoidal_coherence, H, bad, [reg, unit_object(H)],
         random.Random(0))
     Bb = BraidedHopfAlgebra(H, bad, *parts, B.mult, B.comult, *maps)
     Bb.certified = True
     out["check_braided_hopf_r"] = attempt(check_braided_hopf, Bb)
-    out["check_cocommutative_surrogate"] = attempt(
-        check_cocommutative_surrogate, Bb)
     regc = regular_rh_comodule(Bb)
     out["check_comodule_braiding"] = attempt(
         check_comodule_braiding, regc, regc, trivial_comodule(Bb, reg))
@@ -217,10 +214,6 @@ def snapshot(name):
         render_report(check_comodule_braiding(regc, regc, regc)),
         render_report(check_comodule_braiding(treg, regc, tunit)),
     ]
-    out["check_derived_r_identities"] = render_report(
-        check_derived_r_identities(H, R))
-    out["check_cocommutative_surrogate"] = render_report(
-        check_cocommutative_surrogate(B))
     out["values"] = {
         "solve_r_bar": render(solve_r_bar(H, R.r)),
         "is_hopf": is_hopf(H),

@@ -12,13 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from whakit.examples import group_algebra_zn, sweedler
+from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
+                             groupoid_algebra, sweedler)
+from whakit.linalg import on_leg
 from whakit.quasitriangular import certify_quasitriangular
 from whakit.transmutation import (BraidedHopfAlgebra, CarrierInvariantError,
                                   ComultiplicationEscapesCarrier,
                                   centralizer_subalgebra,
                                   certify_braided_hopf, check_braided_hopf,
-                                  check_cocommutative_surrogate, transmute)
+                                  transmute)
 from whakit.weak_hopf import NotCertified, certify
 
 ONE = Fraction(1)
@@ -133,20 +135,35 @@ def test_unit_embeds_target(h4_setup):
         assert emb == tgt.inclusion({j: ONE})
 
 
-def test_surrogate_passes_on_examples(h4_setup, z3_setup):
-    for _, _, B in (h4_setup, z3_setup):
-        report = check_cocommutative_surrogate(B)
-        assert report.passed
-        assert "half_braiding_fixes_comult" in report.names()
+EXAMPLES = {
+    "sweedler": sweedler,
+    "z3": lambda: group_algebra_zn(3),
+    "anyonic_z3": lambda: group_algebra_zn_anyonic(3),
+    "groupoid_2x2": lambda: groupoid_algebra(2, 2),
+}
 
 
-def test_surrogate_requires_certified():
-    H, R = group_algebra_zn(2)
-    certify(H)
-    certify_quasitriangular(H, R)
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_half_braiding_fixes_comult(name):
+    """The half-braiding h (x) m -> r^2 R^1 . m (x) r^1 h R^2, with r and R
+    two copies of the R-matrix, fixes the deformed coproduct of every
+    carrier basis element and keeps it in the carrier."""
+    H, R = EXAMPLES[name]()
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
     B = transmute(H, R)
-    with pytest.raises(NotCertified):
-        check_cocommutative_surrogate(B)
+    assert certify_braided_hopf(B).passed
+    incl, proj = B.carrier.inclusion.columns(), B.carrier.projection.columns()
+    # r^2 R^1 (x) r^1 (x) R^2, keyed (r^2 R^1, r^1, R^2)
+    movers = on_leg({(q2, p, p2, q): w * w2 for (p, q), w in R.r.items()
+                     for (p2, q2), w2 in R.r.items()}, slice(0, 2), H.mult)
+    for i in range(B.dim):
+        # h (x) m spliced between r^1 and R^2, m after the mover it meets
+        t = {(k, b, p2, a, q): c * v for (k, p2, q), c in movers.items()
+             for (a, b), v in B.comult.get(i, {}).items()}
+        t = on_leg(on_leg(t, 3, incl), slice(0, 2), B.module.action)
+        amb = on_leg(on_leg(t, slice(1, 3), H.mult), slice(1, 3), H.mult)
+        assert on_leg(on_leg(amb, 1, proj), 1, incl) == amb
+        assert on_leg(amb, 1, proj) == B.comult.get(i, {})
 
 
 def test_escape_error_is_carrier_error():
