@@ -248,12 +248,6 @@ class VectorSpace:
         self.dim = dim
         self.labels = labels
 
-    def tensor(self, other: "VectorSpace") -> "VectorSpace":
-        labels = [f"{a}(x){b}" for a in self.labels for b in other.labels]
-        if len(set(labels)) != len(labels):
-            labels = None
-        return VectorSpace(self.dim * other.dim, labels)
-
     def __eq__(self, other):
         return (isinstance(other, VectorSpace)
                 and self.dim == other.dim and self.labels == other.labels)
@@ -368,17 +362,6 @@ class LinMap:
                         del out[k]
         return LinMap._adopt(g.domain, self.codomain, out)
 
-    __matmul__ = compose
-
-    def tensor(self, g: "LinMap") -> "LinMap":
-        dcd, dcc = g.codomain.dim, g.domain.dim
-        out = {}
-        for (r1, c1), v1 in self.entries.items():
-            for (r2, c2), v2 in g.entries.items():
-                out[(r1 * dcd + r2, c1 * dcc + c2)] = v1 * v2
-        return LinMap(self.domain.tensor(g.domain),
-                      self.codomain.tensor(g.codomain), out)
-
     def __add__(self, other: "LinMap") -> "LinMap":
         if (self.domain.dim, self.codomain.dim) != (other.domain.dim, other.codomain.dim):
             raise DimensionMismatch("sum of maps with different shapes")
@@ -388,12 +371,7 @@ class LinMap:
         return LinMap(self.domain, self.codomain, out)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
-        if (self.domain.dim, self.codomain.dim) != (other.domain.dim, other.codomain.dim):
-            raise DimensionMismatch("difference of maps with different shapes")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            add_term(out, k, -v)
-        return LinMap(self.domain, self.codomain, out)
+        return self + other.scale(-1)
 
     def scale(self, c) -> "LinMap":
         return LinMap(self.domain, self.codomain,

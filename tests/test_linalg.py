@@ -33,32 +33,11 @@ def rand_map(rng, nd, nc, density=0.3, field_order=None):
     return LinMap(VectorSpace(nd), VectorSpace(nc), entries)
 
 
-def test_tensor_of_identities():
-    assert LinMap.identity(VectorSpace(2)).tensor(LinMap.identity(VectorSpace(3))) \
-        == LinMap.identity(VectorSpace(6))
-
-
 def test_compose_with_identity():
     rng = random.Random(1)
     f = rand_map(rng, 4, 5)
     assert f.compose(LinMap.identity(VectorSpace(4))) == f
     assert LinMap.identity(VectorSpace(5)).compose(f) == f
-
-
-def test_tensor_of_one_by_one():
-    a = LinMap(VectorSpace(1), VectorSpace(1), {(0, 0): Fraction(2, 3)})
-    b = LinMap(VectorSpace(1), VectorSpace(1), {(0, 0): Fraction(5)})
-    assert a.tensor(b).entries == {(0, 0): Fraction(10, 3)}
-
-
-def test_tensor_interchange():
-    rng = random.Random(7)
-    for _ in range(12):
-        f = rand_map(rng, 3, 4)
-        fp = rand_map(rng, 2, 3)
-        g = rand_map(rng, 2, 3, field_order=4)
-        gp = rand_map(rng, 3, 2, field_order=4)
-        assert f.tensor(g).compose(fp.tensor(gp)) == f.compose(fp).tensor(g.compose(gp))
 
 
 def test_kernel_of_zero_map():
@@ -222,9 +201,8 @@ def test_map_eq_and_cyclotomic_entries():
 
 
 def test_labels_and_tensor_labels():
-    sp = VectorSpace(2, ["a", "b"])
-    t = sp.tensor(VectorSpace(2, ["c", "d"]))
-    assert t.labels[1] == "a(x)d"
+    assert VectorSpace(2, ["a", "b"]).labels == ("a", "b")
+    assert VectorSpace(2).labels == ("e0", "e1")
 
 
 def test_split_idempotent_and_image_leave_the_column_table_intact():
