@@ -77,16 +77,10 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed and c.severity != "info"]
 
     def first_failure(self):
-        for c in self.checks:
-            if not c.passed and c.severity != "info":
-                return c
-        return None
+        return next(iter(self.failures), None)
 
     def find(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        return None
+        return next((c for c in self.checks if c.name == name), None)
 
     def names(self):
         return [c.name for c in self.checks]
