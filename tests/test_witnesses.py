@@ -2,6 +2,7 @@
 empty one."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 from whakit import module_cat, yetter_drinfeld
@@ -40,18 +41,26 @@ def failing_witness(report, name):
     return check.witness
 
 
+def rebuilt(H, name, **tables):
+    """H rebuilt from its own tables; each constructor argument in tables
+    takes the place of H's own."""
+    own = dict(
+        mult={(i, j, k): c for (i, j), p in H.mult.items() for k, c in p.items()},
+        unit=H.unit, counit=H.counit,
+        comult={(i, j, k): c for i, cop in H.comult.items()
+                for (j, k), c in cop.items()},
+        antipode={(i, j): c for (j, i), c in H.antipode_map.entries.items()},
+        antipode_inverse={(i, j): c for (j, i), c in
+                          H.antipode_inverse_map.entries.items()})
+    return WeakHopfAlgebra(name=name, field=H.field, labels=H.space.labels,
+                           **{**own, **tables})
+
+
 def test_antipode_inverse_two_sided_witness():
     H, _, _ = certified_z3()
     # the identity in place of the inverse of S, which is not the identity
-    wrong = WeakHopfAlgebra(
-        name="z3-wrong-inverse", field=H.field, labels=H.space.labels,
-        mult={(i, j, k): c for (i, j), p in H.mult.items() for k, c in p.items()},
-        unit=H.unit,
-        comult={(i, j, k): c for i, cop in H.comult.items()
-                for (j, k), c in cop.items()},
-        counit=H.counit,
-        antipode={(i, j): c for (j, i), c in H.antipode_map.entries.items()},
-        antipode_inverse={(i, i): 1 for i in range(H.dim)})
+    wrong = rebuilt(H, "z3-wrong-inverse",
+                    antipode_inverse={(i, i): 1 for i in range(H.dim)})
     failing_witness(check_weak_hopf(wrong), "antipode_inverse_two_sided")
 
 
@@ -63,16 +72,48 @@ def test_counit_of_unit_witness():
     failing_witness(check_braided_hopf(doubled), "counit_of_unit")
 
 
-def test_braiding_invertible_witness():
-    H, R, B = certified_z3()
+def doubled_r(build):
+    """The transmuted algebra of a certified example over its R with the
+    first term doubled, marked certified."""
+    H, R, B = certified(build)
     key = sorted(R.r)[0]
     bad = RMatrix(H, {**R.r, key: 2 * R.r[key]}, R.r_bar)
     bad.certified = True
-    Bb = BraidedHopfAlgebra(H, bad, B.carrier, B.module, B.square,
-                            B.unit_module, B.mult, B.comult, B.counit_bar,
-                            B.antipode_bar, B.unit_bar)
-    regc = regular_rh_comodule(Bb)
+    return BraidedHopfAlgebra(H, bad, B.carrier, B.module, B.square,
+                              B.unit_module, B.mult, B.comult, B.counit_bar,
+                              B.antipode_bar, B.unit_bar)
+
+
+def test_braiding_invertible_witness():
+    regc = regular_rh_comodule(doubled_r(lambda: group_algebra_zn(3)))
     failing_witness(check_comodule_braiding(regc, regc), "braiding_invertible")
+
+
+def test_comodule_hexagon_backward_witness():
+    # Z_3 has the one R term 1 (x) 1.  Doubled, the one-step braid of U
+    # past the tensor of V and P reads it once, the two-step braid twice.
+    regc = regular_rh_comodule(doubled_r(lambda: group_algebra_zn(3)))
+    report = check_comodule_braiding(regc, regc, regc)
+    assert failing_witness(report, "hexagon_backward") == (
+        (0,), {(0, 0, 0): 2}, {(0, 0, 0): 4})
+
+
+def test_comodule_hexagon_forward_witness():
+    # The one-step forward braid reads R in the tensor coaction of U and V
+    # and again in the braid, the two-step braid once per step.  With the
+    # first R term doubled both sides still agree on Z_3 and anyonic Z_3;
+    # on Sweedler they differ.
+    for build in (lambda: group_algebra_zn(3),
+                  lambda: group_algebra_zn_anyonic(3)):
+        regc = regular_rh_comodule(doubled_r(build))
+        report = check_comodule_braiding(regc, regc, regc)
+        assert report.find("hexagon_forward").passed
+        assert not report.find("hexagon_backward").passed
+    regc = regular_rh_comodule(doubled_r(sweedler))
+    key, lhs, rhs = failing_witness(
+        check_comodule_braiding(regc, regc, regc), "hexagon_forward")
+    assert key == (42,)
+    assert (lhs, rhs) == ({(2, 2, 2): Fraction(9, 4)}, {(2, 2, 2): Fraction(1, 4)})
 
 
 def test_comodule_invariants_hold_witness():
@@ -127,15 +168,12 @@ def test_module_axioms_witness():
     assert (key, lhs, rhs) == ((1,) + own[0],) + own[1:]
 
 
-def test_nested_carriers_coincide_witness():
-    # On the pair groupoid with two objects, move the term e_11 (x) e_11
-    # from the coproduct of e_11 to that of e_00: the coproduct of 1 stays
-    # e_00 (x) e_00 + e_11 (x) e_11, so every pair carrier and the unit
-    # object are as before, but coassociativity fails on 1.  The triple
-    # carrier, from (Delta (x) id) Delta(1), has e_00 (x) e_00 (x) e_00 and
-    # e_11 (x) e_11 (x) e_00 as its summands; M (x) (M (x) M) has
-    # e_00 (x) e_00 (x) e_00 and e_00 (x) e_11 (x) e_11, of the same
-    # dimension but not inside it.
+def moved_coproduct_groupoid():
+    """The pair groupoid on two objects with the term e_11 (x) e_11 moved
+    from the coproduct of e_11 to that of e_00, marked certified with its
+    R.  The coproduct of 1 stays e_00 (x) e_00 + e_11 (x) e_11, so every
+    pair carrier and the unit object are as before, but coassociativity
+    fails on 1."""
     H, R = groupoid_algebra(2, 1)
     assert certify(H).passed and certify_quasitriangular(H, R).passed
     e00, e11 = (H.space.labels.index(f"{x}<-{x}:g^0") for x in range(2))
@@ -143,18 +181,51 @@ def test_nested_carriers_coincide_witness():
               for (j, k), c in cop.items()}
     del comult[(e11, e11, e11)]
     comult[(e00, e11, e11)] = 1
-    bad = WeakHopfAlgebra(
-        name="pair-groupoid-moved-coproduct", field=H.field,
-        labels=H.space.labels,
-        mult={(i, j, k): c for (i, j), p in H.mult.items() for k, c in p.items()},
-        unit=H.unit, comult=comult, counit=H.counit,
-        antipode={(i, j): c for (j, i), c in H.antipode_map.entries.items()},
-        antipode_inverse={(i, j): c for (j, i), c in
-                          H.antipode_inverse_map.entries.items()})
+    bad = rebuilt(H, "pair-groupoid-moved-coproduct", comult=comult)
     assert bad.delta_one() == H.delta_one()
     bad.certified = True
     bad_r = RMatrix(bad, R.r, R.r_bar)
     bad_r.certified = True
+    return bad, bad_r
+
+
+def test_unit_comult_compatible_witness():
+    # (Delta (x) id) Delta(1) holds e_11 (x) e_11 (x) e_00, where
+    # (Delta(1) (x) 1)(1 (x) Delta(1)) holds e_11 (x) e_11 (x) e_11
+    bad, _ = moved_coproduct_groupoid()
+    e00, e11 = (bad.space.labels.index(f"{x}<-{x}:g^0") for x in range(2))
+    assert failing_witness(check_weak_hopf(bad), "unit_comult_compatible") == (
+        (), {(e00, e00, e00): 1, (e11, e11, e00): 1},
+        {(e00, e00, e00): 1, (e11, e11, e11): 1})
+
+
+def test_split_unit_slides_witnesses():
+    # On the pair groupoid on two objects S(e_xx) = e_xx.  An arrow a
+    # added to S(e_00) adds e_00 (x) a to 1_1 (x) S(1_2) and a (x) e_00 to
+    # S(1_1) (x) 1_2.  With a = 0 <- 1, e_00 (x) a e_00 = 0 on the right of
+    # the source slide and e_00 e_00 (x) a does not vanish on the left;
+    # with a = 1 <- 0, the target slide fails the same way, mirrored.
+    H, _ = groupoid_algebra(2, 1)
+    e00 = H.space.labels.index("0<-0:g^0")
+    antipode = {(i, j): c for (j, i), c in H.antipode_map.entries.items()}
+    for name, arrow, witness in (
+            ("source_slides_split_unit", "0<-1:g^0",
+             ((0,), {(0, 0): 1, (0, 1): 1}, {(0, 0): 1})),
+            ("target_slides_split_unit", "1<-0:g^0",
+             ((0,), {(0, 0): 1}, {(0, 0): 1, (2, 0): 1}))):
+        a = H.space.labels.index(arrow)
+        bad = rebuilt(H, f"pair-groupoid-{name}",
+                      antipode={**antipode, (e00, a): 1})
+        assert failing_witness(check_weak_hopf(bad), name) == witness
+
+
+def test_nested_carriers_coincide_witness():
+    # The triple carrier of the moved-coproduct groupoid, from
+    # (Delta (x) id) Delta(1), has e_00 (x) e_00 (x) e_00 and
+    # e_11 (x) e_11 (x) e_00 as its summands; M (x) (M (x) M) has
+    # e_00 (x) e_00 (x) e_00 and e_00 (x) e_11 (x) e_11, of the same
+    # dimension but not inside it.
+    bad, bad_r = moved_coproduct_groupoid()
     reg = regular_module(bad)
     report = check_monoidal_coherence(bad, bad_r, [reg], random.Random(0))
     (i, j, k, col), lhs, rhs = failing_witness(report, "nested_carriers_coincide")
@@ -169,6 +240,11 @@ def test_nested_carriers_coincide_witness():
                 for col in outer.inclusion_table().values()]
     assert [j for j, v in enumerate(embedded) if not split3.contains(v)][0] == col
     assert lhs == embedded[col]
+    # the moved term also breaks the unitors and the unit triangle
+    assert failing_witness(report, "unitors_h_linear") == (
+        (0, 0, 2, 2), {(2, 2): 1}, {})
+    assert failing_witness(report, "unit_triangle") == (
+        (0, 0, 4), {}, {(2, 0): 1})
 
 
 def test_matches_translated_module_braiding_witness(monkeypatch):
