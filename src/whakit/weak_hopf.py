@@ -93,7 +93,7 @@ class VerificationReport:
 
 def first_mismatch(lhs, rhs):
     """Compare dicts of vectors; None if equal, else (key, lhs_vec, rhs_vec)."""
-    for key in sorted(set(lhs) | set(rhs), key=repr):
+    for key in sorted(set(lhs) | set(rhs), key=repr) if lhs != rhs else ():
         l = lhs.get(key, {})
         r = rhs.get(key, {})
         if l != r:
@@ -123,7 +123,7 @@ def first_witness(cases):
 
 def scalar_table_mismatch(lhs, rhs):
     """Compare dicts of scalars; None if equal, else (key, lhs, rhs)."""
-    for key in sorted(set(lhs) | set(rhs), key=repr):
+    for key in sorted(set(lhs) | set(rhs), key=repr) if lhs != rhs else ():
         l = lhs.get(key, 0)
         r = rhs.get(key, 0)
         if l != r:
