@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -138,7 +139,11 @@ def test_each_side_rejects_a_comodule_over_the_other(certified):
                  lambda: check_rh_comodule(Y), lambda: functor_F(Y),
                  lambda: comodule_tensor(tt, Y, Y),
                  lambda: comodule_braiding(Y, tt, tt),
-                 lambda: yd_tensor(tt, Y, N), lambda: comodule_tensor(tt, N, Y)):
+                 lambda: yd_tensor(tt, Y, N), lambda: comodule_tensor(tt, N, Y),
+                 lambda: check_comodule_braiding(N, Y),
+                 lambda: check_comodule_braiding(N, N, Y),
+                 lambda: check_comodule_braiding(
+                     N, regular_rh_comodule(transmute(H, R)))):
         with pytest.raises(ValueError, match="coact over"):
             call()
     other = HModule(group_algebra_zn(2)[0], B.module.space, {})
@@ -301,6 +306,52 @@ def test_translations_match_on_random_mixed_coactions(name, order):
         same_entries(functor_F(N).coaction, reference_F(N))
         same_entries(yd_tensor(tt, Y1, Y2).coaction,
                      reference_yd_tensor(tt, Y1, Y2))
+
+
+def signed_table(rng, keys):
+    """Random signed int and Fraction values on some of keys."""
+    values = [1, -1, 2, -2, Fraction(1), Fraction(-1), Fraction(1, 2),
+              Fraction(-3, 2)]
+    return {k: rng.choice(values) for k in keys if rng.random() < 0.6}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_products_match_on_leg_on_signed_coactions(name):
+    """_products on yd_tensor's input against the on_leg chain it replaces,
+    on random coaction tables with signed values: equal values, no key
+    whose terms sum to zero, and equal scalar types at every key whose
+    terms share one sign.  Where terms of both signs meet, a partial sum
+    may cancel, and the type of what follows depends on summation order."""
+    H, _ = EXAMPLES[name]()
+    n = 3
+    legs = list(product(range(H.dim), range(n)))
+    rng = random.Random(f"signed {name}")
+    seen = {"cancelled": 0, "one_sign": set()}
+    for _ in range(20):
+        t1, t2 = ({m: signed_table(rng, legs) for m in range(n)}
+                  for _ in range(2))
+        pd = signed_table(rng, product(range(n), repeat=2))
+        by1, by2 = ({m: yetter_drinfeld._by_value(c) for m, c in t.items()}
+                    for t in (t1, t2))
+        got = yetter_drinfeld._products(H.mult, (
+            (c, by1[m], by2[k]) for (m, k), c in pd.items()))
+        reference = on_leg(permute(on_leg(on_leg(pd, 0, t1), 2, t2),
+                                   (0, 2, 1, 3)), slice(0, 2), H.mult)
+        assert got == reference
+        terms = {}
+        for (m, k), c in pd.items():
+            for (a, m2), x in t1[m].items():
+                for (s, k2), y in t2[k].items():
+                    for h, e in H.mult.get((a, s), {}).items():
+                        terms.setdefault((h, m2, k2), []).append(c * x * y * e)
+        assert set(got) == {key for key, ts in terms.items() if sum(ts)}
+        seen["cancelled"] += sum(not sum(ts) for ts in terms.values())
+        for key, ts in terms.items():
+            if all(t > 0 for t in ts) or all(t < 0 for t in ts):
+                assert type(got[key]) is type(reference[key])
+                seen["one_sign"].add(type(got[key]))
+    # the comparison met both kinds of key and both scalar types
+    assert seen["cancelled"] and seen["one_sign"] == {int, Fraction}
 
 
 def shifted_coaction(M, first, shift):
