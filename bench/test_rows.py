@@ -72,6 +72,14 @@ def test_monoidal_coherence_z16(benchmark):
     run_row(benchmark, setup, coherence, rounds=3)
 
 
+def test_monoidal_coherence_z32(benchmark):
+    # the north star's largest Z_n
+    def setup():
+        H, R, _ = certified(lambda: examples.group_algebra_zn(32))
+        return (H, R), {}
+    run_row(benchmark, setup, coherence, rounds=3)
+
+
 def test_monoidal_coherence_anyonic_z5(benchmark):
     def setup():
         H, R, _ = certified(lambda: examples.group_algebra_zn_anyonic(5))
