@@ -214,8 +214,8 @@ def _products(mult: dict, terms) -> dict:
             vx = v if x is _ONE else x if v is _ONE else v * x
             for y, ys in right:
                 p = vx if y is _ONE else y if vx is _ONE else vx * y
-                # the sums below are keyed by this int, since hashing a
-                # Fraction or Cyclo costs more than a dict lookup saves
+                # keyed by (type, value), the sums would hash a Fraction
+                # or Cyclo at every entry below
                 pid = ids.setdefault((type(p), p), len(ids))
                 for a, lt in xs:
                     for s, rt in ys:
