@@ -580,6 +580,8 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
     report.record_first_witnesses(
         ("braiding_invertible", "braiding_h_linear", "braiding_natural"),
         braiding_cases())
+    # free the unit carriers before the larger triple carriers are built
+    with_unit.cache_clear()
     hexagons = {
         "hexagon_forward": ((2, 0, 1, 3), on_leg(R.r, 0, H.comult),
                             r13_r23(H, R.r)),
