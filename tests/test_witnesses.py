@@ -297,9 +297,9 @@ def test_truncated_action_well_defined_witness():
 def test_braiding_natural_witness():
     # braiding_natural compares the braiding with the unitors,
     # l c_{M,1} = r and r c_{1,M} = l.  It passes on each certified
-    # example.  With the first R term, c 1 (x) 1 in these bases, doubled
-    # it fails at the pair (0, 0) of the regular module: l c_{M,1} takes
-    # the carrier basis 0 to c + 1 times the unit, where r takes it to 1.
+    # example.  With the first R term, c e_0 (x) e_0, doubled it fails at
+    # the pair (0, 0) of the regular module: entry (0, 0) of l c_{M,1} is
+    # 1 + c, where that of r is 1.
     for build in (sweedler, lambda: group_algebra_zn(3),
                   lambda: group_algebra_zn_anyonic(3),
                   lambda: groupoid_algebra(2, 2)):
