@@ -87,6 +87,14 @@ def test_monoidal_coherence_anyonic_z5(benchmark):
     run_row(benchmark, setup, coherence, rounds=3)
 
 
+def test_monoidal_coherence_groupoid_3x4(benchmark):
+    # the weak family: the pair groupoid on three objects times Z_4
+    def setup():
+        H, R, _ = certified(lambda: examples.groupoid_algebra(3, 4))
+        return (H, R), {}
+    run_row(benchmark, setup, coherence, rounds=3)
+
+
 def test_equivalence_roundtrip_anyonic_z5(benchmark):
     def setup():
         H, R, B = certified(lambda: examples.group_algebra_zn_anyonic(5))

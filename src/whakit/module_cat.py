@@ -28,8 +28,10 @@ on_leg and permute do for legs they leave in place.
 check_monoidal_coherence verifies, on a caller-supplied sample of
 modules, that nested carriers agree, that unitors are inverse pairs
 satisfying the triangle law, and that the braiding is invertible,
-H-linear, compatible with the unitors, and obeys both hexagons.  Each
-check reports the first failing case only, with first_witness.
+H-linear, compatible with the unitors, and obeys both hexagons; a
+hexagon acts on the triple carriers only when its two elements of
+H tensor H tensor H differ.  Each check reports the first failing case
+only, with first_witness.
 Naturality of the braiding is not among them: it holds for every R on
 H-linear maps, so no sample could fail it.
 """
@@ -456,7 +458,8 @@ def _hexagon_braids(terms, M, N, P):
     by (id tensor Delta)(R), against M first past N, then past P: R13 R12.
     Acting with a product is acting with its factors in turn because M,
     N and P are modules, which module_axioms checks first in the same
-    report.
+    report.  Both braids act with the same legs and leg order, so equal
+    elements give equal braids on every carrier.
     """
     legs = (M.action, N.action, P.action, None)
 
@@ -507,7 +510,9 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
     braiding_natural checks the braiding against the unitors, at the pair
     (i, i) for the i-th module M: l c_{M,1} = r on M tensor 1 and
     r c_{1,M} = l on 1 tensor M.  rng is kept for callers that pass it;
-    no check draws from it.
+    no check draws from it.  A hexagon whose two elements are equal
+    passes without acting on the triple carriers; unequal ones, as under
+    a doubled R marked certified, are searched there for a witness.
     """
     H.require_certified()
     R.require_certified()
@@ -587,6 +592,7 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
                             r13_r23(H, R.r)),
         "hexagon_backward": ((1, 2, 0, 3), on_leg(R.r, 1, H.comult),
                              r13_r12(H, R.r))}
+    unequal = {name for name, (_, one, two) in hexagons.items() if one != two}
 
     def triple_cases():
         # one split triple carrier serves the three checks of a triple
@@ -600,7 +606,8 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
                     or _nested_carrier_mismatch(
                         split3, truncated_tensor(M, tts[(j, k)]), 1, dims)),
                 **{name: partial(carrier_mismatch, split3, dims, *braids)
-                   for name, braids in _hexagon_braids(hexagons, M, N, P).items()},
+                   for name, braids in _hexagon_braids(hexagons, M, N, P).items()
+                   if name in unequal},
             }
     report.record_first_witnesses(
         ("nested_carriers_coincide", "hexagon_forward", "hexagon_backward"),

@@ -122,13 +122,12 @@ def first_witness(cases):
 
 
 def scalar_table_mismatch(lhs, rhs):
-    """Compare dicts of scalars; None if equal, else (key, lhs, rhs)."""
-    for key in sorted(set(lhs) | set(rhs), key=repr) if lhs != rhs else ():
-        l = lhs.get(key, 0)
-        r = rhs.get(key, 0)
-        if l != r:
-            return (key, {0: l} if l else {}, {0: r} if r else {})
-    return None
+    """first_mismatch on dicts of scalars, each nonzero scalar v read as
+    the vector {0: v}."""
+    if lhs == rhs:
+        return None
+    return first_mismatch(*({k: {0: v} for k, v in t.items() if v}
+                            for t in (lhs, rhs)))
 
 
 class WeakHopfAlgebra:

@@ -335,6 +335,42 @@ def test_doubled_r_hexagon_witnesses_match_braiding_in_steps():
         assert_same_tensor(got_rhs, rhs)
 
 
+def test_hexagons_act_only_when_elements_differ(monkeypatch):
+    # Each hexagon compares its two elements of H (x) H (x) H first; its
+    # braids act on the triple carriers only when those differ.
+    calls = []
+    braids = module_cat._hexagon_braids
+
+    def counted(terms, M, N, P):
+        def wrap(name, f):
+            def g(x):
+                calls.append(name)
+                return f(x)
+            return g
+        return {name: tuple(wrap(name, f) for f in sides)
+                for name, sides in braids(terms, M, N, P).items()}
+    monkeypatch.setattr(module_cat, "_hexagon_braids", counted)
+    names = ("hexagon_forward", "hexagon_backward")
+    for build in HEXAGON_BUILDS:
+        H, R = build()
+        certify(H)
+        certify_quasitriangular(H, R)
+        report = check_monoidal_coherence(
+            H, R, [regular_module(H), unit_object(H)])
+        assert all(report.find(name).passed for name in names)
+        assert calls == []
+    # a doubled R term, marked certified: both elements of each hexagon
+    # change, unequally, and the braids are searched to a witness
+    H, R = group_algebra_zn(3)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    key = sorted(R.r)[0]
+    bad = RMatrix(H, {**R.r, key: 2 * R.r[key]}, R.r_bar)
+    bad.certified = True
+    report = check_monoidal_coherence(H, bad, [regular_module(H)])
+    assert not any(report.find(name).passed for name in names)
+    assert sorted(set(calls)) == sorted(names)
+
+
 def assert_validated(f):
     """f holds what LinMap's own checks would leave: no zero entry, no
     entry out of range."""

@@ -11,7 +11,8 @@ from whakit.linalg import flatten, on_leg, split_idempotent
 from whakit.module_cat import (HModule, check_module, check_monoidal_coherence,
                                regular_module, triple_projector,
                                truncated_tensor, unit_object)
-from whakit.quasitriangular import RMatrix, certify_quasitriangular
+from whakit.quasitriangular import (RMatrix, certify_quasitriangular,
+                                    check_quasitriangular)
 from whakit.transmutation import (BraidedHopfAlgebra, check_braided_hopf,
                                   transmute)
 from whakit.weak_hopf import WeakHopfAlgebra, certify, check_weak_hopf
@@ -314,3 +315,34 @@ def test_braiding_natural_witness():
         assert failing_witness(check_monoidal_coherence(H, bad, modules),
                                "braiding_natural") == (
             (0, 0, 0, 0), {(0, 0): 1 + R.r[key]}, {(0, 0): 1})
+
+
+def test_action_of_unit_witness():
+    # the regular action with each summand of the unit doubled: the unit
+    # acts as 2 id, on a Hopf algebra and on the weak pair groupoid alike
+    for build in (sweedler, lambda: group_algebra_zn_anyonic(3),
+                  lambda: groupoid_algebra(2, 2)):
+        H, _, _ = certified(build)
+        reg = regular_module(H)
+        action = {(i, r, c): 2 * v if i in H.unit else v
+                  for i in range(H.dim)
+                  for (r, c), v in reg.rho(i).entries.items()}
+        report = check_module(HModule(H, H.space, action))
+        assert failing_witness(report, "action_of_unit") == (
+            (), {(j, j): 2 for j in range(H.dim)}, {})
+
+
+def test_yang_baxter_witness():
+    # A doubled first R term leaves R12 R13 R23 = R23 R13 R12 on these
+    # examples; Sweedler's R plus 1 (x) h breaks it.
+    for build in (sweedler, lambda: group_algebra_zn_anyonic(3),
+                  lambda: groupoid_algebra(2, 2)):
+        H, R, _ = certified(build)
+        key = sorted(R.r)[0]
+        doubled = RMatrix(H, {**R.r, key: 2 * R.r[key]}, R.r_bar)
+        assert check_quasitriangular(H, doubled).find("yang_baxter").passed
+    H, R, _ = certified(sweedler)
+    one, g, h, gh = (H.space.labels.index(s) for s in ("1", "g", "h", "gh"))
+    bent = RMatrix(H, {**R.r, (one, h): R.r.get((one, h), 0) + 1}, R.r_bar)
+    assert failing_witness(check_quasitriangular(H, bent), "yang_baxter") == (
+        (one, g, gh), {0: Fraction(1, 2)}, {0: Fraction(-1, 2)})
