@@ -25,21 +25,24 @@ tensor once.  So each function they take must let a trailing leg it does
 not name pass through untouched, as act does for a None table and
 on_leg and permute do for legs they leave in place.
 
+hexagon_mismatches states both hexagons through associators and
+braidings between nested truncated products, for the module category
+here and the comodule category of yetter_drinfeld alike.
+
 check_monoidal_coherence verifies, on a caller-supplied sample of
 modules, that nested carriers agree, that unitors are inverse pairs
 satisfying the triangle law, and that the braiding is invertible,
-H-linear, compatible with the unitors, and obeys both hexagons; a
-hexagon acts on the triple carriers only when its two elements of
-H tensor H tensor H differ.  Each check reports the first failing case
-only, with first_witness.
-Naturality of the braiding is not among them: it holds for every R on
-H-linear maps, so no sample could fail it.
+H-linear, compatible with the unitors, and obeys both hexagons.  On a
+certified R each hexagon's two elements of H tensor H tensor H are
+equal, and it passes without acting on a carrier; unequal ones are
+searched with hexagon_mismatches.  Each check reports the first failing
+case only, with first_witness.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import cache, reduce
 from itertools import product
 
 from .linalg import (_ONE, LinMap, Subspace, VectorSpace, act, add_term,
@@ -436,8 +439,9 @@ def carrier_mismatch(carrier: Subspace, dims, lhs, rhs):
     side the column j of its result with the column leg dropped.
 
     lhs and rhs are applied once each, to column_tensor(carrier.inclusion,
-    dims), and must pass its trailing column leg through.  This is the skeleton
-    of every hexagon check: lhs braids in one step, rhs in two."""
+    dims), and must pass its trailing column leg through.  The unit
+    triangle and the transmuted algebra's axioms compare their two sides
+    this way."""
     x = column_tensor(carrier.inclusion, dims)
     left, right = lhs(x), rhs(x)
     if left == right:
@@ -447,26 +451,55 @@ def carrier_mismatch(carrier: Subspace, dims, lhs, rhs):
                          lambda j: (left[j], right[j]))
 
 
-def _hexagon_braids(terms, M, N, P):
-    """The one-step and two-step braids of both hexagons on M, N and P;
-    terms gives each hexagon's final leg order and its two elements of
-    H tensor H tensor H.
-
-    Forward braids the product of M and N past P by (Delta tensor id)(R),
-    against first N then M past P, which is R23 and then R13 acting:
-    R13 R23 in one act.  Backward braids M past the product of N and P
-    by (id tensor Delta)(R), against M first past N, then past P: R13 R12.
-    Acting with a product is acting with its factors in turn because M,
-    N and P are modules, which module_axioms checks first in the same
-    report.  Both braids act with the same legs and leg order, so equal
-    elements give equal braids on every carrier.
+def hexagon_mismatches(X, Y, Z, module, tensor, braid) -> dict:
+    """Both hexagons on the objects X, Y and Z as the category states them,
+    on the nested truncated tensors of their modules: hexagon_forward
+    compares c_{X Y, Z} with a (c_{X,Z} tensor id) a^-1 (id tensor c_{Y,Z}) a,
+    hexagon_backward c_{X, Y Z} with a^-1 (id tensor c_{X,Z}) a (c_{X,Y}
+    tensor id) a^-1.  Each witness is None or ((j,), lhs, rhs) at the first
+    carrier column j where the one-step braiding lhs and the composite rhs
+    differ.  module(A) is the module of A, tensor(tt, A, B) the object A B
+    on the carrier tt, and braid(A, source, target) braids A past the other
+    leg of source.  Every factor is one carrier_map, each carrier built
+    once: the associator a embeds through one inner carrier and projects
+    through the other, and f tensor id applies f's columns on its leg.
     """
-    legs = (M.action, N.action, P.action, None)
+    tt = cache(truncated_tensor)
+    x, y, z = module(X), module(Y), module(Z)
 
-    def braid(perm, t):
-        return lambda x: permute(act(legs, t, x), perm)
-    return {name: (braid(perm, one), braid(perm, two))
-            for name, (perm, one, two) in terms.items()}
+    def assoc(ab, c):
+        bc = tt(ab.right, c)
+        return carrier_map(tt(ab, c), tt(ab.left, bc), lambda t: on_leg(on_leg(
+            t, 0, ab.inclusion_table()), slice(1, 3), bc.projection_table()))
+
+    def assoc_inv(a, bc):
+        ab = tt(a, bc.left)
+        return carrier_map(tt(a, bc), tt(ab, bc.right), lambda t: on_leg(on_leg(
+            t, 1, bc.inclusion_table()), slice(0, 2), ab.projection_table()))
+
+    def braid_on(leg, A, ab, other):
+        # c_{A,B} tensor id on leg 0, id tensor c_{A,B} on leg 1
+        ba = tt(ab.right, ab.left)
+        f = braid(A, ab, ba).columns()
+        nest = [lambda p: tt(p, other), lambda p: tt(other, p)][leg]
+        return carrier_map(nest(ab), nest(ba), lambda t: on_leg(t, leg, f))
+
+    def mismatch(one, steps):
+        two = reduce(lambda f, g: g.compose(f), steps)
+        return None if one == two else first_unequal(
+            product(range(one.domain.dim)),
+            lambda j: (one.column(j), two.column(j)))
+
+    xy, yz, xz, zx = tt(x, y), tt(y, z), tt(x, z), tt(z, x)
+    return {
+        "hexagon_forward": mismatch(
+            braid(tensor(xy, X, Y), tt(xy, z), tt(z, xy)),
+            [assoc(xy, z), braid_on(1, Y, yz, x), assoc_inv(x, tt(z, y)),
+             braid_on(0, X, xz, y), assoc(zx, y)]),
+        "hexagon_backward": mismatch(
+            braid(X, tt(x, yz), tt(yz, x)),
+            [assoc_inv(x, yz), braid_on(0, X, xy, z), assoc(tt(y, x), z),
+             braid_on(1, X, xz, y), assoc_inv(y, zx)])}
 
 
 def _not_identity(f: LinMap):
@@ -511,8 +544,9 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
     (i, i) for the i-th module M: l c_{M,1} = r on M tensor 1 and
     r c_{1,M} = l on 1 tensor M.  rng is kept for callers that pass it;
     no check draws from it.  A hexagon whose two elements are equal
-    passes without acting on the triple carriers; unequal ones, as under
-    a doubled R marked certified, are searched there for a witness.
+    passes without acting on any carrier; unequal ones, as under a
+    doubled R marked certified, are searched triple by triple with
+    hexagon_mismatches, the witness key (i, j, k, carrier column).
     """
     H.require_certified()
     R.require_certified()
@@ -587,27 +621,28 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
         braiding_cases())
     # free the unit carriers before the larger triple carriers are built
     with_unit.cache_clear()
-    hexagons = {
-        "hexagon_forward": ((2, 0, 1, 3), on_leg(R.r, 0, H.comult),
-                            r13_r23(H, R.r)),
-        "hexagon_backward": ((1, 2, 0, 3), on_leg(R.r, 1, H.comult),
-                             r13_r12(H, R.r))}
-    unequal = {name for name, (_, one, two) in hexagons.items() if one != two}
+    unequal = [name for name, one, two in (
+        ("hexagon_forward", on_leg(R.r, 0, H.comult), r13_r23(H, R.r)),
+        ("hexagon_backward", on_leg(R.r, 1, H.comult), r13_r12(H, R.r)))
+        if one != two]
 
     def triple_cases():
-        # one split triple carrier serves the three checks of a triple
+        # split3 serves nested_carriers_coincide alone: the hexagons
+        # build their own nested carriers, and only when searched
         for (i, M), (j, N), (k, P) in product(enumerate(modules), repeat=3):
             split3 = split_idempotent(triple_projector(M, N, P))
             dims = (M.dim, N.dim, P.dim)
+            hexagons = cache(lambda: hexagon_mismatches(
+                M, N, P, lambda A: A, lambda tt, *_: tt,
+                lambda _, *carriers: braiding_c(*carriers, R)))
             yield (i, j, k), {
                 "nested_carriers_coincide": lambda: (
                     _nested_carrier_mismatch(
                         split3, truncated_tensor(tts[(i, j)], P), 0, dims)
                     or _nested_carrier_mismatch(
                         split3, truncated_tensor(M, tts[(j, k)]), 1, dims)),
-                **{name: partial(carrier_mismatch, split3, dims, *braids)
-                   for name, braids in _hexagon_braids(hexagons, M, N, P).items()
-                   if name in unequal},
+                **{name: lambda name=name: hexagons()[name]
+                   for name in unequal},
             }
     report.record_first_witnesses(
         ("nested_carriers_coincide", "hexagon_forward", "hexagon_backward"),

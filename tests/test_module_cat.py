@@ -14,7 +14,6 @@ from whakit.linalg import (DimensionMismatch, LinMap, VectorSpace, act,
 from whakit.module_cat import (HModule, act_pair, braiding_c,
                                braiding_c_inv, carrier_map, carrier_mismatch,
                                check_module, check_monoidal_coherence,
-                               column_tensor,
                                h_linear_mismatch, left_unitor, regular_module,
                                right_unitor, triple_projector, truncated_tensor,
                                truncation_projector, unit_object)
@@ -207,10 +206,10 @@ def test_batched_carrier_maps_match_per_column(build):
             vc = truncated_tensor(V.module, C)
             cv = truncated_tensor(C, V.module)
             assert_same_map(comodule_braiding(V, vc, cv), per_column_map(
-                vc, cv, lambda x: _braid_step(V, C, x, 0, None)))
+                vc, cv, lambda x: _braid_step(V, C, x, None)))
             assert_same_map(comodule_braiding_inv(V, cv, vc), per_column_map(
                 cv, vc, lambda x: permute(_braid_step(
-                    V, C, permute(x, (1, 0)), 0, untwist), (1, 0))))
+                    V, C, permute(x, (1, 0)), untwist), (1, 0))))
 
 
 @pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
@@ -253,103 +252,53 @@ def test_failing_carrier_mismatch_matches_per_column_search(build):
     assert witness is not None
 
 
-def braids_in_steps(H, R, M, N, P):
-    """Both hexagons on M, N and P as the braidings they compare: the
-    one-step side acts with R with the coproduct applied to one leg, the
-    two-step side acts with R twice, one braiding step at a time."""
-    r = R.r
-    legs = (M.action, N.action, P.action, None)
-
-    def forward_two(x):
-        step = permute(act((None, N.action, P.action, None), r, x),
-                       (0, 2, 1, 3))
-        return permute(act((M.action, P.action, None, None), r, step),
-                       (1, 0, 2, 3))
-
-    def backward_two(x):
-        step = permute(act((M.action, N.action, None, None), r, x),
-                       (1, 0, 2, 3))
-        return permute(act((None, M.action, P.action, None), r, step),
-                       (0, 2, 1, 3))
-    return {"hexagon_forward": (lambda x: permute(act(
-                legs, on_leg(r, 0, H.comult), x), (2, 0, 1, 3)), forward_two),
-            "hexagon_backward": (lambda x: permute(act(
-                legs, on_leg(r, 1, H.comult), x), (1, 2, 0, 3)), backward_two)}
-
-
-def assert_same_tensor(t, reference):
-    # values and scalar types; the key order may differ
-    assert t == reference
-    assert {k: type(c) for k, c in t.items()} == {
-        k: type(c) for k, c in reference.items()}
-
-
 HEXAGON_BUILDS = BUILDS + [lambda: group_algebra_zn_anyonic(4),
                            lambda: groupoid_algebra(3, 2)]
 HEXAGON_IDS = BUILD_IDS + ["anyonic_z4", "groupoid_3x2"]
 
 
-@pytest.mark.parametrize("build", HEXAGON_BUILDS, ids=HEXAGON_IDS)
-def test_hexagon_braids_match_braiding_in_steps(build, monkeypatch):
-    H, R = build()
-    certify(H)
-    certify_quasitriangular(H, R)
-    seen = []
-    braids = module_cat._hexagon_braids
-
-    def record(terms, M, N, P):
-        out = braids(terms, M, N, P)
-        seen.append(((M, N, P), out))
-        return out
-    monkeypatch.setattr(module_cat, "_hexagon_braids", record)
-    modules = [regular_module(H), unit_object(H)]
-    assert check_monoidal_coherence(H, R, modules, random.Random(0)).passed
-    # every triple of the two modules, each braid on its whole carrier
-    assert [tuple(map(modules.index, mnp)) for mnp, _ in seen] == list(
-        product(range(2), repeat=3))
-    for (M, N, P), out in seen:
-        x = column_tensor(split_idempotent(triple_projector(M, N, P)).inclusion,
-                          (M.dim, N.dim, P.dim))
-        reference = braids_in_steps(H, R, M, N, P)
-        assert set(out) == set(reference)
-        for name, sides in out.items():
-            for side, ref in zip(sides, reference[name]):
-                assert_same_tensor(side(x), ref(x))
+def module_hexagons(R, M, N, P):
+    """hexagon_mismatches on three modules, braided by R."""
+    return module_cat.hexagon_mismatches(
+        M, N, P, lambda A: A, lambda tt, *_: tt,
+        lambda _, source, target: braiding_c(source, target, R))
 
 
-def test_doubled_r_hexagon_witnesses_match_braiding_in_steps():
-    H, R = group_algebra_zn(3)
-    assert certify(H).passed and certify_quasitriangular(H, R).passed
+def doubled_first_term(H, R):
+    """R with its first term doubled, marked certified."""
     key = sorted(R.r)[0]
     bad = RMatrix(H, {**R.r, key: 2 * R.r[key]}, R.r_bar)
     bad.certified = True
-    M = regular_module(H)
-    report = check_monoidal_coherence(H, bad, [M], random.Random(0))
-    split3 = split_idempotent(triple_projector(M, M, M))
-    for name, (one, two) in braids_in_steps(H, bad, M, M, M).items():
-        (j,), lhs, rhs = carrier_mismatch(split3, (M.dim,) * 3, one, two)
-        assert j == 0
-        key, got_lhs, got_rhs = report.find(name).witness
-        assert key == (0, 0, 0, j)
-        assert_same_tensor(got_lhs, lhs)
-        assert_same_tensor(got_rhs, rhs)
+    return bad
+
+
+@pytest.mark.parametrize("build", HEXAGON_BUILDS, ids=HEXAGON_IDS)
+def test_categorical_hexagons_hold_and_fail_under_doubled_r(build):
+    # Both hexagons through the braidings of nested carriers, c_{M N, P}
+    # braiding a truncated tensor leg: they hold on every triple of the
+    # regular module and the unit object, and a doubled R term breaks both
+    # on the regular triple.
+    H, R = build()
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    modules = [regular_module(H), unit_object(H)]
+    for M, N, P in product(modules, repeat=3):
+        assert module_hexagons(R, M, N, P) == {
+            "hexagon_forward": None, "hexagon_backward": None}
+    M = modules[0]
+    assert None not in module_hexagons(
+        doubled_first_term(H, R), M, M, M).values()
 
 
 def test_hexagons_act_only_when_elements_differ(monkeypatch):
-    # Each hexagon compares its two elements of H (x) H (x) H first; its
-    # braids act on the triple carriers only when those differ.
+    # Each hexagon compares its two elements of H (x) H (x) H first; the
+    # categorical hexagons run only when those differ.
     calls = []
-    braids = module_cat._hexagon_braids
+    mismatches = module_cat.hexagon_mismatches
 
-    def counted(terms, M, N, P):
-        def wrap(name, f):
-            def g(x):
-                calls.append(name)
-                return f(x)
-            return g
-        return {name: tuple(wrap(name, f) for f in sides)
-                for name, sides in braids(terms, M, N, P).items()}
-    monkeypatch.setattr(module_cat, "_hexagon_braids", counted)
+    def counted(*args):
+        calls.append(args[:3])
+        return mismatches(*args)
+    monkeypatch.setattr(module_cat, "hexagon_mismatches", counted)
     names = ("hexagon_forward", "hexagon_backward")
     for build in HEXAGON_BUILDS:
         H, R = build()
@@ -360,15 +309,13 @@ def test_hexagons_act_only_when_elements_differ(monkeypatch):
         assert all(report.find(name).passed for name in names)
         assert calls == []
     # a doubled R term, marked certified: both elements of each hexagon
-    # change, unequally, and the braids are searched to a witness
+    # change, unequally, and the first triple already fails both, once
     H, R = group_algebra_zn(3)
     assert certify(H).passed and certify_quasitriangular(H, R).passed
-    key = sorted(R.r)[0]
-    bad = RMatrix(H, {**R.r, key: 2 * R.r[key]}, R.r_bar)
-    bad.certified = True
-    report = check_monoidal_coherence(H, bad, [regular_module(H)])
+    M = regular_module(H)
+    report = check_monoidal_coherence(H, doubled_first_term(H, R), [M])
     assert not any(report.find(name).passed for name in names)
-    assert sorted(set(calls)) == sorted(names)
+    assert calls == [(M, M, M)]
 
 
 def assert_validated(f):
