@@ -338,10 +338,10 @@ def test_yang_baxter_witness():
 def test_corner_witnesses():
     # On the pair groupoid on two objects Delta(1) = e_00 (x) e_00 +
     # e_11 (x) e_11, so both corners send x (x) y to the sum over u, v of
-    # e_uu x e_vv (x) e_uu y e_vv.  For
-    # e_00 (x) a, a the arrow 0 <- 1, only u = v = 0 keeps e_00, and
-    # e_00 a e_00 = 0: added to R the term fails r_in_truncated_corner,
-    # added to R-bar r_inverse_in_opposite_corner, each the first failure.
+    # e_uu x e_vv (x) e_uu y e_vv.  For e_00 (x) a, a the arrow 0 <- 1,
+    # only u = v = 0 keeps e_00, and e_00 a e_00 = 0: added to R the term
+    # fails r_in_truncated_corner, added to R-bar
+    # r_inverse_in_opposite_corner, each the first failure.
     H, R = groupoid_algebra(2, 1)
     assert certify(H).passed and certify_quasitriangular(H, R).passed
     e00, a = (H.space.labels.index(s) for s in ("0<-0:g^0", "0<-1:g^0"))
