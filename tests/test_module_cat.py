@@ -289,6 +289,68 @@ def test_categorical_hexagons_hold_and_fail_under_doubled_r(build):
         doubled_first_term(H, R), M, M, M).values()
 
 
+def braids_in_steps(H, R, M, N, P):
+    """Both hexagons on M (x) N (x) P, a column leg trailing: the one-step
+    side acts with R with the coproduct applied to one leg, the two-step
+    side acts with R twice, one braiding step at a time."""
+    r = R.r
+    legs = (M.action, N.action, P.action, None)
+
+    def forward_two(x):
+        step = permute(act((None, N.action, P.action, None), r, x),
+                       (0, 2, 1, 3))
+        return permute(act((M.action, P.action, None, None), r, step),
+                       (1, 0, 2, 3))
+
+    def backward_two(x):
+        step = permute(act((M.action, N.action, None, None), r, x),
+                       (1, 0, 2, 3))
+        return permute(act((None, M.action, P.action, None), r, step),
+                       (0, 2, 1, 3))
+    return {"hexagon_forward": (lambda x: permute(act(
+                legs, on_leg(r, 0, H.comult), x), (2, 0, 1, 3)), forward_two),
+            "hexagon_backward": (lambda x: permute(act(
+                legs, on_leg(r, 1, H.comult), x), (1, 2, 0, 3)), backward_two)}
+
+
+def test_doubled_r_hexagon_witnesses_match_braiding_in_steps():
+    # Under a doubled R term each hexagon's witness, in coordinates of
+    # its nested target carrier, embeds in M (x) M (x) M as the one-step
+    # and the two-step braid of the first source carrier column where
+    # those differ.
+    H, R = group_algebra_zn(3)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    bad = doubled_first_term(H, R)
+    M = regular_module(H)
+    report = check_monoidal_coherence(H, bad, [M])
+    mm = truncated_tensor(M, M)
+    # (source, its inner leg), (target, its inner leg)
+    carriers = {
+        "hexagon_forward": ((truncated_tensor(mm, M), 0),
+                            (truncated_tensor(M, mm), 1)),
+        "hexagon_backward": ((truncated_tensor(M, mm), 1),
+                             (truncated_tensor(mm, M), 0))}
+
+    def embed(leg, t):
+        return on_leg(t, leg, mm.inclusion_table())
+    for name, (one, two) in braids_in_steps(H, bad, M, M, M).items():
+        (source, s_leg), (target, t_leg) = carriers[name]
+        x = embed(s_leg, source.inclusion_tensor())
+        columns = {}
+        for (a, b, c, j), v in x.items():
+            columns.setdefault(j, {})[(a, b, c, 0)] = v
+        reference = first_unequal(
+            ((j,) for j in range(source.dim)),
+            lambda j: (one(columns[j]), two(columns[j])))
+        assert reference is not None
+        (j,), ref_lhs, ref_rhs = reference
+        key, lhs, rhs = report.find(name).witness
+        assert key == (0, 0, 0, j)
+        for got, ref in ((lhs, ref_lhs), (rhs, ref_rhs)):
+            assert {k + (0,): c for k, c in embed(
+                t_leg, target.embed_pairs(got)).items()} == ref
+
+
 def test_hexagons_act_only_when_elements_differ(monkeypatch):
     # Each hexagon compares its two elements of H (x) H (x) H first; the
     # categorical hexagons run only when those differ.
