@@ -1,11 +1,12 @@
 """Exact sparse linear algebra over the package scalars.
 
-Vectors are plain dicts mapping basis index to a nonzero scalar.  Maps
-are sparse (row, col) dicts.  Everything is exact: elimination runs over
-int, Fraction or Cyclo entries with no tolerance anywhere, and integral
-entries stay ints until a pivot is inverted.  Elimination touches only
-the rows that hold the pivot column, so its cost follows the nonzeros
-and the fill, not the square of the row count.
+Vectors are plain dicts mapping basis index to a nonzero scalar.  A map
+is stored by columns, {col: {row: c}}: column c is the image of basis
+vector c, and no column is empty.  Everything is exact: elimination runs
+over int, Fraction or Cyclo entries with no tolerance anywhere, and
+integral entries stay ints until a pivot is inverted.  Elimination
+touches only the rows that hold the pivot column, so its cost follows
+the nonzeros and the fill, not the square of the row count.
 
 Tensor index convention, used by every module in the package: the basis
 of M tensor N is ordered lexicographically with the M index major, so
@@ -16,29 +17,30 @@ Every multilinear identity in the package is written with two
 contraction primitives over such tensors: act contracts one tensor into
 another leg by leg through bilinear tables (algebra products, module
 actions), and on_leg applies a linear map to a single leg (coproduct,
-counit, antipode).
+counit, antipode, or a carrier projection read on a slice of legs).
 
-Every kernel that sums terms (act, on_leg, LinMap.__call__ and
-LinMap.compose here, project_columns in module_cat) accumulates them by
-one rule.  A key takes its place in the result when its first term
-arrives, a sum that cancels to zero is deleted (a later term at that key
-enters again, last), and a product by the int 1 is skipped.  Inputs hold
-no zeros, so no term is zero, and a first term is stored untested.  act
-builds a term whose looked-up table rows each hold a single entry, the
-case of every 0/1 table, directly, without itertools.product, in the
-order the product loop would give.  Elimination breaks ties by key
-order, so report witnesses depend on this order.
+Three kernels sum terms: act, on_leg and LinMap.__call__; compose
+applies __call__ to each column.  They accumulate by one rule.  A key
+takes its place in the result when its first term arrives, a sum that
+cancels to zero is deleted (a later term at that key enters again,
+last), and a product by the int 1 is skipped.  Inputs hold no zeros, so
+no term is zero, and a first term is stored untested.  act builds a term
+whose looked-up table rows each hold a single entry, the case of every
+0/1 table, directly, without itertools.product, in the order the product
+loop would give.  Elimination breaks ties by key order, so report
+witnesses depend on this order.
 
-A LinMap built with LinMap(...) checks every entry against its
-dimensions and drops zeros, since those entries come from outside the
-package.  A map the package computes itself, with nonzero entries in
-range by construction, is adopted as it stands by LinMap._adopt: the
-results of compose and identity, the inclusion and projection of
-from_span and split_idempotent (the coordinate inclusion and projection
-of a coordinate projection among them), and in module_cat every
-carrier_map and truncation projector.  from_span checks the vectors it
-is given before eliminating them, so the maps it adopts are in range
-too.
+A LinMap built with LinMap(...) takes (row, col) entries, checks each
+against its dimensions and drops zeros, since those entries come from
+outside the package.  LinMap._adopt takes columns the package computed
+itself, with no empty column, no zero and every index in range by
+construction, as they stand: the results of compose and identity, the
+inclusion and projection of from_span and split_idempotent (the
+inclusion's columns are the reduced rows of elimination), and in
+module_cat every module operator, carrier_map and truncation projector.
+from_span checks the vectors it is given before eliminating them, so
+the maps it adopts are in range too.  LinMap.entries is a new
+{(row, col): c} dict built from the columns, for reading only.
 """
 
 from __future__ import annotations
@@ -260,40 +262,40 @@ class VectorSpace:
 
 
 class LinMap:
-    """A sparse linear map; entries hold (row, col) -> nonzero scalar."""
+    """A sparse linear map, stored by columns: cols[c] is the image of
+    basis vector c as {row: nonzero scalar}, and no column is empty."""
 
-    __slots__ = ("domain", "codomain", "entries", "_bycol")
+    __slots__ = ("domain", "codomain", "cols")
 
     def __init__(self, domain: VectorSpace, codomain: VectorSpace, entries: dict):
+        """The map with the given (row, col) -> scalar entries."""
         self.domain = domain
         self.codomain = codomain
-        cleaned = {}
+        cols = {}
         nr, nc = codomain.dim, domain.dim
         for (r, c), v in entries.items():
             if v == 0:
                 continue
             if not (0 <= r < nr and 0 <= c < nc):
                 raise DimensionMismatch(f"entry ({r},{c}) out of bounds {nr}x{nc}")
-            cleaned[(r, c)] = v
-        self.entries = cleaned
-        self._bycol = None
+            cols.setdefault(c, {})[r] = v
+        self.cols = cols
 
     @classmethod
     def _adopt(cls, domain: VectorSpace, codomain: VectorSpace,
-               entries: dict) -> "LinMap":
-        """A map on entries the package built: every value nonzero and
-        every key in range, so they are taken as they are, unchecked."""
+               cols: dict) -> "LinMap":
+        """A map on columns the package built: no column empty, every
+        value nonzero and every index in range, so they are taken as they
+        are, unchecked."""
         f = object.__new__(cls)
         f.domain = domain
         f.codomain = codomain
-        f.entries = entries
-        f._bycol = None
+        f.cols = cols
         return f
 
     @staticmethod
     def identity(space: VectorSpace) -> "LinMap":
-        return LinMap._adopt(space, space,
-                             {(i, i): 1 for i in range(space.dim)})
+        return LinMap._adopt(space, space, {i: {i: 1} for i in range(space.dim)})
 
     @staticmethod
     def from_function(domain: VectorSpace, codomain: VectorSpace, fn) -> "LinMap":
@@ -305,28 +307,28 @@ class LinMap:
                     entries[(r, c)] = v
         return LinMap(domain, codomain, entries)
 
+    @property
+    def entries(self) -> dict:
+        """The map as a new dict {(row, col): c}, column by column."""
+        return {(r, c): v for c, col in self.cols.items() for r, v in col.items()}
+
     def columns(self) -> dict:
         """The map as a table {col: {row: c}}, the shape on_leg applies."""
-        if self._bycol is None:
-            bycol = {}
-            for (r, c), v in self.entries.items():
-                bycol.setdefault(c, {})[r] = v
-            self._bycol = bycol
-        return self._bycol
+        return self.cols
 
     def column(self, c: int) -> dict:
         """The image of the c-th basis vector."""
-        return dict(self.columns().get(c, {}))
+        return dict(self.cols.get(c, {}))
 
     def __call__(self, vec: dict) -> dict:
-        bycol = self.columns()
+        cols = self.cols
         out = {}
         get = out.get
         for c, x in vec.items():
-            col = bycol.get(c)
+            col = cols.get(c)
             if col:
                 for r, v in col.items():
-                    w = x if v is _ONE else v * x
+                    w = x if v is _ONE else v if x is _ONE else v * x
                     cur = get(r)
                     if cur is None:
                         out[r] = w
@@ -339,33 +341,16 @@ class LinMap:
         return out
 
     def compose(self, g: "LinMap") -> "LinMap":
-        """self after g."""
+        """self after g: self applied to each column of g."""
         if g.codomain.dim != self.domain.dim:
             raise DimensionMismatch("compose: inner dimensions differ")
-        byrow = {}
-        for (r, c), v in g.entries.items():
-            byrow.setdefault(r, []).append((c, v))
-        out = {}
-        get = out.get
-        for (r, c), v in self.entries.items():
-            for c2, v2 in byrow.get(c, ()):
-                k = (r, c2)
-                w = v if v2 is _ONE else v2 if v is _ONE else v * v2
-                cur = get(k)
-                if cur is None:
-                    out[k] = w
-                else:
-                    cur = cur + w
-                    if cur:
-                        out[k] = cur
-                    else:
-                        del out[k]
-        return LinMap._adopt(g.domain, self.codomain, out)
+        return LinMap._adopt(g.domain, self.codomain, {
+            c: img for c, col in g.cols.items() if (img := self(col))})
 
     def __add__(self, other: "LinMap") -> "LinMap":
         if (self.domain.dim, self.codomain.dim) != (other.domain.dim, other.codomain.dim):
             raise DimensionMismatch("sum of maps with different shapes")
-        out = dict(self.entries)
+        out = self.entries
         for k, v in other.entries.items():
             add_term(out, k, v)
         return LinMap(self.domain, self.codomain, out)
@@ -378,28 +363,23 @@ class LinMap:
                       {k: c * v for k, v in self.entries.items()})
 
     def transpose(self) -> "LinMap":
-        return LinMap(self.codomain, self.domain,
-                      {(c, r): v for (r, c), v in self.entries.items()})
+        return LinMap._adopt(self.codomain, self.domain, _map_rows(self))
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
             return NotImplemented
         return (self.domain.dim == other.domain.dim
                 and self.codomain.dim == other.codomain.dim
-                and self.entries == other.entries)
+                and self.cols == other.cols)
 
     __hash__ = None
 
     def is_identity(self) -> bool:
-        if self.domain.dim != self.codomain.dim:
-            return False
-        if len(self.entries) != self.domain.dim:
-            return False
-        return all(self.entries.get((i, i)) == 1 for i in range(self.domain.dim))
+        return self == LinMap.identity(self.domain)
 
     def __repr__(self):
         return (f"LinMap({self.domain.dim}->{self.codomain.dim}, "
-                f"nnz={len(self.entries)})")
+                f"nnz={sum(map(len, self.cols.values()))})")
 
 
 def _rref(rows, forbid=None):
@@ -502,8 +482,9 @@ def _eliminate(r: dict, j, piv_row: dict, piv_col, forbid, index: dict):
 def _map_rows(f: LinMap) -> dict:
     """The map as a table {row: {col: c}}."""
     rows = {}
-    for (r, c), v in f.entries.items():
-        rows.setdefault(r, {})[c] = v
+    for c, col in f.cols.items():
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
     return rows
 
 
@@ -595,28 +576,22 @@ class Subspace:
             rows.append({i: v for i, v in vec.items() if v != 0})
         reduced, pivots, _ = _rref(rows)
         sub = VectorSpace(len(reduced))
-        return Subspace(ambient, _inclusion(sub, ambient, reduced),
-                        LinMap._adopt(ambient, sub, {
-                            (j, p): 1 for j, p in enumerate(pivots)}))
+        return Subspace(ambient, LinMap._adopt(sub, ambient, dict(enumerate(
+            reduced))), LinMap._adopt(ambient, sub, {
+                p: {j: 1} for j, p in enumerate(pivots)}))
 
     def contains(self, vec: dict) -> bool:
         return self.inclusion(self.projection(vec)) == vec
 
-    def coords(self, vec: dict, check: bool = True) -> dict:
+    def coords(self, vec: dict) -> dict:
         """Coordinates of an ambient vector lying in the subspace."""
         c = self.projection(vec)
-        if check and self.inclusion(c) != vec:
+        if self.inclusion(c) != vec:
             raise DimensionMismatch("vector is not in the subspace")
         return c
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient.dim})"
-
-
-def _inclusion(sub: VectorSpace, ambient: VectorSpace, reduced) -> LinMap:
-    """The map sending basis vector j of sub to the reduced row j."""
-    return LinMap._adopt(sub, ambient, {
-        (a, j): v for j, row in enumerate(reduced) for a, v in row.items()})
 
 
 def split_idempotent(P: LinMap) -> Subspace:
@@ -672,9 +647,8 @@ def _coordinate_split(P: LinMap):
     sub = VectorSpace(len(cols))
     diagonal = [(j, c, col[c]) for j, (c, col) in enumerate(cols.items())]
     return Subspace._adopt(
-        P.domain,
-        LinMap._adopt(sub, P.domain, {(c, j): v for j, c, v in diagonal}),
-        LinMap._adopt(P.domain, sub, {(j, c): v for j, c, v in diagonal}))
+        P.domain, LinMap._adopt(sub, P.domain, {j: {c: v} for j, c, v in diagonal}),
+        LinMap._adopt(P.domain, sub, {c: {j: v} for j, c, v in diagonal}))
 
 
 def _image_split(P: LinMap) -> Subspace:
@@ -683,8 +657,8 @@ def _image_split(P: LinMap) -> Subspace:
     reduced, pivots, _ = _rref(P.columns().values())
     sub = VectorSpace(len(reduced))
     rows = _map_rows(P)
+    # row j of the projection is row p_j of P, each p_j a row P reaches
     return Subspace._adopt(
-        P.domain, _inclusion(sub, P.domain, reduced),
-        LinMap._adopt(P.domain, sub, {
-            (j, c): v for j, p in enumerate(pivots)
-            for c, v in rows.get(p, {}).items()}))
+        P.domain, LinMap._adopt(sub, P.domain, dict(enumerate(reduced))),
+        LinMap._adopt(sub, P.domain, {
+            j: rows[p] for j, p in enumerate(pivots)}).transpose())

@@ -23,7 +23,10 @@ basis vector j unflattened to the module legs with the column index j as
 a trailing leg, and the function or the two sides are applied to that
 tensor once.  So each function they take must let a trailing leg it does
 not name pass through untouched, as act does for a None table and
-on_leg and permute do for legs they leave in place.
+on_leg and permute do for legs they leave in place.  carrier_map then
+projects the result onto the target carrier with one on_leg, the
+target's projection table read on the two module legs, and the column
+leg of each result key names the column of the map it belongs to.
 
 hexagon_mismatches states both hexagons through associators and
 braidings between nested truncated products, for the module category
@@ -45,7 +48,7 @@ import math
 from functools import cache, reduce
 from itertools import product
 
-from .linalg import (_ONE, LinMap, Subspace, VectorSpace, act, add_term,
+from .linalg import (LinMap, Subspace, VectorSpace, act, add_term,
                      check_keys, flatten, on_leg, permute, split_idempotent,
                      unflatten)
 from .quasitriangular import r13_r12, r13_r23
@@ -80,12 +83,12 @@ class HModule:
     def rho(self, i) -> LinMap:
         """The operator for the i-th algebra basis vector."""
         if self._rho is None:
-            entries = {k: {} for k in range(self.algebra.dim)}
+            cols = {k: {} for k in range(self.algebra.dim)}
             for (k, c), rows in self.action.items():
-                for r, v in rows.items():
-                    entries[k][(r, c)] = v
-            self._rho = {k: LinMap(self.space, self.space, e)
-                         for k, e in entries.items()}
+                if rows:
+                    cols[k][c] = rows
+            self._rho = {k: LinMap._adopt(self.space, self.space, c)
+                         for k, c in cols.items()}
         return self._rho[i]
 
     def __repr__(self):
@@ -177,15 +180,15 @@ def _projector(modules, d: dict) -> LinMap:
             for M, i in zip(modules, key)))))
     cols = {col + (k,): 1 for col, k in zip(cols, flatten(
         dict.fromkeys(cols, 1), dims))}
-    entries = {}
+    out = {}
     for key, c in act([M.action for M in modules] + [None], d, cols).items():
         # the module legs flatten to the row, the pass-through leg is the column
         r = 0
         for i, dim in zip(key, dims):
             r = r * dim + i
-        entries[(r, key[-1])] = c
+        out.setdefault(key[-1], {})[r] = c
     space = VectorSpace(n)
-    return LinMap._adopt(space, space, entries)
+    return LinMap._adopt(space, space, out)
 
 
 def truncation_projector(M: HModule, N: HModule) -> LinMap:
@@ -207,9 +210,9 @@ class TruncatedTensor(HModule):
     built on first read, since nested carriers are compared by their
     inclusions alone: for each algebra basis element one contraction
     acts with its coproduct on every carrier column at once, the column
-    index riding along as a pass-through leg, and one sparse product
-    with the carrier projection takes the result to carrier
-    coordinates.
+    index riding along as a pass-through leg, and one on_leg with the
+    carrier projection on the two module legs takes the result to
+    carrier coordinates.
     """
 
     def __init__(self, left: HModule, right: HModule):
@@ -225,6 +228,7 @@ class TruncatedTensor(HModule):
         self.space = VectorSpace(carrier.dim)
         self._action = None
         self._rho = None
+        self._projection_table = None
 
     @property
     def action(self) -> dict:
@@ -236,13 +240,14 @@ class TruncatedTensor(HModule):
         """The table {(i, j): {r: c}}: e_i acting on carrier basis j."""
         legs = (self.left.action, self.right.action, None)
         cols = self.inclusion_tensor()
+        proj = self.projection_table()
         action = {}
         for i in range(self.algebra.dim):
             cop = self.algebra.comult.get(i)
             if cop:
-                action.update(((i, j), rows) for j, rows in
-                              self.project_columns(act(legs, cop, cols)).items()
-                              if rows)
+                for (r, j), c in on_leg(act(legs, cop, cols), slice(0, 2),
+                                        proj).items():
+                    action.setdefault((i, j), {})[r] = c
         return action
 
     def inclusion_tensor(self) -> dict:
@@ -251,12 +256,6 @@ class TruncatedTensor(HModule):
         return column_tensor(self.carrier.inclusion,
                              (self.left.dim, self.right.dim))
 
-    def project_columns(self, t: dict) -> dict:
-        """A pair-keyed tensor with a trailing column leg, {(a, b, j): c},
-        to carrier coordinates {j: {r: c}}, one sparse product for every
-        column; a column may come back empty."""
-        return project_columns(self.carrier.projection, self.right.dim, t)
-
     def inclusion_table(self) -> dict:
         """The carrier inclusion as a splice table {j: {(a, b): c}}."""
         dims = (self.left.dim, self.right.dim)
@@ -264,9 +263,13 @@ class TruncatedTensor(HModule):
                 for j in range(self.carrier.dim)}
 
     def projection_table(self) -> dict:
-        """The carrier projection as a table {(a, b): {j: c}} on pairs."""
-        return unflatten(self.carrier.projection.columns(),
-                         (self.left.dim, self.right.dim))
+        """The carrier projection as a table {(a, b): {j: c}} on pairs,
+        built on first read."""
+        if self._projection_table is None:
+            self._projection_table = unflatten(
+                self.carrier.projection.columns(),
+                (self.left.dim, self.right.dim))
+        return self._projection_table
 
     def embed_pairs(self, coords: dict) -> dict:
         """Carrier coordinates to a pair-keyed ambient vector."""
@@ -302,42 +305,6 @@ def column_tensor(f: LinMap, dims) -> dict:
             for key, c in unflatten(cols.get(j, {}), dims).items()}
 
 
-def project_columns(f: LinMap, n: int, t: dict) -> dict:
-    """A pair-keyed tensor with a trailing column leg, {(a, b, j): c},
-    through f, which reads the pair (a, b) as the flat index a * n + b,
-    to {j: {r: c}}; a column may come back empty."""
-    proj = f.columns()
-    out = {}
-    last = None
-    for (a, b, j), v in t.items():
-        if j != last:
-            rows = out.setdefault(j, {})
-            get = rows.get
-            last = j
-        col = proj.get(a * n + b)
-        if col:
-            for r, p in col.items():
-                w = v if p is _ONE else p * v
-                cur = get(r)
-                if cur is None:
-                    rows[r] = w
-                else:
-                    cur = cur + w
-                    if cur:
-                        rows[r] = cur
-                    else:
-                        del rows[r]
-    return out
-
-
-def _column_map(domain: VectorSpace, codomain: VectorSpace,
-                cols: dict) -> LinMap:
-    """The map whose column j is cols[j], a missing column zero."""
-    return LinMap._adopt(domain, codomain, {
-        (r, j): c for j in range(domain.dim)
-        for r, c in cols.get(j, {}).items()})
-
-
 def _split_columns(t: dict, dim: int) -> list:
     """A tensor with a trailing column leg as its dim columns, the column
     leg dropped; a column left with one leg is a vector on bare indices."""
@@ -350,9 +317,12 @@ def _split_columns(t: dict, dim: int) -> list:
 def carrier_map(source: TruncatedTensor, target: TruncatedTensor, f) -> LinMap:
     """The map sending carrier basis j of source to the target carrier
     coordinates of the column j of f(x), x the inclusion tensor of source
-    with its trailing column leg; f must pass that leg through."""
-    return _column_map(source.space, target.space, target.project_columns(
-        f(source.inclusion_tensor())))
+    with its trailing column leg; f must pass that leg through.  The
+    target projection acts on the module legs of f(x) with on_leg."""
+    cols = _split_columns(on_leg(f(source.inclusion_tensor()), slice(0, 2),
+                                 target.projection_table()), source.dim)
+    return LinMap._adopt(source.space, target.space,
+                         {j: col for j, col in enumerate(cols) if col})
 
 
 def swapped_legs(source: TruncatedTensor, target: TruncatedTensor):
@@ -524,13 +494,13 @@ def _action_mismatch(tt: TruncatedTensor):
     H = tt.algebra
     legs = (tt.left.action, tt.right.action, None)
     cols = tt.inclusion_tensor()
-    n = tt.right.dim
+    dims = (tt.left.dim, tt.right.dim)
 
     def ambient(h):
         # the diagonal action on every embedded carrier column at once
-        return LinMap(tt.space, tt.carrier.ambient, {
-            (a * n + b, j): c for (a, b, j), c in
-            act(legs, H.comult.get(h, {}), cols).items()})
+        return LinMap._adopt(tt.space, tt.carrier.ambient, {
+            j: flatten(col, dims) for j, col in enumerate(_split_columns(
+                act(legs, H.comult.get(h, {}), cols), tt.dim)) if col})
     return first_witness(((h,), map_witness(
         tt.carrier.inclusion.compose(tt.rho(h)), ambient(h)))
         for h in range(H.dim))
@@ -659,10 +629,9 @@ def _nested_carrier_mismatch(split3: Subspace, outer: TruncatedTensor,
     if outer.dim != split3.dim:
         return ((), {0: outer.dim}, {0: split3.dim})
     inner = (outer.left, outer.right)[inner_leg].inclusion_table()
-    _, n, p = dims
     cols = LinMap._adopt(outer.space, split3.ambient, {
-        ((a * n + b) * p + c, j): v for (a, b, c, j), v in
-        on_leg(outer.inclusion_tensor(), inner_leg, inner).items()})
+        j: flatten(col, dims) for j, col in enumerate(_split_columns(on_leg(
+            outer.inclusion_tensor(), inner_leg, inner), outer.dim)) if col})
     back = split3.inclusion.compose(split3.projection.compose(cols))
     if back == cols:
         return None
