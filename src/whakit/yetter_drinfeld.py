@@ -259,16 +259,17 @@ def functor_G(Y: Comodule, B: BraidedHopfAlgebra) -> Comodule:
     one antipode-twisted R-matrix leg: m_(-1) S(R^2) (x) R^1 . m_(0)."""
     H, M = _over(Y, False), Y.module
     proj = B.carrier.projection.columns()
-    outside = {t for t in range(H.dim) if not B.carrier.contains({t: 1})}
+    incl = B.carrier.inclusion.columns()
     absorbed = _absorb_r(Y.table(), {i: {i: 1} for i in range(H.dim)},
                          H.antipode_map.columns(), M, B)
 
     def column(j):
         pd = absorbed(j)
-        if any(t in outside for t, _ in pd):
+        coords = on_leg(pd, 0, proj)
+        if on_leg(coords, 0, incl) != pd:
             raise CoactionEscapesCarrier(
                 f"translated coaction of basis {j} left the carrier")
-        return flatten(on_leg(pd, 0, proj), (B.dim, M.dim))
+        return flatten(coords, (B.dim, M.dim))
     return Comodule(B, M, LinMap.from_function(
         M.space, VectorSpace(B.dim * M.dim), column))
 

@@ -8,13 +8,14 @@ import pytest
 
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
-from whakit.linalg import LinMap, VectorSpace, flatten, on_leg, permute
-from whakit.module_cat import (HModule, regular_module, truncated_tensor,
-                               unit_object)
-from whakit.quasitriangular import certify_quasitriangular
+from whakit.linalg import (LinMap, VectorSpace, flatten, on_leg, permute,
+                           solve)
+from whakit.module_cat import (HModule, check_monoidal_coherence,
+                               regular_module, truncated_tensor, unit_object)
+from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.scalars import omega
 from whakit.transmutation import certify_braided_hopf, transmute
-from whakit.weak_hopf import certify
+from whakit.weak_hopf import WeakHopfAlgebra, certify
 from whakit import yetter_drinfeld
 from whakit.yetter_drinfeld import (CoactionEscapesCarrier, Comodule,
                                     check_comodule_braiding,
@@ -369,6 +370,59 @@ def test_translated_coaction_leaving_the_carrier_raises():
     assert (B.dim, H.dim) == (4, 8)
     with pytest.raises(CoactionEscapesCarrier, match="left the carrier"):
         functor_G(shifted_coaction(regular_module(H), 2, 0), B)
+
+
+def rebased(H, R, basis):
+    """H and R rewritten in the basis whose i-th vector is basis[i], a
+    vector over the basis of H."""
+    change = LinMap.from_function(VectorSpace(H.dim), H.space,
+                                  basis.__getitem__)
+
+    def coords(v):
+        return solve(change, v)
+    new = {a: coords({a: 1}) for a in range(H.dim)}
+
+    def pairs(t):
+        return on_leg(on_leg(t, 0, new), 1, new)
+
+    def table(f):
+        # {(i, *key): c} over the terms of f(basis[i]); a bare index is
+        # a key of one leg
+        return {(i, *(k if type(k) is tuple else (k,))): c
+                for i, x in enumerate(basis) for k, c in f(x).items()}
+
+    H2 = WeakHopfAlgebra(
+        name=f"{H.name}_rebased", field=H.field,
+        labels=tuple(f"f{i}" for i in range(H.dim)),
+        mult=table(lambda x: {(j, k): c for j, y in enumerate(basis)
+                              for k, c in coords(H.multiply(x, y)).items()}),
+        unit=coords(H.unit),
+        comult=table(lambda x: pairs(H.comultiply(x))),
+        counit={i: sum(c * H.counit.get(a, 0) for a, c in x.items())
+                for i, x in enumerate(basis)},
+        antipode=table(lambda x: coords(H.antipode(x))),
+        antipode_inverse=table(
+            lambda x: coords(H.antipode_inverse_map(x))))
+    return H2, RMatrix(H2, pairs(R.r), pairs(R.r_bar))
+
+
+def test_carrier_not_spanned_by_basis_vectors_passes_every_stage():
+    """groupoid_algebra(2, 1) in the basis f0 = e0 + e1, f1 = e1, f2 = e2,
+    f3 = e3 + e0.  Its carrier is spanned by f3 and f0 - f1, so a
+    translated coaction can lie in it through basis vectors that lie
+    outside it."""
+    H, R = rebased(*groupoid_algebra(2, 1),
+                   [{0: 1, 1: 1}, {1: 1}, {2: 1}, {3: 1, 0: 1}])
+    assert certify(H).passed
+    assert certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+    assert certify_braided_hopf(B).passed
+    assert [t for t in range(H.dim) if B.carrier.contains({t: 1})] == [3]
+    assert B.dim == 2
+    for report in (check_monoidal_coherence(
+                       H, R, [regular_module(H), unit_object(H)]),
+                   check_equivalence_roundtrip(H, R, braided=B)):
+        assert report.passed, report.first_failure()
 
 
 def test_tensor_coaction_leaving_the_truncated_square_raises():
