@@ -110,28 +110,6 @@ def _reduce(order, num):
     return num
 
 
-def _polydivmod(num, den):
-    # division with remainder over Fraction coefficients, constant term first
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    dd = len(den) - 1
-    if len(num) <= dd:
-        return [], num
-    lead = den[-1]
-    out = [Fraction(0)] * (len(num) - dd)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + dd] / lead
-        out[k] = c
-        if c:
-            for i, dc in enumerate(den):
-                num[k + i] -= c * dc
-    del num[dd:]
-    while num and num[-1] == 0:
-        num.pop()
-    return out, num
-
-
 class Cyclo:
     """An element of Q(w), with w a primitive root of unity of the given order.
 
@@ -242,23 +220,18 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) <= 1:
-                break
-            q, rem = _polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            qs = _polymulsub(s0, q, s1)
-            s0, s1 = s1, qs
-        if not r1:
-            raise DivisionByZero("zero has no inverse")
-        c = r1[0]
-        return Cyclo.make(self.order, [s / c for s in s1])
+        """Multiplicative inverse through the norm.  The conjugates
+        sigma_a(x) over the units a != 1 modulo the order, sigma_a sending
+        w^k to w^(a k), multiply to a y with x y the rational norm of x,
+        so 1/x = y (1/(x y))."""
+        n, y = self.order, 1
+        for a in range(2, n):
+            if gcd(a, n) == 1:
+                num = [0] * n
+                for k, c in enumerate(self.num):
+                    num[a * k % n] += c
+                y = _canon(n, _reduce(n, num), self.den) * y
+        return y * (1 / (self * y))
 
     def __truediv__(self, other):
         return self * invert(other)
@@ -352,17 +325,6 @@ def _add(a, b, sign):
         num = [x * ma + y * mb for x, y in zip(a.num, b.num)]
         return _canon(a.order, num, da * ma)
     return NotImplemented
-
-
-def _polymulsub(s0, q, s1):
-    # s0 - q*s1 over Fraction coefficients
-    out = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-    for i, a in enumerate(q):
-        if a:
-            for j, b in enumerate(s1):
-                if b:
-                    out[i + j] -= a * b
-    return out
 
 
 def omega(order: int):
