@@ -139,9 +139,8 @@ def check_module(M: HModule) -> VerificationReport:
                 add_term(out, key, c * v)
         return out
 
-    acc = operator(H.unit)
-    unit_ok = LinMap(M.space, M.space, acc).is_identity()
-    report.add("action_of_unit", unit_ok, None if unit_ok else ((), acc, {}))
+    report.record("action_of_unit", map_witness(
+        LinMap(M.space, M.space, operator(H.unit)), LinMap.identity(M.space)))
     report.record("action_respects_products", first_unequal(
         product(range(H.dim), repeat=2), lambda i, j: (
             M.rho(i).compose(M.rho(j)).entries,
@@ -473,12 +472,12 @@ def hexagon_mismatches(X, Y, Z, module, tensor, braid) -> dict:
 
 
 def _not_identity(f: LinMap):
-    return None if f.is_identity() else ((), f.entries, {})
+    return map_witness(f, LinMap.identity(f.domain))
 
 
 def _inverse_mismatch(f: LinMap, g: LinMap):
-    """None when f and g are mutually inverse, else ((), entries, {}) of
-    the first of f g and g f that is not the identity.  Between spaces of
+    """None when f and g are mutually inverse, else the map_witness of
+    the first of f g and g f that is not the identity against it.  Between spaces of
     one dimension f g = id already makes g f = id, so g f is formed only
     when the dimensions differ."""
     fg = _not_identity(f.compose(g))

@@ -593,17 +593,18 @@ def test_naturality_fails_on_a_swap_unless_r_is_the_split_unit():
 def test_inverse_mismatch_forms_one_product_only_for_square_maps():
     # Over a field, f g = id already makes g f = id when f and g are
     # square.  The inclusion i and projection p of a proper subspace have
-    # p i = id but i p != id, and either order reports i p.
+    # p i = id but i p != id, and either order reports i p, which misses
+    # the identity at (1, 1).
     plane, line = VectorSpace(2), VectorSpace(1)
     i = LinMap(line, plane, {(0, 0): 1})
     p = LinMap(plane, line, {(0, 0): 1})
-    witness = ((), {(0, 0): 1}, {})
+    witness = ((1, 1), {}, {(1, 1): 1})
     assert module_cat._inverse_mismatch(p, i) == witness
     assert module_cat._inverse_mismatch(i, p) == witness
     swap = LinMap(plane, plane, {(0, 1): 1, (1, 0): 1})
     assert module_cat._inverse_mismatch(swap, swap) is None
     assert module_cat._inverse_mismatch(swap, swap.scale(2)) == (
-        (), {(0, 0): 2, (1, 1): 2}, {})
+        (0, 0), {(0, 0): 2}, {(0, 0): 1})
 
 
 def test_coherence_sweedler(h4_pair):

@@ -306,7 +306,8 @@ def test_braiding_natural_witness():
 
 def test_action_of_unit_witness():
     # the regular action with each summand of the unit doubled: the unit
-    # acts as 2 id, on a Hopf algebra and on the weak pair groupoid alike
+    # acts as 2 id, on a Hopf algebra and on the weak pair groupoid alike;
+    # the zero action makes the unit act as 0, still with an entry
     for build in (sweedler, lambda: group_algebra_zn_anyonic(3),
                   lambda: groupoid_algebra(2, 2)):
         H, _, _ = certified(build)
@@ -316,7 +317,10 @@ def test_action_of_unit_witness():
                   for (r, c), v in reg.rho(i).entries.items()}
         report = check_module(HModule(H, H.space, action))
         assert failing_witness(report, "action_of_unit") == (
-            (), {(j, j): 2 for j in range(H.dim)}, {})
+            (0, 0), {(0, 0): 2}, {(0, 0): 1})
+        report = check_module(HModule(H, H.space, {}))
+        assert failing_witness(report, "action_of_unit") == (
+            (0, 0), {}, {(0, 0): 1})
 
 
 def test_yang_baxter_witness():
@@ -359,7 +363,8 @@ def test_unitors_mutually_inverse_witness():
     # counit axiom, so the check can fail only where module_axioms fails
     # too.  With the action of e_00 dropped from the regular action of the
     # pair groupoid, the unit acts as e_11 and l l^-1 is the projection
-    # onto e_11 M, spanned by the arrows ending at object 1.
+    # onto e_11 M, spanned by the arrows ending at object 1: it misses
+    # the identity first at e_00, which ends at object 0.
     H, R = groupoid_algebra(2, 1)
     assert certify(H).passed and certify_quasitriangular(H, R).passed
     reg = regular_module(H)
@@ -368,6 +373,6 @@ def test_unitors_mutually_inverse_witness():
               for (r, c), v in reg.rho(i).entries.items()}
     report = check_monoidal_coherence(H, R, [HModule(H, H.space, action)])
     assert report.first_failure().name == "module_axioms"
-    ends_at_1 = [H.space.labels.index(s) for s in ("1<-0:g^0", "1<-1:g^0")]
+    assert e00 == 0
     assert failing_witness(report, "unitors_mutually_inverse") == (
-        (0,), {(j, j): 1 for j in ends_at_1}, {})
+        (0, e00, e00), {}, {(e00, e00): 1})
