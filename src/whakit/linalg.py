@@ -300,12 +300,8 @@ class LinMap:
     @staticmethod
     def from_function(domain: VectorSpace, codomain: VectorSpace, fn) -> "LinMap":
         """Build a map from its action on basis vectors; fn(index) returns a dict."""
-        entries = {}
-        for c in range(domain.dim):
-            for r, v in fn(c).items():
-                if v != 0:
-                    entries[(r, c)] = v
-        return LinMap(domain, codomain, entries)
+        return LinMap(domain, codomain, {(r, c): v for c in range(domain.dim)
+                                         for r, v in fn(c).items()})
 
     @property
     def entries(self) -> dict:

@@ -85,8 +85,7 @@ class HModule:
         if self._rho is None:
             cols = {k: {} for k in range(self.algebra.dim)}
             for (k, c), rows in self.action.items():
-                if rows:
-                    cols[k][c] = rows
+                cols[k][c] = rows
             self._rho = {k: LinMap._adopt(self.space, self.space, c)
                          for k, c in cols.items()}
         return self._rho[i]
@@ -258,8 +257,8 @@ class TruncatedTensor(HModule):
     def inclusion_table(self) -> dict:
         """The carrier inclusion as a splice table {j: {(a, b): c}}."""
         dims = (self.left.dim, self.right.dim)
-        return {j: unflatten(self.carrier.inclusion.column(j), dims)
-                for j in range(self.carrier.dim)}
+        return {j: unflatten(col, dims)
+                for j, col in self.carrier.inclusion.columns().items()}
 
     def projection_table(self) -> dict:
         """The carrier projection as a table {(a, b): {j: c}} on pairs,

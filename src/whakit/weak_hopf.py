@@ -419,9 +419,8 @@ def entries_witness(lhs: LinMap, rhs: LinMap):
 
 
 def _check_counit_absorption(H, report):
-    Bmap = LinMap(H.space, H.space, {(i, j): c for i, row in
-                                     _counit_form(H)[0].items()
-                                     for j, c in row.items()})
+    # the form eps(e_i e_j) as a map, column j its table {i: c}
+    Bmap = LinMap._adopt(H.space, H.space, _counit_form(H)[1])
     et = H.epsilon_t_map()
     es = H.epsilon_s_map()
     report.record("counit_absorbs_target", map_witness(Bmap.compose(et), Bmap))
