@@ -19,12 +19,13 @@ another leg by leg through bilinear tables (algebra products, module
 actions), and on_leg applies a linear map to a single leg (coproduct,
 counit, antipode, or a carrier projection read on a slice of legs).
 
-Three kernels sum terms: act, on_leg and LinMap.__call__; compose
-applies __call__ to each column.  They accumulate by one rule.  A key
-takes its place in the result when its first term arrives, a sum that
-cancels to zero is deleted (a later term at that key enters again,
-last), and a product by the int 1 is skipped.  Inputs hold no zeros, so
-no term is zero, and a first term is stored untested.  act builds a term
+Three kernels sum terms with add_term inlined: act, on_leg and
+LinMap.__call__; compose applies __call__ to each column.  Every sum in
+the package accumulates by add_term's rule.  A key takes its place in
+the result when its first term arrives, a sum that cancels to zero is
+deleted (a later term at that key enters again, last).  The three
+kernels also skip a product by the int 1, and store a first term
+untested: their inputs hold no zeros, so no term is zero.  act builds a term
 whose looked-up table rows each hold a single entry, the case of every
 0/1 table, directly, without itertools.product, in the order the product
 loop would give.  Elimination breaks ties by key order, so report
@@ -37,10 +38,11 @@ itself, with no empty column, no zero and every index in range by
 construction, as they stand: the results of compose and identity, the
 inclusion and projection of from_span and split_idempotent (the
 inclusion's columns are the reduced rows of elimination), and in
-module_cat every module operator, carrier_map and truncation projector.
-from_span checks the vectors it is given before eliminating them, so
-the maps it adopts are in range too.  LinMap.entries is a new
-{(row, col): c} dict built from the columns, for reading only.
+module_cat every module operator, carrier_map and truncation projector,
+and in weak_hopf the counit form eps(e_i e_j).  from_span checks the
+vectors it is given before eliminating them, so the maps it adopts are
+in range too.  LinMap.entries is a new {(row, col): c} dict built from
+the columns, for reading only.
 """
 
 from __future__ import annotations

@@ -475,10 +475,10 @@ def _not_identity(f: LinMap):
 
 
 def _inverse_mismatch(f: LinMap, g: LinMap):
-    """None when f and g are mutually inverse, else the map_witness of
-    the first of f g and g f that is not the identity against it.  Between spaces of
-    one dimension f g = id already makes g f = id, so g f is formed only
-    when the dimensions differ."""
+    """None when f and g are mutually inverse, else the map_witness
+    against the identity of the first of f g and g f that is not the
+    identity.  Between spaces of one dimension f g = id already makes
+    g f = id, so g f is formed only when the dimensions differ."""
     fg = _not_identity(f.compose(g))
     if fg or f.domain.dim == g.domain.dim:
         return fg

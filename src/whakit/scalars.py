@@ -220,10 +220,10 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse through the norm.  The conjugates
-        sigma_a(x) over the units a != 1 modulo the order, sigma_a sending
-        w^k to w^(a k), multiply to a y with x y the rational norm of x,
-        so 1/x = y (1/(x y))."""
+        """Multiplicative inverse of x = self through its norm.  The
+        conjugates sigma_a(x) over the units a != 1 modulo the order,
+        sigma_a sending w^k to w^(a k), multiply to a y with x y the
+        rational norm of x, so 1/x = y (1/(x y))."""
         n, y = self.order, 1
         for a in range(2, n):
             if gcd(a, n) == 1:
