@@ -342,8 +342,9 @@ class LinMap:
         """self after g: self applied to each column of g."""
         if g.codomain.dim != self.domain.dim:
             raise DimensionMismatch("compose: inner dimensions differ")
+        call = self.__call__
         return LinMap._adopt(g.domain, self.codomain, {
-            c: img for c, col in g.cols.items() if (img := self(col))})
+            c: img for c, col in g.cols.items() if (img := call(col))})
 
     def __add__(self, other: "LinMap") -> "LinMap":
         if (self.domain.dim, self.codomain.dim) != (other.domain.dim, other.codomain.dim):
@@ -373,7 +374,9 @@ class LinMap:
     __hash__ = None
 
     def is_identity(self) -> bool:
-        return self == LinMap.identity(self.domain)
+        cols = self.cols
+        return (self.domain.dim == self.codomain.dim == len(cols) and all(
+            len(col) == 1 and col.get(c) == 1 for c, col in cols.items()))
 
     def __repr__(self):
         return (f"LinMap({self.domain.dim}->{self.codomain.dim}, "
@@ -643,10 +646,11 @@ def _coordinate_split(P: LinMap):
     if not all(len(col) == 1 and col.get(c) == 1 for c, col in cols.items()):
         return None
     sub = VectorSpace(len(cols))
-    diagonal = [(j, c, col[c]) for j, (c, col) in enumerate(cols.items())]
+    # column j of the inclusion is {c: v}, the j-th column of P itself
     return Subspace._adopt(
-        P.domain, LinMap._adopt(sub, P.domain, {j: {c: v} for j, c, v in diagonal}),
-        LinMap._adopt(P.domain, sub, {c: {j: v} for j, c, v in diagonal}))
+        P.domain, LinMap._adopt(sub, P.domain, dict(enumerate(cols.values()))),
+        LinMap._adopt(P.domain, sub, {
+            c: {j: col[c]} for j, (c, col) in enumerate(cols.items())}))
 
 
 def _image_split(P: LinMap) -> Subspace:

@@ -492,13 +492,14 @@ def _action_mismatch(tt: TruncatedTensor):
     H = tt.algebra
     legs = (tt.left.action, tt.right.action, None)
     cols = tt.inclusion_tensor()
-    dims = (tt.left.dim, tt.right.dim)
+    n = tt.right.dim
 
     def ambient(h):
         # the diagonal action on every embedded carrier column at once
-        return LinMap._adopt(tt.space, tt.carrier.ambient, {
-            j: flatten(col, dims) for j, col in enumerate(_split_columns(
-                act(legs, H.comult.get(h, {}), cols), tt.dim)) if col})
+        out = {}
+        for (a, b, j), c in act(legs, H.comult.get(h, {}), cols).items():
+            out.setdefault(j, {})[a * n + b] = c
+        return LinMap._adopt(tt.space, tt.carrier.ambient, out)
     return first_witness(((h,), map_witness(
         tt.carrier.inclusion.compose(tt.rho(h)), ambient(h)))
         for h in range(H.dim))
@@ -622,17 +623,17 @@ def _nested_carrier_mismatch(split3: Subspace, outer: TruncatedTensor,
                              inner_leg: int, dims):
     """Check that one nesting order, with the inner truncated product on
     leg inner_leg of outer, spans exactly the triple projector image: the
-    carriers have one dimension, and split3's inclusion after its
-    projection fixes every embedded column of outer, all in one product."""
+    carriers have one dimension, and split3 contains every column of
+    outer, all embedded in M tensor N tensor P by one contraction."""
     if outer.dim != split3.dim:
         return ((), {0: outer.dim}, {0: split3.dim})
     inner = (outer.left, outer.right)[inner_leg].inclusion_table()
-    cols = LinMap._adopt(outer.space, split3.ambient, {
-        j: flatten(col, dims) for j, col in enumerate(_split_columns(on_leg(
-            outer.inclusion_tensor(), inner_leg, inner), outer.dim)) if col})
-    back = split3.inclusion.compose(split3.projection.compose(cols))
-    if back == cols:
-        return None
-    fixed = back.columns()
-    j = next(j for j in range(outer.dim) if cols.column(j) != fixed.get(j, {}))
-    return ((j,), cols.column(j), {})
+    _, n, p = dims
+    embedded = [{} for _ in range(outer.dim)]
+    for (a, b, c, j), v in on_leg(outer.inclusion_tensor(), inner_leg,
+                                  inner).items():
+        embedded[j][(a * n + b) * p + c] = v
+    for j, col in enumerate(embedded):
+        if not split3.contains(col):
+            return ((j,), col, {})
+    return None
