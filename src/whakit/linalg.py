@@ -1,12 +1,14 @@
 """Exact sparse linear algebra over the package scalars.
 
-Vectors are plain dicts mapping basis index to a nonzero scalar.  A map
-is stored by columns, {col: {row: c}}: column c is the image of basis
-vector c, and no column is empty.  Everything is exact: elimination runs
-over int, Fraction or Cyclo entries with no tolerance anywhere, and
-integral entries stay ints until a pivot is inverted.  Elimination
-touches only the rows that hold the pivot column, so its cost follows
-the nonzeros and the fill, not the square of the row count.
+A VectorSpace is its dimension alone; basis labels belong to the algebra
+(WeakHopfAlgebra.labels).  Vectors are plain dicts mapping basis index
+to a nonzero scalar.  A map is stored by columns, {col: {row: c}}:
+column c is the image of basis vector c, and no column is empty.
+Everything is exact: elimination runs over int, Fraction or Cyclo
+entries with no tolerance anywhere, and integral entries stay ints until
+a pivot is inverted.  Elimination touches only the rows that hold the
+pivot column, so its cost follows the nonzeros and the fill, not the
+square of the row count.
 
 Tensor index convention, used by every module in the package: the basis
 of M tensor N is ordered lexicographically with the M index major, so
@@ -234,30 +236,14 @@ def check_keys(table, name: str, dims) -> None:
 
 
 class VectorSpace:
-    """A finite dimensional space with a distinguished labeled basis."""
+    """A finite dimensional space with a basis indexed 0, ..., dim - 1."""
 
-    __slots__ = ("dim", "labels")
+    __slots__ = ("dim",)
 
-    def __init__(self, dim: int, labels=None):
+    def __init__(self, dim: int):
         if dim < 0:
             raise DimensionMismatch("dimension must be nonnegative")
-        if labels is None:
-            labels = tuple(f"e{i}" for i in range(dim))
-        else:
-            labels = tuple(labels)
-        if len(labels) != dim:
-            raise DimensionMismatch("label count differs from dimension")
-        if len(set(labels)) != dim:
-            raise DimensionMismatch("basis labels must be distinct")
         self.dim = dim
-        self.labels = labels
-
-    def __eq__(self, other):
-        return (isinstance(other, VectorSpace)
-                and self.dim == other.dim and self.labels == other.labels)
-
-    def __hash__(self):
-        return hash((self.dim, self.labels))
 
     def __repr__(self):
         return f"VectorSpace(dim={self.dim})"

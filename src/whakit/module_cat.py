@@ -100,7 +100,6 @@ def regular_module(H) -> HModule:
     M = HModule(H, H.space, {})
     # left multiplication is the product table itself
     M.action = H.mult
-    M.is_regular_module = True
     return M
 
 

@@ -31,6 +31,9 @@ Cyclo values whose residue happens to be a rational constant are demoted
 to plain Fractions on construction.  Rational subexpressions therefore
 stay cheap even when the ambient field is cyclotomic, and a scalar equal
 to a rational number is never represented by a Cyclo.
+
+render_scalar gives each scalar one canonical text form, for Cyclo's
+repr and report snapshots; the package parses no scalar text.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ class FieldMismatch(TypeError):
 
 class DivisionByZero(ZeroDivisionError):
     """Inversion or division by the zero scalar."""
-
-
-class ScalarSyntaxError(ValueError):
-    """A scalar string does not match the scalar grammar."""
 
 
 @lru_cache(maxsize=None)
@@ -385,134 +384,6 @@ class Field:
             return "Field(Q)"
         return f"Field(Q(w), order={self.order})"
 
-    def to_json(self):
-        if self.order is None:
-            return {"type": "rational"}
-        return {"type": "cyclotomic", "order": self.order}
-
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict) or "type" not in obj:
-            raise ScalarSyntaxError(f"bad field descriptor: {obj!r}")
-        if obj["type"] == "rational":
-            return cls()
-        if obj["type"] == "cyclotomic":
-            order = obj.get("order")
-            if not isinstance(order, int) or order < 1:
-                raise ScalarSyntaxError(f"bad cyclotomic order: {order!r}")
-            return cls(order)
-        raise ScalarSyntaxError(f"unknown field type: {obj['type']!r}")
-
-
-def _tokenize(text):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j])))
-            i = j
-            continue
-        if c == "w":
-            toks.append(("w", None))
-            i += 1
-            continue
-        if c in "+-*/^":
-            toks.append((c, None))
-            i += 1
-            continue
-        raise ScalarSyntaxError(f"unexpected character {c!r} in scalar text")
-    return toks
-
-
-def parse_scalar(text: str, field: Field):
-    """Parse a scalar string.
-
-    Grammar: scalar := term (('+'|'-') term)*;
-    term := rational ('*' 'w' ('^' int)?)? | 'w' ('^' int)?;
-    rational := int ('/' posint)?.
-    Exponents are reduced modulo the field order, so any integer exponent
-    is accepted in a cyclotomic field.
-    """
-    toks = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return toks[pos][0] if pos < len(toks) else None
-
-    def take(kind):
-        nonlocal pos
-        if peek() != kind:
-            raise ScalarSyntaxError(f"expected {kind!r} at token {pos} of {text!r}")
-        tok = toks[pos]
-        pos += 1
-        return tok[1]
-
-    def parse_signed_int():
-        neg = False
-        if peek() == "-":
-            take("-")
-            neg = True
-        v = take("int")
-        return -v if neg else v
-
-    def parse_rational(neg):
-        a = take("int")
-        if neg:
-            a = -a
-        if peek() == "/":
-            take("/")
-            b = take("int")
-            if b == 0:
-                raise ScalarSyntaxError("zero denominator")
-            return Fraction(a, b)
-        return Fraction(a)
-
-    def parse_wpow():
-        take("w")
-        if field.order is None:
-            raise ScalarSyntaxError("'w' is not a scalar of the rational field")
-        k = 1
-        if peek() == "^":
-            take("^")
-            k = parse_signed_int()
-        k %= field.order
-        return Cyclo.make(field.order, [0] * k + [1])
-
-    def parse_term(neg):
-        if peek() == "int":
-            r = parse_rational(neg)
-            if peek() == "*":
-                take("*")
-                return r * parse_wpow()
-            return r
-        if peek() == "w":
-            v = parse_wpow()
-            return -v if neg else v
-        raise ScalarSyntaxError(f"expected a term at token {pos} of {text!r}")
-
-    neg = False
-    if peek() == "-":
-        take("-")
-        neg = True
-    elif peek() == "+":
-        take("+")
-    value = parse_term(neg)
-    while peek() in ("+", "-"):
-        op = peek()
-        take(op)
-        t = parse_term(False)
-        value = value + t if op == "+" else value - t
-    if pos != len(toks):
-        raise ScalarSyntaxError(f"trailing tokens in scalar text {text!r}")
-    return field.coerce(value)
-
 
 def _render_fraction(f: Fraction) -> str:
     if f.denominator == 1:
@@ -521,7 +392,8 @@ def _render_fraction(f: Fraction) -> str:
 
 
 def render_scalar(s) -> str:
-    """Canonical text form; parse_scalar inverts it exactly."""
+    """Canonical text form, such as -1/3*w+w^2: distinct scalars render
+    to distinct strings, and an int x renders as str(x)."""
     if isinstance(s, int):
         s = Fraction(s)
     if isinstance(s, Fraction):

@@ -12,10 +12,11 @@ unverified values; certify() gates downstream use.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
-from .linalg import (LinMap, Subspace, VectorSpace, act, add_term, check_keys,
-                     image, on_leg, permute)
+from .linalg import (DimensionMismatch, LinMap, Subspace, VectorSpace, act,
+                     add_term, check_keys, image, on_leg, permute)
 
 
 class NotCertified(RuntimeError):
@@ -92,8 +93,9 @@ class VerificationReport:
 
 
 def first_mismatch(lhs, rhs):
-    """Compare dicts of vectors; None if equal, else (key, lhs_vec, rhs_vec)."""
-    for key in sorted(set(lhs) | set(rhs), key=repr) if lhs != rhs else ():
+    """None if two dicts of vectors are equal, else (key, lhs, rhs) at the
+    least key where they differ."""
+    for key in sorted(set(lhs) | set(rhs)) if lhs != rhs else ():
         l = lhs.get(key, {})
         r = rhs.get(key, {})
         if l != r:
@@ -136,19 +138,23 @@ class WeakHopfAlgebra:
     mult maps (i, j, k) to the coefficient of e_k in e_i e_j; comult maps
     (i, j, k) to the coefficient of e_j tensor e_k in the coproduct of
     e_i; antipode maps (i, j) to the coefficient of e_j in S(e_i).
+    labels names the basis vectors, distinct, one per dimension.
     """
 
     def __init__(self, name, field, labels, mult, unit, comult, counit,
                  antipode, antipode_inverse=None):
         self.name = name
         self.field = field
-        self.space = VectorSpace(len(labels), labels)
-        d = self.space.dim
+        self.labels = tuple(labels)
+        repeated = [x for x, n in Counter(self.labels).items() if n > 1]
+        if repeated:
+            raise DimensionMismatch(f"repeated basis labels: {repeated!r}")
+        self.space = VectorSpace(len(self.labels))
         for table_name, table, legs in (
                 ("mult", mult, 3), ("unit", unit, 1), ("comult", comult, 3),
                 ("counit", counit, 1), ("antipode", antipode, 2),
                 ("antipode_inverse", antipode_inverse or {}, 2)):
-            check_keys(table, table_name, (d,) * legs)
+            check_keys(table, table_name, (self.dim,) * legs)
         co = field.coerce
 
         self.mult = {}
@@ -213,11 +219,6 @@ class WeakHopfAlgebra:
         while t and len(next(iter(t))) > 1:
             t = on_leg(t, slice(0, 2), self.mult)
         return {k: c for (k,), c in t.items()}
-
-    def right_mult_map(self, x):
-        """The operator multiplying by x on the right."""
-        return LinMap.from_function(self.space, self.space,
-                                    lambda i: self.multiply({i: 1}, x))
 
     # cached derived data
 

@@ -34,9 +34,9 @@ from itertools import product
 
 from .linalg import (_ONE, LinMap, VectorSpace, act, flatten, on_leg,
                      permute, unflatten)
-from .module_cat import (HModule, carrier_map, hexagon_mismatches,
-                         regular_module, swapped_legs, truncation_projector,
-                         truncated_tensor, unit_object)
+from .module_cat import (HModule, _inverse_mismatch, carrier_map,
+                         hexagon_mismatches, regular_module, swapped_legs,
+                         truncation_projector, truncated_tensor, unit_object)
 from .transmutation import BraidedHopfAlgebra
 from .weak_hopf import (VerificationReport, entries_witness, first_unequal,
                         first_witness, map_witness)
@@ -484,15 +484,8 @@ def check_comodule_braiding(U: Comodule, V: Comodule,
 
     uv = truncated_tensor(U.module, V.module)
     vu = truncated_tensor(V.module, U.module)
-    forward = comodule_braiding(U, uv, vu)
-    inverse = comodule_braiding_inv(U, vu, uv)
-    # a square map with a left inverse is invertible, so the second
-    # product is needed only between carriers of different dimensions
-    witness = map_witness(inverse.compose(forward), LinMap.identity(uv.space))
-    if witness is None and uv.dim != vu.dim:
-        witness = map_witness(forward.compose(inverse),
-                              LinMap.identity(vu.space))
-    report.record("braiding_invertible", witness)
+    report.record("braiding_invertible", _inverse_mismatch(
+        comodule_braiding_inv(U, vu, uv), comodule_braiding(U, uv, vu)))
 
     if P is not None:
         for name, witness in hexagon_mismatches(

@@ -17,6 +17,7 @@ from whakit.linalg import (
     split_idempotent,
     unflatten,
 )
+from whakit.examples import sweedler
 from whakit.scalars import omega
 
 
@@ -169,7 +170,7 @@ def test_dimension_mismatch_errors():
     with pytest.raises(DimensionMismatch):
         LinMap(VectorSpace(2), VectorSpace(2), {(-1, 0): 1})
     with pytest.raises(DimensionMismatch):
-        VectorSpace(2, ["a", "a"])
+        VectorSpace(-1)
     with pytest.raises(DimensionMismatch):
         Subspace.from_span(VectorSpace(2), [{0: 1}, {2: 1}])
 
@@ -201,8 +202,10 @@ def test_map_eq_and_cyclotomic_entries():
 
 
 def test_labels_and_tensor_labels():
-    assert VectorSpace(2, ["a", "b"]).labels == ("a", "b")
-    assert VectorSpace(2).labels == ("e0", "e1")
+    # basis labels live on the algebra; a space is its dimension alone
+    H, _ = sweedler()
+    assert H.labels == ("1", "g", "h", "gh") and H.space.dim == 4
+    assert not hasattr(VectorSpace(2), "labels")
 
 
 def test_split_idempotent_and_image_leave_the_column_table_intact():

@@ -156,8 +156,8 @@ def sample_endomorphisms(M, rng):
     multiplications by two random algebra elements do too.
     """
     out = [LinMap.identity(M.space)]
-    if getattr(M, "is_regular_module", False):
-        H = M.algebra
+    H = M.algebra
+    if M.action is H.mult:
         for _ in range(2):
             vec = {}
             for i in range(H.dim):
@@ -165,8 +165,21 @@ def sample_endomorphisms(M, rng):
                     x = rng.randint(-2, 2)
                     if x:
                         vec[i] = x
-            out.append(H.right_mult_map(vec))
+            out.append(LinMap.from_function(
+                M.space, M.space, lambda i: H.multiply({i: 1}, vec)))
     return out
+
+
+def test_sample_endomorphisms_multiply_the_regular_module_on_the_right():
+    H, _ = group_algebra_zn(3)
+    certify(H)
+    M, U = regular_module(H), unit_object(H)
+    maps = sample_endomorphisms(M, random.Random(0))
+    assert len(maps) == 3 and len(sample_endomorphisms(U, random.Random(0))) == 1
+    for f in maps[1:]:
+        x = f({0: 1})
+        assert f == LinMap.from_function(
+            M.space, M.space, lambda i: H.multiply({i: 1}, x))
 
 
 BUILDS = [sweedler, lambda: group_algebra_zn(3),

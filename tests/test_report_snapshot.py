@@ -98,7 +98,7 @@ def _mutant(H, R, table):
     key = sorted(t[table])[len(t[table]) // 2]
     r, r_bar = t.pop("r"), t.pop("r_bar")
     H2 = WeakHopfAlgebra(name=f"{H.name}~{table}{key}", field=H.field,
-                         labels=H.space.labels, **t)
+                         labels=H.labels, **t)
     return H2, RMatrix(H2, r, r_bar)
 
 

@@ -14,7 +14,7 @@ from whakit.linalg import LinMap, split_idempotent
 from whakit.module_cat import (regular_module, triple_projector,
                                truncation_projector, unit_object)
 from whakit.quasitriangular import certify_quasitriangular, solve_r_bar
-from whakit.scalars import Cyclo, Field, parse_scalar, render_scalar
+from whakit.scalars import Cyclo, Field, render_scalar
 from whakit.weak_hopf import certify
 
 SCALARS = (int, Fraction, Cyclo)
@@ -96,6 +96,6 @@ def test_coerce_keeps_integral_rationals_as_ints():
 
 @pytest.mark.parametrize("x", [0, 1, -1, 7, -12, 10 ** 30])
 def test_render_parse_roundtrip_of_ints(x):
-    for field in (Field(), Field(5)):
-        back = parse_scalar(render_scalar(x), field)
-        assert back == x and type(back) is int
+    # an int and the equal Fraction render alike, as str(x) reads back
+    text = render_scalar(x)
+    assert text == str(x) == render_scalar(Fraction(x)) and int(text) == x

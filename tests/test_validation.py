@@ -46,6 +46,12 @@ def test_algebra_table_key_out_of_range(table, key):
     assert table in str(err.value) and repr(key) in str(err.value)
 
 
+def test_repeated_labels_are_named():
+    tables = trivial_tables()
+    with pytest.raises(DimensionMismatch, match=r"repeated basis labels: \['b'\]"):
+        WeakHopfAlgebra("k", Field(), ("a", "b", "b"), **tables)
+
+
 def test_algebra_table_key_of_wrong_arity():
     tables = trivial_tables()
     tables["mult"] = {(0, 0): ONE}

@@ -12,7 +12,8 @@ from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import transmute
 from whakit.weak_hopf import (NotCertified, VerificationReport,
                               WeakHopfAlgebra, certify, check_weak_hopf,
-                              first_witness, is_hopf, is_regular, pair_mult)
+                              first_mismatch, first_witness, is_hopf,
+                              is_regular, pair_mult, scalar_table_mismatch)
 from whakit.yetter_drinfeld import (AntipodeNotInvertible,
                                     comodule_braiding_inv, regular_rh_comodule)
 
@@ -112,7 +113,7 @@ def test_identity_antipode_fails_cancellation():
     broken = WeakHopfAlgebra(
         name="sweedler-identity-antipode",
         field=H.field,
-        labels=H.space.labels,
+        labels=H.labels,
         mult={(i, j, k): c for (i, j), prod in H.mult.items()
               for k, c in prod.items()},
         unit=dict(H.unit),
@@ -137,7 +138,7 @@ def test_broken_associativity_reports_witness():
     broken = WeakHopfAlgebra(
         name="z3-broken-mult",
         field=H.field,
-        labels=H.space.labels,
+        labels=H.labels,
         mult=mult,
         unit=dict(H.unit),
         comult={(i, i, i): Fraction(1) for i in range(3)},
@@ -250,7 +251,7 @@ def test_missing_antipode_inverse_raises():
     bare = WeakHopfAlgebra(
         name="z2-bare",
         field=H.field,
-        labels=H.space.labels,
+        labels=H.labels,
         mult={(i, j, (i + j) % 2): Fraction(1)
               for i in range(2) for j in range(2)},
         unit={0: Fraction(1)},
@@ -266,6 +267,15 @@ def test_missing_antipode_inverse_raises():
     square = truncated_tensor(B.module, B.module)
     with pytest.raises(AntipodeNotInvertible):
         comodule_braiding_inv(regular, square, square)
+
+
+def test_first_mismatch_reports_the_least_key():
+    # (10,) precedes (2,) in repr order, not in key order
+    lhs, rhs = {(2,): {0: 1}, (10,): {0: 1}}, {(2,): {0: 2}, (10,): {0: 2}}
+    assert first_mismatch(lhs, rhs) == ((2,), {0: 1}, {0: 2})
+    assert scalar_table_mismatch({(0, 10): 1, (0, 2): 1},
+                                 {(0, 10): 2, (0, 2): 2}) == (
+        (0, 2), {0: 1}, {0: 2})
 
 
 def test_first_witness_stops_at_the_first_witness():

@@ -50,7 +50,7 @@ def rebuilt(H, name, **tables):
         antipode={(i, j): c for (j, i), c in H.antipode_map.entries.items()},
         antipode_inverse={(i, j): c for (j, i), c in
                           H.antipode_inverse_map.entries.items()})
-    return WeakHopfAlgebra(name=name, field=H.field, labels=H.space.labels,
+    return WeakHopfAlgebra(name=name, field=H.field, labels=H.labels,
                            **{**own, **tables})
 
 
@@ -174,7 +174,7 @@ def moved_coproduct_groupoid():
     fails on 1."""
     H, R = groupoid_algebra(2, 1)
     assert certify(H).passed and certify_quasitriangular(H, R).passed
-    e00, e11 = (H.space.labels.index(f"{x}<-{x}:g^0") for x in range(2))
+    e00, e11 = (H.labels.index(f"{x}<-{x}:g^0") for x in range(2))
     comult = {(i, j, k): c for i, cop in H.comult.items()
               for (j, k), c in cop.items()}
     del comult[(e11, e11, e11)]
@@ -191,7 +191,7 @@ def test_unit_comult_compatible_witness():
     # (Delta (x) id) Delta(1) holds e_11 (x) e_11 (x) e_00, where
     # (Delta(1) (x) 1)(1 (x) Delta(1)) holds e_11 (x) e_11 (x) e_11
     bad, _ = moved_coproduct_groupoid()
-    e00, e11 = (bad.space.labels.index(f"{x}<-{x}:g^0") for x in range(2))
+    e00, e11 = (bad.labels.index(f"{x}<-{x}:g^0") for x in range(2))
     assert failing_witness(check_weak_hopf(bad), "unit_comult_compatible") == (
         (), {(e00, e00, e00): 1, (e11, e11, e00): 1},
         {(e00, e00, e00): 1, (e11, e11, e11): 1})
@@ -204,14 +204,14 @@ def test_split_unit_slides_witnesses():
     # the source slide and e_00 e_00 (x) a does not vanish on the left;
     # with a = 1 <- 0, the target slide fails the same way, mirrored.
     H, _ = groupoid_algebra(2, 1)
-    e00 = H.space.labels.index("0<-0:g^0")
+    e00 = H.labels.index("0<-0:g^0")
     antipode = {(i, j): c for (j, i), c in H.antipode_map.entries.items()}
     for name, arrow, witness in (
             ("source_slides_split_unit", "0<-1:g^0",
              ((0,), {(0, 0): 1, (0, 1): 1}, {(0, 0): 1})),
             ("target_slides_split_unit", "1<-0:g^0",
              ((0,), {(0, 0): 1}, {(0, 0): 1, (2, 0): 1}))):
-        a = H.space.labels.index(arrow)
+        a = H.labels.index(arrow)
         bad = rebuilt(H, f"pair-groupoid-{name}",
                       antipode={**antipode, (e00, a): 1})
         assert failing_witness(check_weak_hopf(bad), name) == witness
@@ -270,7 +270,7 @@ def test_truncated_action_well_defined_witness():
     H, R = groupoid_algebra(2, 1)
     assert certify(H).passed and certify_quasitriangular(H, R).passed
     reg = regular_module(H)
-    g, b = (H.space.labels.index(label) for label in ("1<-0:g^0", "0<-0:g^0"))
+    g, b = (H.labels.index(label) for label in ("1<-0:g^0", "0<-0:g^0"))
     action = {(i, r, c): v for i in range(H.dim)
               for (r, c), v in reg.rho(i).entries.items()}
     action[(g, b, b)] = 1
@@ -333,7 +333,7 @@ def test_yang_baxter_witness():
         doubled = RMatrix(H, {**R.r, key: 2 * R.r[key]}, R.r_bar)
         assert check_quasitriangular(H, doubled).find("yang_baxter").passed
     H, R, _ = certified(sweedler)
-    one, g, h, gh = (H.space.labels.index(s) for s in ("1", "g", "h", "gh"))
+    one, g, h, gh = (H.labels.index(s) for s in ("1", "g", "h", "gh"))
     bent = RMatrix(H, {**R.r, (one, h): R.r.get((one, h), 0) + 1}, R.r_bar)
     assert failing_witness(check_quasitriangular(H, bent), "yang_baxter") == (
         (one, g, gh), {0: Fraction(1, 2)}, {0: Fraction(-1, 2)})
@@ -348,7 +348,7 @@ def test_corner_witnesses():
     # r_inverse_in_opposite_corner, each the first failure.
     H, R = groupoid_algebra(2, 1)
     assert certify(H).passed and certify_quasitriangular(H, R).passed
-    e00, a = (H.space.labels.index(s) for s in ("0<-0:g^0", "0<-1:g^0"))
+    e00, a = (H.labels.index(s) for s in ("0<-0:g^0", "0<-1:g^0"))
     extra = {(e00, a): 1}
     for name, r, r_bar in (
             ("r_in_truncated_corner", {**R.r, **extra}, R.r_bar),
@@ -368,7 +368,7 @@ def test_unitors_mutually_inverse_witness():
     H, R = groupoid_algebra(2, 1)
     assert certify(H).passed and certify_quasitriangular(H, R).passed
     reg = regular_module(H)
-    e00 = H.space.labels.index("0<-0:g^0")
+    e00 = H.labels.index("0<-0:g^0")
     action = {(i, r, c): v for i in range(H.dim) if i != e00
               for (r, c), v in reg.rho(i).entries.items()}
     report = check_monoidal_coherence(H, R, [HModule(H, H.space, action)])
