@@ -392,8 +392,8 @@ def _render_fraction(f: Fraction) -> str:
 
 
 def render_scalar(s) -> str:
-    """Canonical text form, such as -1/3*w+w^2: distinct scalars render
-    to distinct strings, and an int x renders as str(x)."""
+    """Canonical text form, such as -1/3*w+w^2: distinct scalars of one
+    field render to distinct strings, and an int x renders as str(x)."""
     if isinstance(s, int):
         s = Fraction(s)
     if isinstance(s, Fraction):
