@@ -8,10 +8,11 @@ Each row times one stage of the six-stage pipeline (certify ->
 certify_quasitriangular -> transmute -> certify_braided_hopf ->
 check_monoidal_coherence -> check_equivalence_roundtrip), the whole
 pipeline, the split of one truncation carrier, the triple truncation
-projector, or the split of an idempotent that is not a coordinate
-projection, on freshly built objects.  The stages before the timed one
-run in the untimed setup of every round.  With --benchmark-disable each
-row runs once, as a smoke test.  bench/ is outside the tier-1 testpaths.
+projector (on Z_12 and on the groupoid 3 x 4), or the split of an
+idempotent that is not a coordinate projection, on freshly built
+objects.  The stages before the timed one run in the untimed setup of
+every round.  With --benchmark-disable each row runs once, as a smoke
+test.  bench/ is outside the tier-1 testpaths.
 """
 
 import random
@@ -114,8 +115,8 @@ def test_split_triple_carrier_z12(benchmark):
 
 def test_triple_projector_z12(benchmark):
     # The action of the twice-iterated coproduct of 1 on the Z_12 regular
-    # module cubed: one act call over 1,728 columns, every looked-up row
-    # of the 0/1 product table a single entry.
+    # module cubed: 1 tensor 1 tensor 1, whose rows {a: 1} make it the
+    # identity on 1,728 columns, built without act.
     def setup():
         H, _, _ = certified(lambda: examples.group_algebra_zn(12))
         M = regular_module(H)
@@ -123,6 +124,19 @@ def test_triple_projector_z12(benchmark):
     P = benchmark.pedantic(triple_projector, setup=setup, rounds=5,
                            iterations=1)
     assert len(P.entries) == 12 ** 3
+
+
+def test_triple_projector_groupoid_3x4(benchmark):
+    # The weak family's projector on the regular module cubed: the sum of
+    # 1_x tensor 1_x tensor 1_x over the three objects, a 0/1 diagonal of
+    # rank 3 * 12 ** 3 of the 36 ** 3 basis tensors.
+    def setup():
+        H, _, _ = certified(lambda: examples.groupoid_algebra(3, 4))
+        M = regular_module(H)
+        return (M, M, M), {}
+    P = benchmark.pedantic(triple_projector, setup=setup, rounds=5,
+                           iterations=1)
+    assert len(P.entries) == 3 * 12 ** 3
 
 
 def test_split_oblique_idempotent_1728(benchmark):

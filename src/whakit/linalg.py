@@ -22,22 +22,25 @@ actions), and on_leg applies a linear map to a single leg (coproduct,
 counit, antipode, or a carrier projection read on a slice of legs).
 
 Three kernels sum terms with add_term inlined: act, on_leg and
-LinMap.__call__; compose applies __call__ to each column.  Every sum in
-the package accumulates by add_term's rule.  A key takes its place in
+LinMap.__call__; compose applies __call__ to each column.  A fourth
+place is module_cat's truncation projector when the coproduct of 1 acts
+by 0/1 diagonals, which sums each diagonal entry without act.  Every sum
+in the package accumulates by add_term's rule.  A key takes its place in
 the result when its first term arrives, a sum that cancels to zero is
-deleted (a later term at that key enters again, last).  The three
-kernels also skip a product by the int 1, and store a first term
-untested: their inputs hold no zeros, so no term is zero.  act builds a term
-whose looked-up table rows each hold a single entry, the case of every
-0/1 table, directly, without itertools.product, in the order the product
+deleted (a later term at that key enters again, last).  The kernels also
+skip a product by the int 1, and store a first term untested: their
+inputs hold no zeros, so no term is zero.  act builds a term whose
+looked-up table rows each hold a single entry, the case of every 0/1
+table, directly, without itertools.product, in the order the product
 loop would give.  Elimination breaks ties by key order, so report
 witnesses depend on this order.
 
 A LinMap built with LinMap(...) takes (row, col) entries, checks each
 against its dimensions and drops zeros, since those entries come from
-outside the package.  LinMap._adopt takes columns the package computed
-itself, with no empty column, no zero and every index in range by
-construction, as they stand: the results of compose and identity, the
+outside the package; LinMap.from_function checks and drops the same way,
+building its columns directly.  LinMap._adopt takes columns the package
+computed itself, with no empty column, no zero and every index in range
+by construction, as they stand: the results of compose and identity, the
 inclusion and projection of from_span and split_idempotent (the
 inclusion's columns are the reduced rows of elimination), and in
 module_cat every module operator, carrier_map and truncation projector,
@@ -287,9 +290,19 @@ class LinMap:
 
     @staticmethod
     def from_function(domain: VectorSpace, codomain: VectorSpace, fn) -> "LinMap":
-        """Build a map from its action on basis vectors; fn(index) returns a dict."""
-        return LinMap(domain, codomain, {(r, c): v for c in range(domain.dim)
-                                         for r, v in fn(c).items()})
+        """Build a map from its action on basis vectors; fn(index) returns a
+        dict, checked and with its zeros dropped as LinMap(...) does."""
+        nr, nc = codomain.dim, domain.dim
+        cols = {}
+        for c in range(nc):
+            col = {r: v for r, v in fn(c).items() if v != 0}
+            for r in col:
+                if not 0 <= r < nr:
+                    raise DimensionMismatch(
+                        f"entry ({r},{c}) out of bounds {nr}x{nc}")
+            if col:
+                cols[c] = col
+        return LinMap._adopt(domain, codomain, cols)
 
     @property
     def entries(self) -> dict:

@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import math
 from functools import cache, reduce
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 
-from .linalg import (LinMap, Subspace, VectorSpace, act, add_term,
+from .linalg import (_ONE, LinMap, Subspace, VectorSpace, act, add_term,
                      check_keys, flatten, on_leg, permute, split_idempotent,
                      unflatten)
 from .quasitriangular import r13_r12, r13_r23
@@ -164,26 +165,57 @@ def act_pair(M: HModule, N: HModule, terms: dict, pd: dict) -> dict:
 
 def _projector(modules, d: dict) -> LinMap:
     """The action of a k-leg algebra tensor d, leg by leg, on the flattened
-    tensor product of k modules."""
+    tensor product of k modules.
+
+    Each module's action is read once.  If every row a term of d reads is
+    {a: 1}, with the int 1, column k is {k: c} without act: c sums, by
+    add_term's rule and in d's term order, the coefficients of the terms
+    whose every leg acts on basis tensor k, and a c that cancels drops the
+    column.  act gives the same entry for entry, since it skips products
+    by the int 1; on any other row act runs.  Either way the columns come
+    in the order their basis tensors are first met over d's terms, by
+    which split_idempotent orders the carrier basis.
+    """
     dims = [M.dim for M in modules]
     n = math.prod(dims)
-    # the basis tensors some term of d acts on, each carrying its flat
-    # index as a pass-through leg; first seen first, because
-    # split_idempotent orders the carrier basis by column order
-    cols = {}
-    for key in d:
-        cols.update(dict.fromkeys(product(*(
-            [a for (p, a) in M.action if p == i]
-            for M, i in zip(modules, key)))))
-    cols = {col + (k,): 1 for col, k in zip(cols, flatten(
-        dict.fromkeys(cols, 1), dims))}
-    out = {}
-    for key, c in act([M.action for M in modules] + [None], d, cols).items():
-        # the module legs flatten to the row, the pass-through leg is the column
-        r = 0
-        for i, dim in zip(key, dims):
-            r = r * dim + i
-        out.setdefault(key[-1], {})[r] = c
+    # per module, {p: the basis vectors p acts on}; mixed holds each
+    # (module, p) with a row other than {a: 1}
+    acts, mixed = {}, set()
+    for M in set(modules):
+        rows = acts[M] = {}
+        for (p, a), row in M.action.items():
+            rows.setdefault(p, []).append(a)
+            if len(row) != 1 or row.get(a) is not _ONE:
+                mixed.add((M, p))
+    # per term of d, the basis vectors each leg acts on
+    reach, diagonal = [], True
+    for key, c in d.items():
+        legs = list(zip(modules, key))
+        reach.append(([acts[M].get(p, ()) for M, p in legs], c))
+        diagonal = diagonal and mixed.isdisjoint(legs)
+    # a leg's indices times its stride, the product of the dimensions of
+    # the later legs, sum to the flat index
+    strides = [*accumulate(dims[:0:-1], mul, initial=1)][::-1]
+    if diagonal:
+        acc = {}
+        for lists, c in reach:
+            for k in map(sum, product(*([a * s for a in lst]
+                                        for lst, s in zip(lists, strides)))):
+                # add_term, inlined; a cancelled column keeps its place
+                cur = acc.get(k)
+                acc[k] = c if cur is None else cur + c or None
+        out = {k: {k: c} for k, c in acc.items() if c is not None}
+    else:
+        cols = {}
+        for lists, _ in reach:
+            cols.update(dict.fromkeys(product(*lists)))
+        out = {}
+        # each basis tensor carries its flat index as a pass-through leg,
+        # which becomes the column; the module legs flatten to the row
+        for key, c in act([M.action for M in modules] + [None], d, {
+                col + (sum(map(mul, col, strides)),): 1 for col in cols
+        }).items():
+            out.setdefault(key[-1], {})[sum(map(mul, key, strides))] = c
     space = VectorSpace(n)
     return LinMap._adopt(space, space, out)
 

@@ -217,3 +217,18 @@ def test_split_idempotent_and_image_leave_the_column_table_intact():
     image(P)
     assert P.columns() is cols
     assert cols == before
+
+
+def test_from_function_checks_and_orders_its_columns():
+    sp2, sp3 = VectorSpace(2), VectorSpace(3)
+    images = [{1: 0, 0: 1}, {0: 0, 5: 0}, {1: 2, 0: Fraction(1, 2)}]
+    f = LinMap.from_function(sp3, sp2, images.__getitem__)
+    # zeros dropped, out of range or not; columns ascending, rows in fn order
+    assert [(c, list(col.items())) for c, col in f.cols.items()] == [
+        (0, [(0, 1)]), (2, [(1, 2), (0, Fraction(1, 2))])]
+    assert all(col is not images[c] for c, col in f.cols.items())
+    assert f == LinMap(sp3, sp2, {(r, c): v for c, im in enumerate(images)
+                                  for r, v in im.items()})
+    with pytest.raises(DimensionMismatch,
+                       match=r"^entry \(2,1\) out of bounds 2x3$"):
+        LinMap.from_function(sp3, sp2, lambda c: {c + 1: 1})

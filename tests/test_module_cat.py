@@ -6,11 +6,14 @@ from itertools import product
 
 import pytest
 
-from whakit import module_cat
+import test_report_snapshot as snap
+from test_yetter_drinfeld import rebased
+from whakit import linalg, module_cat
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
-from whakit.linalg import (DimensionMismatch, LinMap, VectorSpace, act,
-                           on_leg, permute, split_idempotent, unflatten)
+from whakit.linalg import (DimensionMismatch, LinMap, NotIdempotent,
+                           VectorSpace, act, flatten, on_leg, permute,
+                           split_idempotent, unflatten)
 from whakit.module_cat import (HModule, act_pair, braiding_c,
                                braiding_c_inv, carrier_map, carrier_mismatch,
                                check_module, check_monoidal_coherence,
@@ -655,3 +658,125 @@ def test_coherence_catches_corrupted_braiding(z3_pair):
         key, lhs, rhs = report.find(name).witness
         assert key == (0, 0, 0, 0)
         assert lhs and lhs != rhs
+
+
+def projector_by_act(modules, d):
+    """The columns of the projector of d, one basis tensor at a time through
+    act, the tensors in the order the terms of d first reach them."""
+    dims = [M.dim for M in modules]
+    reached = {}
+    for key in d:
+        reached.update(dict.fromkeys(product(*(
+            [a for (p, a) in M.action if p == i]
+            for M, i in zip(modules, key)))))
+    cols = {}
+    for t in reached:
+        k, = flatten({t: 1}, dims)
+        image = flatten(act([M.action for M in modules], d, {t: 1}), dims)
+        if image:
+            cols[k] = image
+    return cols
+
+
+def assert_same_columns(P, cols):
+    """Equal columns, in the same column and row order, of the same types."""
+    assert P.cols == cols
+    assert [(k, list(col.items()), [type(v) for v in col.values()])
+            for k, col in P.cols.items()] == [
+        (k, list(col.items()), [type(v) for v in col.values()])
+        for k, col in cols.items()]
+
+
+def counted_act(monkeypatch):
+    """The list that module_cat's act calls append to from now on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return act(*args)
+    monkeypatch.setattr(module_cat, "act", counted)
+    return calls
+
+
+def rebased_groupoid():
+    # the groupoid of test_carrier_not_spanned_by_basis_vectors_passes_every_stage,
+    # whose coproduct of 1 is not a 0/1 diagonal
+    return rebased(*groupoid_algebra(2, 1),
+                   [{0: 1, 1: 1}, {1: 1}, {2: 1}, {3: 1, 0: 1}])
+
+
+@pytest.mark.parametrize("name", [*snap.ALGEBRAS, "rebased_groupoid"])
+def test_projectors_match_act_on_every_basis_tensor(name, monkeypatch):
+    H, _ = (snap.ALGEBRAS.get(name) or rebased_groupoid)()
+    assert certify(H).passed
+    M, U = regular_module(H), unit_object(H)
+    tt = truncated_tensor(M, U)
+    assert tt.action    # built before act is counted
+    calls = counted_act(monkeypatch)
+    for A, B in product((M, U, tt), repeat=2):
+        assert_same_columns(truncation_projector(A, B),
+                            projector_by_act((A, B), H.delta_one()))
+    for legs in [*product((M, U), repeat=3), (tt, M, U), (U, tt, M)]:
+        assert_same_columns(triple_projector(*legs),
+                            projector_by_act(legs, H.delta2_one()))
+    # only the rebased basis has rows other than {a: 1} under 1
+    assert bool(calls) == (name == "rebased_groupoid")
+
+
+def regular_rows(H, p, a, row):
+    """The regular module of H with the row of e_p acting on e_a replaced."""
+    action = {(i, r, c): v for (i, c), rows in H.mult.items()
+              for r, v in rows.items() if (i, c) != (p, a)}
+    action.update({(p, r, a): v for r, v in row.items()})
+    return HModule(H, H.space, action)
+
+
+@pytest.mark.parametrize("row", [{0: 2}, {0: 1, 1: 1}],
+                         ids=["doubled", "two_entries"])
+def test_rows_that_are_not_0_1_diagonal_go_through_act(row, monkeypatch):
+    # e_0 is the unit summand (0, 0, 0) of the pair groupoid on 2 objects
+    H, _ = groupoid_algebra(2, 1)
+    assert certify(H).passed
+    M = regular_rows(H, 0, 0, row)
+    calls = counted_act(monkeypatch)
+    P = truncation_projector(M, M)
+    assert len(calls) == 1
+    assert_same_columns(P, projector_by_act((M, M), H.delta_one()))
+    with pytest.raises(NotIdempotent):
+        split_idempotent(P)
+
+
+def test_overlapping_diagonal_terms_reach_elimination(monkeypatch):
+    # both unit summands of the pair groupoid act by 1 on one vector, so
+    # the diagonal projector of the square holds 1 + 1 = 2 there
+    H, _ = groupoid_algebra(2, 1)
+    assert certify(H).passed
+    V = HModule(H, VectorSpace(1), {(0, 0, 0): 1, (3, 0, 0): 1})
+    calls = counted_act(monkeypatch)
+    P = truncation_projector(V, V)
+    assert calls == []
+    assert_same_columns(P, {0: {0: 2}})
+    splits = []
+    image_split = linalg._image_split
+    monkeypatch.setattr(linalg, "_image_split",
+                        lambda Q: splits.append(Q) or image_split(Q))
+    with pytest.raises(NotIdempotent):
+        split_idempotent(P)
+    assert splits == [P]
+
+
+def test_diagonal_column_that_cancels_keeps_its_place(monkeypatch):
+    # the first column sums 1/2 - 1/2, cancels, and enters again as the
+    # int 1 of the third term, still first; the others hold 1/2 alone
+    H, _ = groupoid_algebra(3, 1)
+    assert certify(H).passed
+    u0, u1, u2 = sorted(H.unit)
+    V = HModule(H, VectorSpace(2), {(u0, 0, 0): 1, (u0, 1, 1): 1,
+                                    (u1, 0, 0): 1, (u2, 0, 0): 1})
+    d = {(u0, u0): Fraction(1, 2), (u1, u1): Fraction(-1, 2), (u2, u2): 1}
+    calls = counted_act(monkeypatch)
+    P = module_cat._projector((V, V), d)
+    assert calls == []
+    assert_same_columns(P, projector_by_act((V, V), d))
+    assert list(P.cols) == [0, 1, 2, 3]
+    assert type(P.cols[0][0]) is int
