@@ -699,8 +699,9 @@ def counted_act(monkeypatch):
 
 
 def rebased_groupoid():
-    # the groupoid of test_carrier_not_spanned_by_basis_vectors_passes_every_stage,
-    # whose coproduct of 1 is not a 0/1 diagonal
+    # the groupoid of test_yetter_drinfeld's
+    # test_carrier_not_spanned_by_basis_vectors_passes_every_stage, whose
+    # coproduct of 1 is not a 0/1 diagonal
     return rebased(*groupoid_algebra(2, 1),
                    [{0: 1, 1: 1}, {1: 1}, {2: 1}, {3: 1, 0: 1}])
 
