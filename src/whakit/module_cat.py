@@ -35,11 +35,16 @@ here and the comodule category of yetter_drinfeld alike.
 check_monoidal_coherence verifies, on a caller-supplied sample of
 modules, that nested carriers agree, that unitors are inverse pairs
 satisfying the triangle law, and that the braiding is invertible,
-H-linear, compatible with the unitors, and obeys both hexagons.  On a
-certified R each hexagon's two elements of H tensor H tensor H are
-equal, and it passes without acting on a carrier; unequal ones are
-searched with hexagon_mismatches.  Each check reports the first failing
-case only, with first_witness.
+H-linear, compatible with the unitors, and obeys both hexagons.  The
+carriers of each module with the unit object and of each pair of
+modules, the unitors and the braidings on them are built once, and each
+check is one first_witness search over them that reports the first
+failing case only.  The unit carriers, unitors and braidings are freed
+before any triple carrier is built, and nested_carriers_coincide splits
+one triple carrier at a time.  On a certified R each hexagon's two
+elements of H tensor H tensor H are equal, and it passes without acting
+on a carrier; only when they differ does it search the triples, both
+hexagons sharing one hexagon_mismatches call per triple.
 """
 
 from __future__ import annotations
@@ -547,11 +552,21 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
     passes without acting on any carrier; unequal ones, as under a
     doubled R marked certified, are searched triple by triple with
     hexagon_mismatches, the witness key (i, j, k, carrier column).
+    Raises ValueError when R or a module is over another algebra, or
+    when modules is empty.
     """
     H.require_certified()
     R.require_certified()
+    if R.algebra is not H:
+        raise ValueError("R-matrix belongs to a different algebra")
+    if not modules:
+        raise ValueError("no modules to check")
+    for idx, M in enumerate(modules):
+        if M.algebra is not H:
+            raise ValueError(f"module {idx} is over a different algebra")
     report = VerificationReport(subject=f"{H.name} monoidal coherence")
     unit = unit_object(H)
+    n = len(modules)
 
     report.record("module_axioms", first_witness(
         ((idx,), first_witness(((), c.witness)
@@ -571,82 +586,69 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
             lambda x: on_leg(permute(on_leg(x, 1, s_incl), (1, 0, 2, 3)),
                              slice(0, 2), M.action))
 
-    @cache
-    def with_unit(idx):
-        # the carriers of the unit and the idx-th module, either way
-        # round, with the left and right unitor pairs on them
-        M = modules[idx]
-        tt_l, tt_r = truncated_tensor(unit, M), truncated_tensor(M, unit)
-        return tt_l, tt_r, left_unitor(tt_l), right_unitor(tt_r)
-
-    def unitor_cases():
-        for idx, M in enumerate(modules):
-            tt_l, tt_r, (l, l_inv), (r, r_inv) = with_unit(idx)
-            yield (idx,), {
-                "unitors_mutually_inverse": lambda: (
-                    _inverse_mismatch(l, l_inv) or _inverse_mismatch(r, r_inv)),
-                "unitors_h_linear": lambda: (h_linear_mismatch(l, tt_l, M)
-                                             or h_linear_mismatch(r, tt_r, M)),
-                "unit_triangle": lambda: first_witness(
-                    ((jdx,), triangle(M, N)) for jdx, N in enumerate(modules)),
-            }
-    report.record_first_witnesses(
-        ("unitors_mutually_inverse", "unitors_h_linear", "unit_triangle"),
-        unitor_cases())
+    # the carriers of the unit and each module, either way round, with
+    # the left and right unitor pairs on them
+    tt_l = [truncated_tensor(unit, M) for M in modules]
+    tt_r = [truncated_tensor(M, unit) for M in modules]
+    lefts = [left_unitor(tt) for tt in tt_l]
+    rights = [right_unitor(tt) for tt in tt_r]
+    report.record("unitors_mutually_inverse", first_witness(
+        ((i,), _inverse_mismatch(*lefts[i]) or _inverse_mismatch(*rights[i]))
+        for i in range(n)))
+    report.record("unitors_h_linear", first_witness(
+        ((i,), h_linear_mismatch(lefts[i][0], tt_l[i], M)
+         or h_linear_mismatch(rights[i][0], tt_r[i], M))
+        for i, M in enumerate(modules)))
+    report.record("unit_triangle", first_witness(
+        ((i, j), triangle(M, N))
+        for (i, M), (j, N) in product(enumerate(modules), repeat=2)))
 
     tts = {(i, j): truncated_tensor(M, N)
            for (i, M), (j, N) in product(enumerate(modules), repeat=2)}
     report.record("truncated_action_well_defined", first_witness(
         (key, _action_mismatch(tt)) for key, tt in tts.items()))
 
-    def unitor_compatible(idx):
-        tt_l, tt_r, (l, _), (r, _) = with_unit(idx)
-        return (map_witness(l.compose(braiding_c(tt_r, tt_l, R)), r)
-                or map_witness(r.compose(braiding_c(tt_l, tt_r, R)), l))
-
-    def braiding_cases():
-        for key, fwd in tts.items():
-            back = tts[key[::-1]]
-            c = braiding_c(fwd, back, R)
-            c_inv = braiding_c_inv(back, fwd, R)
-            i, j = key
-            yield key, {
-                "braiding_invertible": lambda: _inverse_mismatch(c_inv, c),
-                "braiding_h_linear": lambda: h_linear_mismatch(c, fwd, back),
-                "braiding_natural": lambda: (
-                    unitor_compatible(i) if i == j else None),
-            }
-    report.record_first_witnesses(
-        ("braiding_invertible", "braiding_h_linear", "braiding_natural"),
-        braiding_cases())
+    braidings = {key: (braiding_c(fwd, tts[key[::-1]], R),
+                       braiding_c_inv(tts[key[::-1]], fwd, R))
+                 for key, fwd in tts.items()}
+    report.record("braiding_invertible", first_witness(
+        (key, _inverse_mismatch(c_inv, c))
+        for key, (c, c_inv) in braidings.items()))
+    report.record("braiding_h_linear", first_witness(
+        (key, h_linear_mismatch(c, tts[key], tts[key[::-1]]))
+        for key, (c, _) in braidings.items()))
+    report.record("braiding_natural", first_witness(
+        ((i, i), map_witness(lefts[i][0].compose(
+            braiding_c(tt_r[i], tt_l[i], R)), rights[i][0])
+         or map_witness(rights[i][0].compose(
+             braiding_c(tt_l[i], tt_r[i], R)), lefts[i][0]))
+        for i in range(n)))
     # free the unit carriers before the larger triple carriers are built
-    with_unit.cache_clear()
-    unequal = [name for name, one, two in (
-        ("hexagon_forward", on_leg(R.r, 0, H.comult), r13_r23(H, R.r)),
-        ("hexagon_backward", on_leg(R.r, 1, H.comult), r13_r12(H, R.r)))
-        if one != two]
+    del tt_l, tt_r, lefts, rights, braidings
 
-    def triple_cases():
-        # split3 serves nested_carriers_coincide alone: the hexagons
-        # build their own nested carriers, and only when searched
-        for (i, M), (j, N), (k, P) in product(enumerate(modules), repeat=3):
-            split3 = split_idempotent(triple_projector(M, N, P))
-            dims = (M.dim, N.dim, P.dim)
-            hexagons = cache(lambda: hexagon_mismatches(
-                M, N, P, lambda A: A, lambda tt, *_: tt,
-                lambda _, *carriers: braiding_c(*carriers, R)))
-            yield (i, j, k), {
-                "nested_carriers_coincide": lambda: (
-                    _nested_carrier_mismatch(
-                        split3, truncated_tensor(tts[(i, j)], P), 0, dims)
-                    or _nested_carrier_mismatch(
-                        split3, truncated_tensor(M, tts[(j, k)]), 1, dims)),
-                **{name: lambda name=name: hexagons()[name]
-                   for name in unequal},
-            }
-    report.record_first_witnesses(
-        ("nested_carriers_coincide", "hexagon_forward", "hexagon_backward"),
-        triple_cases())
+    def nested(i, j, k):
+        # the two nesting orders one after the other, each against the
+        # triple carrier
+        M, N, P = modules[i], modules[j], modules[k]
+        split3 = split_idempotent(triple_projector(M, N, P))
+        dims = (M.dim, N.dim, P.dim)
+        return (_nested_carrier_mismatch(
+            split3, truncated_tensor(tts[(i, j)], P), 0, dims)
+            or _nested_carrier_mismatch(
+                split3, truncated_tensor(M, tts[(j, k)]), 1, dims))
+    triples = list(product(range(n), repeat=3))
+    report.record("nested_carriers_coincide", first_witness(
+        (key, nested(*key)) for key in triples))
+
+    # both hexagons of a triple come from one hexagon_mismatches call
+    hexagons = cache(lambda i, j, k: hexagon_mismatches(
+        modules[i], modules[j], modules[k], lambda A: A, lambda tt, *_: tt,
+        lambda _, *carriers: braiding_c(*carriers, R)))
+    for name, one, two in (
+            ("hexagon_forward", on_leg(R.r, 0, H.comult), r13_r23(H, R.r)),
+            ("hexagon_backward", on_leg(R.r, 1, H.comult), r13_r12(H, R.r))):
+        report.record(name, None if one == two else first_witness(
+            (key, hexagons(*key)[name]) for key in triples))
     return report
 
 

@@ -53,21 +53,6 @@ class VerificationReport:
         self.add(name, mismatch is None, mismatch)
         return self
 
-    def record_first_witnesses(self, names, cases):
-        """Record first_witness for several searches that share one loop:
-        cases yields (key, searches), searches mapping each of names to a
-        function of no arguments that returns a witness or None.  A search
-        runs only until its first witness, the loop until all have one."""
-        found = dict.fromkeys(names)
-        for key, searches in cases:
-            for name, search in searches.items():
-                if found[name] is None:
-                    found[name] = first_witness(((key, search()),))
-            if all(found.values()):
-                break
-        for name, w in found.items():
-            self.record(name, w)
-
     @property
     def passed(self):
         """True when every required check passed; info entries never gate."""

@@ -363,11 +363,14 @@ def check_equivalence_roundtrip(H, R, braided) -> VerificationReport:
     coaction.  The carrier coacting on itself through the deformed
     coproduct is also included from the comodule side.  Monoidality
     compares the translated tensor coaction with the tensor of the
-    translations, pairwise over the samples.
+    translations, pairwise over the samples.  Raises ValueError unless
+    braided was transmuted from H and R.
     """
     H.require_certified()
     R.require_certified()
     B = braided
+    if B.algebra is not H or B.rmatrix is not R:
+        raise ValueError("the braided algebra is not transmuted from H and R")
     samples = [regular_module(H), unit_object(H), B.module]
     report = VerificationReport(subject=f"{H.name} equivalence roundtrip")
 

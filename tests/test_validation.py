@@ -1,15 +1,19 @@
-"""Out-of-range basis indices are rejected when a structure is built."""
+"""Out-of-range basis indices are rejected when a structure is built, and
+the checks reject inputs that belong to other algebras."""
 
 from fractions import Fraction
 
 import pytest
 
-from whakit.examples import group_algebra_zn
+from whakit.examples import group_algebra_zn, group_algebra_zn_anyonic
 from whakit.linalg import DimensionMismatch
-from whakit.module_cat import HModule, regular_module
-from whakit.quasitriangular import RMatrix
+from whakit.module_cat import (HModule, check_monoidal_coherence,
+                               regular_module)
+from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.scalars import Field
+from whakit.transmutation import transmute
 from whakit.weak_hopf import WeakHopfAlgebra, certify
+from whakit.yetter_drinfeld import check_equivalence_roundtrip
 
 ONE = Fraction(1)
 
@@ -77,3 +81,35 @@ def test_module_action_key_out_of_range():
         HModule(H, M.space, {(3, 0, 0): ONE})
     with pytest.raises(DimensionMismatch, match=r"action.*\(0, 0, 3\)"):
         HModule(H, M.space, {(0, 0, 3): ONE})
+
+
+def certified(build):
+    H, R = build()
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    return H, R
+
+
+def test_coherence_rejects_inputs_over_another_algebra():
+    # two builds of Z_3 look alike but are different algebras
+    H, R = certified(lambda: group_algebra_zn(3))
+    H2, R2 = certified(lambda: group_algebra_zn(3))
+    M = regular_module(H)
+    with pytest.raises(ValueError,
+                       match="R-matrix belongs to a different algebra"):
+        check_monoidal_coherence(H, R2, [M])
+    with pytest.raises(ValueError,
+                       match="module 1 is over a different algebra"):
+        check_monoidal_coherence(H, R, [M, regular_module(H2)])
+    # an empty sample would pass every check while checking nothing
+    with pytest.raises(ValueError, match="no modules to check"):
+        check_monoidal_coherence(H, R, [])
+
+
+def test_roundtrip_rejects_a_braided_algebra_of_another_r_matrix():
+    # R and R-bar of anyonic Z_3 swapped make a second R-matrix on the
+    # same algebra, with its own transmuted coproduct
+    H, R = certified(lambda: group_algebra_zn_anyonic(3))
+    Rb = RMatrix(H, R.r_bar, R.r)
+    assert certify_quasitriangular(H, Rb).passed
+    with pytest.raises(ValueError, match="not transmuted from H and R"):
+        check_equivalence_roundtrip(H, Rb, braided=transmute(H, R))

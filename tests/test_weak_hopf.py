@@ -293,28 +293,3 @@ def test_first_witness_stops_at_the_first_witness():
     # the key prefixes the witness key; the rest of the witness is kept
     assert first_witness([((2,), ((3, 4), "lhs", "rhs"))]) == (
         (2, 3, 4), "lhs", "rhs")
-
-
-def test_record_first_witnesses_runs_each_search_until_its_witness():
-    calls = {"a": [], "b": []}
-
-    def search(name, k, fails):
-        def run():
-            calls[name].append(k)
-            return ((), {0: k}, {}) if fails else None
-        return run
-
-    def cases(n):
-        for k in range(n):
-            yield (k,), {"a": search("a", k, k == 0),
-                         "b": search("b", k, k == 2)}
-    report = VerificationReport()
-    report.record_first_witnesses(("a", "b"), cases(5))
-    assert [(c.name, c.witness) for c in report.checks] == [
-        ("a", ((0,), {0: 0}, {})), ("b", ((2,), {0: 2}, {}))]
-    # the loop ends once every search has its witness
-    assert calls == {"a": [0], "b": [0, 1, 2]}
-    empty = VerificationReport()
-    empty.record_first_witnesses(("a", "b"), cases(0))
-    assert [(c.name, c.passed) for c in empty.checks] == [
-        ("a", True), ("b", True)]
