@@ -103,6 +103,15 @@ def test_equivalence_roundtrip_anyonic_z5(benchmark):
     run_row(benchmark, setup, check_equivalence_roundtrip, rounds=3)
 
 
+def test_equivalence_roundtrip_z12(benchmark):
+    # R = 1 (x) 1: translation_monoidal, over the nine pairs of samples,
+    # dominates, and each pair carrier's action is read only at R^1 = 1
+    def setup():
+        H, R, B = certified(lambda: examples.group_algebra_zn(12))
+        return (H, R), {"braided": B}
+    run_row(benchmark, setup, check_equivalence_roundtrip, rounds=3)
+
+
 def test_split_triple_carrier_z12(benchmark):
     def setup():
         H, _, _ = certified(lambda: examples.group_algebra_zn(12))
@@ -154,8 +163,11 @@ def test_split_oblique_idempotent_1728(benchmark):
             E[(k - 1, k)] = 1
             E[((k + 1) % n, k)] = 1
         P = LinMap(space, space, {(k, k): 1 for k in range(0, n, 2)})
-        U = LinMap.identity(space) + LinMap(space, space, E)
-        U_inv = LinMap.identity(space) - LinMap(space, space, E)
+        identity = {(k, k): 1 for k in range(n)}
+        # E has no diagonal entry, so I + E and I - E take E's entries
+        U = LinMap(space, space, {**identity, **E})
+        U_inv = LinMap(space, space,
+                       {**identity, **{k: -v for k, v in E.items()}})
         Q = U.compose(P).compose(U_inv)
         assert _coordinate_split(Q) is None
         return (Q,), {}

@@ -48,6 +48,12 @@ and in weak_hopf the counit form eps(e_i e_j).  from_span checks the
 vectors it is given before eliminating them, so the maps it adopts are
 in range too.  LinMap.entries is a new {(row, col): c} dict built from
 the columns, for reading only.
+
+A Subspace split from a coordinate projection records the ambient
+indices it keeps as the frozenset kept, None on every other subspace.
+There the projection renames each kept index and drops every other one,
+so a vector lies in the subspace exactly when its keys are kept, and
+contains is that lookup.
 """
 
 from __future__ import annotations
@@ -345,21 +351,6 @@ class LinMap:
         return LinMap._adopt(g.domain, self.codomain, {
             c: img for c, col in g.cols.items() if (img := call(col))})
 
-    def __add__(self, other: "LinMap") -> "LinMap":
-        if (self.domain.dim, self.codomain.dim) != (other.domain.dim, other.codomain.dim):
-            raise DimensionMismatch("sum of maps with different shapes")
-        out = self.entries
-        for k, v in other.entries.items():
-            add_term(out, k, v)
-        return LinMap(self.domain, self.codomain, out)
-
-    def __sub__(self, other: "LinMap") -> "LinMap":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LinMap":
-        return LinMap(self.domain, self.codomain,
-                      {k: c * v for k, v in self.entries.items()})
-
     def transpose(self) -> "LinMap":
         return LinMap._adopt(self.codomain, self.domain, _map_rows(self))
 
@@ -533,9 +524,12 @@ def solve(f: LinMap, y: dict):
 
 
 class Subspace:
-    """A subspace carried by an inclusion and a one-sided inverse projection."""
+    """A subspace carried by an inclusion and a one-sided inverse projection.
 
-    __slots__ = ("ambient", "inclusion", "projection")
+    kept is the frozenset of ambient indices a coordinate split keeps
+    (see split_idempotent), and None for every other subspace."""
+
+    __slots__ = ("ambient", "inclusion", "projection", "kept")
 
     def __init__(self, ambient: VectorSpace, inclusion: LinMap, projection: LinMap):
         if inclusion.codomain.dim != ambient.dim or projection.domain.dim != ambient.dim:
@@ -547,6 +541,7 @@ class Subspace:
         self.ambient = ambient
         self.inclusion = inclusion
         self.projection = projection
+        self.kept = None
 
     @classmethod
     def _adopt(cls, ambient: VectorSpace, inclusion: LinMap,
@@ -556,6 +551,7 @@ class Subspace:
         space.ambient = ambient
         space.inclusion = inclusion
         space.projection = projection
+        space.kept = None
         return space
 
     @property
@@ -581,6 +577,8 @@ class Subspace:
                 p: {j: 1} for j, p in enumerate(pivots)}))
 
     def contains(self, vec: dict) -> bool:
+        if self.kept is not None:
+            return self.kept.issuperset(vec)
         return self.inclusion(self.projection(vec)) == vec
 
     def coords(self, vec: dict) -> dict:
@@ -624,6 +622,13 @@ def split_idempotent(P: LinMap) -> Subspace:
     above.  Truncation projectors of Hopf algebras, where the coproduct
     of 1 is 1 tensor 1, and of groupoid algebras, where it is the sum of
     1_x tensor 1_x over the objects x, are of this shape.
+
+    Such a split records the kept indices, the columns of P, as the
+    frozenset kept.  Its projection sends a kept index c to v e_j and
+    drops every other index, and its inclusion sends e_j back to v e_c,
+    so inclusion(projection(vec)) == vec exactly when every key of vec is
+    kept: v v == 1, and a dropped key is missing from the left side.
+    contains reads kept alone.
     """
     if P.domain.dim != P.codomain.dim:
         raise DimensionMismatch("idempotent must be an endomorphism")
@@ -646,10 +651,12 @@ def _coordinate_split(P: LinMap):
         return None
     sub = VectorSpace(len(cols))
     # column j of the inclusion is {c: v}, the j-th column of P itself
-    return Subspace._adopt(
+    space = Subspace._adopt(
         P.domain, LinMap._adopt(sub, P.domain, dict(enumerate(cols.values()))),
         LinMap._adopt(P.domain, sub, {
             c: {j: col[c]} for j, (c, col) in enumerate(cols.items())}))
+    space.kept = frozenset(cols)
+    return space
 
 
 def _image_split(P: LinMap) -> Subspace:

@@ -4,11 +4,13 @@ The tensor product of two modules is truncated: the coproduct of 1 acts
 on the ordinary tensor product as an idempotent, and the truncated
 product is its image, carried here as an explicit Subspace with the
 diagonal action conjugated into carrier coordinates.  That action is
-built on its first read, one batched contraction per algebra basis
-element over all carrier columns; a carrier that is only compared with
-another, as the nested carriers of a triple are, never builds it.  The
-unit object is the target subalgebra with action h . z = eps_t(hz).  A
-certified R-matrix braids the truncated products.
+built by one batched contraction per algebra basis element over all
+carrier columns: whole on the first read of action, or, through
+action_of, for only the elements a reader names, as the roundtrip reads
+R^1's; a carrier that is only compared with another, as the nested
+carriers of a triple are, never builds it.  The unit object is the
+target subalgebra with action h . z = eps_t(hz).  A certified R-matrix
+braids the truncated products.
 
 Maps between truncated products take their carriers first and read the
 modules from the carrier legs: braiding_c(source, target, R) maps the
@@ -85,6 +87,11 @@ class HModule:
     @property
     def dim(self):
         return self.space.dim
+
+    def action_of(self, elements) -> dict:
+        """An action table holding at least the rows of the given algebra
+        basis elements; a plain module returns its whole table."""
+        return self.action
 
     def rho(self, i) -> LinMap:
         """The operator for the i-th algebra basis vector."""
@@ -241,12 +248,14 @@ class TruncatedTensor(HModule):
     The carrier is the image of the truncation projector inside the
     flattened tensor square; the module structure is the diagonal
     action conjugated by inclusion and projection.  The action table is
-    built on first read, since nested carriers are compared by their
+    built on demand, since nested carriers are compared by their
     inclusions alone: for each algebra basis element one contraction
     acts with its coproduct on every carrier column at once, the column
     index riding along as a pass-through leg, and one on_leg with the
     carrier projection on the two module legs takes the result to
-    carrier coordinates.
+    carrier coordinates.  The first read of action builds and keeps the
+    whole table; action_of(elements) before it builds only the rows of
+    those elements and keeps nothing.
     """
 
     def __init__(self, left: HModule, right: HModule):
@@ -267,16 +276,24 @@ class TruncatedTensor(HModule):
     @property
     def action(self) -> dict:
         if self._action is None:
-            self._action = self._conjugated_action()
+            self._action = self._conjugated_action(range(self.algebra.dim))
         return self._action
 
-    def _conjugated_action(self) -> dict:
-        """The table {(i, j): {r: c}}: e_i acting on carrier basis j."""
+    def action_of(self, elements) -> dict:
+        """The whole table once action has been read, else the rows of the
+        given elements alone, built now and not kept."""
+        if self._action is None:
+            return self._conjugated_action(elements)
+        return self._action
+
+    def _conjugated_action(self, elements) -> dict:
+        """The table {(i, j): {r: c}}: e_i acting on carrier basis j, for
+        each i in elements."""
         legs = (self.left.action, self.right.action, None)
         cols = self.inclusion_tensor()
         proj = self.projection_table()
         action = {}
-        for i in range(self.algebra.dim):
+        for i in elements:
             cop = self.algebra.comult.get(i)
             if cop:
                 for (r, j), c in on_leg(act(legs, cop, cols), slice(0, 2),

@@ -393,9 +393,11 @@ def _check_delta2_folds(H, report):
 def map_witness(lhs: LinMap, rhs: LinMap):
     if lhs == rhs:
         return None
-    key = min((lhs - rhs).entries)
-    l = lhs.entries.get(key)
-    r = rhs.entries.get(key)
+    left, right = lhs.entries, rhs.entries
+    key = min(k for k in left.keys() | right.keys()
+              if left.get(k, 0) != right.get(k, 0))
+    l = left.get(key)
+    r = right.get(key)
     return (key, {key: l} if l else {}, {key: r} if r else {})
 
 

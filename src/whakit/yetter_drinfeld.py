@@ -245,9 +245,12 @@ def _absorb_r(table: dict, read: dict, twist: dict, M: HModule, B):
     """Column j of m_(-1) twist(R^2) (x) R^1 . m_(0), the coaction leg of
     table[j] read through read, in one pass.  R^1 . m and twist(R^2)
     depend on m alone, so they are formed once per basis m."""
+    r = B.rmatrix.r
+    # only R^1's rows of the action are read
+    action = M.action_of(sorted({p for p, _ in r}))
     kernel = {m: _by_value(on_leg(on_leg(
-        {(q, p, m): w for (p, q), w in B.rmatrix.r.items()}, 0, twist),
-        slice(1, 3), M.action)) for m in range(M.dim)}
+        {(q, p, m): w for (p, q), w in r.items()}, 0, twist),
+        slice(1, 3), action)) for m in range(M.dim)}
     reads = {x: _by_value({(a,): c for a, c in col.items()})
              for x, col in read.items()}
     return lambda j: _products(M.algebra.mult, (
@@ -310,10 +313,16 @@ def _tensor_coaction(tt, first_dim: int, coact) -> LinMap:
     proj = tt.projection_table()
     incl = tt.inclusion_table()
 
+    # on a coordinate carrier the projection renames each kept pair to
+    # its own index and drops the rest, so raw stays on the carrier
+    # exactly when no term is dropped
+    kept = tt.carrier.kept is not None
+
     def column(j):
         raw = coact(incl[j])
         coords = on_leg(raw, slice(1, 3), proj)
-        if on_leg(coords, 1, incl) != raw:
+        if (len(coords) != len(raw) if kept
+                else on_leg(coords, 1, incl) != raw):
             raise CoactionEscapesCarrier(
                 f"tensor coaction of basis {j} missed the truncated square")
         return flatten(coords, (first_dim, tt.dim))

@@ -18,8 +18,8 @@ import sympy
 
 from whakit import linalg
 from whakit.linalg import (LinMap, NotIdempotent, Subspace, VectorSpace,
-                           _coordinate_split, _image_split, _rref, kernel,
-                           rank, solve, split_idempotent)
+                           _coordinate_split, _image_split, _rref, add_term,
+                           kernel, rank, solve, split_idempotent)
 from whakit.scalars import invert, omega
 
 SHAPES = [(3, 9), (9, 3), (7, 7), (1, 6), (6, 1), (12, 12)]
@@ -189,8 +189,14 @@ def oblique_idempotent(rng, n, cyclotomic):
     sub = Subspace.from_span(space, rand_rows(rng, rng.randint(1, n), n,
                                               cyclotomic))
     K = as_map(rand_rows(rng, sub.dim, n, cyclotomic), n)
-    complement = LinMap.identity(space) - sub.inclusion.compose(sub.projection)
-    return sub.inclusion.compose(sub.projection + K.compose(complement))
+    complement = LinMap.identity(space).entries
+    for k, v in sub.inclusion.compose(sub.projection).entries.items():
+        add_term(complement, k, -v)
+    left_inverse = sub.projection.entries
+    for k, v in K.compose(LinMap(space, space, complement)).entries.items():
+        add_term(left_inverse, k, v)
+    return sub.inclusion.compose(LinMap(sub.projection.domain,
+                                        sub.projection.codomain, left_inverse))
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -9,6 +9,7 @@ from whakit.linalg import (
     NotIdempotent,
     Subspace,
     VectorSpace,
+    _image_split,
     flatten,
     image,
     kernel,
@@ -232,3 +233,39 @@ def test_from_function_checks_and_orders_its_columns():
     with pytest.raises(DimensionMismatch,
                        match=r"^entry \(2,1\) out of bounds 2x3$"):
         LinMap.from_function(sp3, sp2, lambda c: {c + 1: 1})
+
+
+def rand_value(rng):
+    """A nonzero int, Fraction or Cyclo."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice([-2, -1, 1, 3])
+    v = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5]))
+    return v if kind == 1 else v * omega(5) + rng.randint(-1, 1)
+
+
+@pytest.mark.parametrize("one", [1, Fraction(1)], ids=["int", "fraction"])
+def test_contains_by_kept_indices_agrees_with_the_roundtrip(one):
+    """On a coordinate split, contains reads the kept indices; on seeded
+    vectors with keys inside and outside them it answers as
+    inclusion(projection(v)) == v, which the other splits still test."""
+    rng = random.Random(2113)
+    answers = set()
+    for n in (1, 4, 9, 16):
+        sp = VectorSpace(n)
+        kept = rng.sample(range(n), rng.randint(0, n))
+        sub = split_idempotent(LinMap(sp, sp, {(c, c): one for c in kept}))
+        assert sub.kept == frozenset(kept)
+        for _ in range(40):
+            pool = kept if kept and rng.random() < 0.5 else range(n)
+            keys = rng.sample(pool, rng.randint(0, len(pool)))
+            vec = {k: rand_value(rng) for k in keys}
+            roundtrip = sub.inclusion(sub.projection(vec)) == vec
+            assert sub.contains(vec) is roundtrip
+            answers.add(roundtrip)
+    assert answers == {True, False}
+    sp = VectorSpace(3)
+    P = LinMap(sp, sp, {(0, 0): 1, (0, 1): Fraction(1, 2), (2, 2): 1})
+    assert split_idempotent(P).kept is None
+    assert _image_split(P).kept is None
+    assert Subspace.from_span(sp, [{0: 1}, {2: 1}]).kept is None

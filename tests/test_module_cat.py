@@ -14,7 +14,7 @@ from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
 from whakit.linalg import (DimensionMismatch, LinMap, NotIdempotent,
                            VectorSpace, act, flatten, on_leg, permute,
                            split_idempotent, unflatten)
-from whakit.module_cat import (HModule, act_pair, braiding_c,
+from whakit.module_cat import (HModule, TruncatedTensor, act_pair, braiding_c,
                                braiding_c_inv, carrier_map, carrier_mismatch,
                                check_module, check_monoidal_coherence,
                                h_linear_mismatch, left_unitor, regular_module,
@@ -23,7 +23,8 @@ from whakit.module_cat import (HModule, act_pair, braiding_c,
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import transmute
 from whakit.weak_hopf import NotCertified, certify, first_unequal
-from whakit.yetter_drinfeld import (_braid_step, comodule_braiding,
+from whakit.yetter_drinfeld import (_braid_step, check_equivalence_roundtrip,
+                                    comodule_braiding,
                                     comodule_braiding_inv, induced_yd,
                                     regular_rh_comodule, trivial_comodule,
                                     yd_braiding)
@@ -619,7 +620,8 @@ def test_inverse_mismatch_forms_one_product_only_for_square_maps():
     assert module_cat._inverse_mismatch(i, p) == witness
     swap = LinMap(plane, plane, {(0, 1): 1, (1, 0): 1})
     assert module_cat._inverse_mismatch(swap, swap) is None
-    assert module_cat._inverse_mismatch(swap, swap.scale(2)) == (
+    doubled = LinMap(plane, plane, {(0, 1): 2, (1, 0): 2})
+    assert module_cat._inverse_mismatch(swap, doubled) == (
         (0, 0), {(0, 0): 2}, {(0, 0): 1})
 
 
@@ -781,3 +783,54 @@ def test_diagonal_column_that_cancels_keeps_its_place(monkeypatch):
     assert_same_columns(P, projector_by_act((V, V), d))
     assert list(P.cols) == [0, 1, 2, 3]
     assert type(P.cols[0][0]) is int
+
+
+def rows_of(table, elements):
+    """The rows of table whose algebra element is in elements, in table
+    order, with their row order and value types."""
+    return [(k, list(row.items()), [type(v) for v in row.values()])
+            for k, row in table.items() if k[0] in elements]
+
+
+@pytest.mark.parametrize("name", [*snap.ALGEBRAS, "rebased_groupoid"])
+def test_action_of_matches_the_whole_action(name):
+    H, _ = (snap.ALGEBRAS.get(name) or rebased_groupoid)()
+    assert certify(H).passed
+    M, U = regular_module(H), unit_object(H)
+    assert M.action_of([0]) is M.action
+    rng = random.Random(len(name))
+    mm = truncated_tensor(M, M)
+    # the nested carrier is built last: its projector reads the whole
+    # action of M (x) M
+    for build in (lambda: mm, lambda: truncated_tensor(M, U),
+                  lambda: truncated_tensor(U, mm)):
+        tt = build()
+        requests = [[i] for i in range(H.dim)] + [
+            sorted(H.unit), sorted(rng.sample(range(H.dim), H.dim // 2))]
+        parts = [(S, tt.action_of(S)) for S in requests]
+        assert tt._action is None    # no partial table is kept
+        whole = tt.action
+        for S, part in parts:
+            assert {k[0] for k in part} <= set(S)
+            assert rows_of(part, S) == rows_of(whole, S)
+        assert tt.action_of([0]) is whole
+
+
+def test_roundtrip_builds_only_the_rows_of_r1(monkeypatch):
+    """Under R = 1 (x) 1 on Z_4, R^1 is the unit alone, and the roundtrip
+    reads each pair carrier's action only at R^1: one row per carrier."""
+    H, R = group_algebra_zn(4)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+    r1 = {p for p, _ in R.r}
+    assert r1 == set(H.unit) and len(r1) == 1
+    built = []
+    conjugated = TruncatedTensor._conjugated_action
+
+    def counted(tt, *args):
+        table = conjugated(tt, *args)
+        built.append({i for i, _ in table})
+        return table
+    monkeypatch.setattr(TruncatedTensor, "_conjugated_action", counted)
+    assert check_equivalence_roundtrip(H, R, braided=B).passed
+    assert built == [r1] * 9

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
-from whakit.linalg import flatten, on_leg, split_idempotent
+from whakit.linalg import LinMap, flatten, on_leg, split_idempotent
 from whakit.module_cat import (HModule, check_module, check_monoidal_coherence,
                                regular_module, triple_projector,
                                truncated_tensor, unit_object)
@@ -64,9 +64,12 @@ def test_antipode_inverse_two_sided_witness():
 
 def test_counit_of_unit_witness():
     H, R, B = certified_z3()
-    doubled = BraidedHopfAlgebra(H, R, B.carrier, B.module, B.square,
-                                 B.unit_module, B.mult, B.comult, B.counit_bar,
-                                 B.antipode_bar, B.unit_bar.scale(2))
+    unit_bar = B.unit_bar
+    doubled = BraidedHopfAlgebra(
+        H, R, B.carrier, B.module, B.square, B.unit_module, B.mult, B.comult,
+        B.counit_bar, B.antipode_bar, LinMap(
+            unit_bar.domain, unit_bar.codomain,
+            {k: 2 * v for k, v in unit_bar.entries.items()}))
     failing_witness(check_braided_hopf(doubled), "counit_of_unit")
 
 

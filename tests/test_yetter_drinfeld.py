@@ -436,3 +436,22 @@ def test_tensor_coaction_leaving_the_truncated_square_raises():
     with pytest.raises(CoactionEscapesCarrier,
                        match="missed the truncated square"):
         yd_tensor(tt, shifted_coaction(M, 0, 4), induced_yd(M, R))
+
+
+def test_tensor_coaction_leaving_an_oblique_carrier_raises():
+    """The same escape on the rebased groupoid of
+    test_carrier_not_spanned_by_basis_vectors_passes_every_stage, whose
+    truncated square is no coordinate split: the re-embedding test runs.
+    The tensor with m -> e_0 (x) e_m stays on it, and the tensor with
+    m -> e_0 (x) e_(m XOR 1) leaves it."""
+    H, R = rebased(*groupoid_algebra(2, 1),
+                   [{0: 1, 1: 1}, {1: 1}, {2: 1}, {3: 1, 0: 1}])
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    M = regular_module(H)
+    tt = truncated_tensor(M, M)
+    assert tt.carrier.kept is None
+    assert (tt.dim, tt.carrier.ambient.dim) == (8, 16)
+    yd_tensor(tt, shifted_coaction(M, 0, 0), induced_yd(M, R))
+    with pytest.raises(CoactionEscapesCarrier,
+                       match="missed the truncated square"):
+        yd_tensor(tt, shifted_coaction(M, 0, 1), induced_yd(M, R))
