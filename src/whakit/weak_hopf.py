@@ -391,8 +391,14 @@ def _check_delta2_folds(H, report):
 
 
 def map_witness(lhs: LinMap, rhs: LinMap):
+    """None when the maps are equal, else the witness (key, lhs entry,
+    rhs entry) at the least key where their entries differ; a missing
+    entry is {}.  Maps of different shapes raise DimensionMismatch."""
     if lhs == rhs:
         return None
+    if ((lhs.domain.dim, lhs.codomain.dim)
+            != (rhs.domain.dim, rhs.codomain.dim)):
+        raise DimensionMismatch("witness of maps with different shapes")
     left, right = lhs.entries, rhs.entries
     key = min(k for k in left.keys() | right.keys()
               if left.get(k, 0) != right.get(k, 0))

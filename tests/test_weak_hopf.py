@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from whakit.examples import group_algebra_zn, sweedler
-from whakit.linalg import add_term
+from whakit.linalg import DimensionMismatch, LinMap, VectorSpace, add_term
 from whakit.module_cat import truncated_tensor
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import transmute
 from whakit.weak_hopf import (NotCertified, VerificationReport,
                               WeakHopfAlgebra, certify, check_weak_hopf,
                               first_mismatch, first_witness, is_hopf,
-                              is_regular, pair_mult, scalar_table_mismatch)
+                              is_regular, map_witness, pair_mult,
+                              scalar_table_mismatch)
 from whakit.yetter_drinfeld import (AntipodeNotInvertible,
                                     comodule_braiding_inv, regular_rh_comodule)
 
@@ -276,6 +277,22 @@ def test_first_mismatch_reports_the_least_key():
     assert scalar_table_mismatch({(0, 10): 1, (0, 2): 1},
                                  {(0, 10): 2, (0, 2): 2}) == (
         (0, 2), {0: 1}, {0: 2})
+
+
+def test_map_witness_names_the_least_differing_entry():
+    # (0, 1) is equal on both sides, (1, 0) is on the left alone, (2, 2)
+    # is on the right alone, and (1, 1) differs in value
+    sp, line = VectorSpace(3), VectorSpace(1)
+    lhs = LinMap(sp, sp, {(0, 1): Fraction(1, 2), (1, 0): 3, (1, 1): 1})
+    rhs = LinMap(sp, sp, {(0, 1): Fraction(1, 2), (2, 2): 1, (1, 1): 2})
+    assert map_witness(lhs, lhs) is None
+    assert map_witness(lhs, rhs) == ((1, 0), {(1, 0): 3}, {})
+    assert map_witness(rhs, lhs) == ((1, 0), {}, {(1, 0): 3})
+    assert map_witness(rhs, LinMap(sp, sp, {(0, 1): Fraction(1, 2),
+                                            (1, 1): 2})) == (
+        (2, 2), {(2, 2): 1}, {})
+    with pytest.raises(DimensionMismatch):
+        map_witness(LinMap(sp, line, {}), LinMap(line, sp, {}))
 
 
 def test_first_witness_stops_at_the_first_witness():
