@@ -24,10 +24,9 @@ from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import transmute
 from whakit.weak_hopf import NotCertified, certify, first_unequal
 from whakit.yetter_drinfeld import (_braid_step, check_equivalence_roundtrip,
-                                    comodule_braiding,
-                                    comodule_braiding_inv, induced_yd,
-                                    regular_rh_comodule, trivial_comodule,
-                                    yd_braiding)
+                                    comodule_braiding, comodule_braiding_inv,
+                                    induced_yd, regular_rh_comodule,
+                                    trivial_comodule, yd_braiding)
 
 
 @pytest.fixture(scope="module")
