@@ -10,12 +10,16 @@ check_monoidal_coherence -> check_equivalence_roundtrip), the whole
 pipeline, the split of one truncation carrier, the triple truncation
 projector (on Z_12 and on the groupoid 3 x 4), or the split of an
 idempotent that is not a coordinate projection, on freshly built
-objects.  The stages before the timed one run in the untimed setup of
-every round.  With --benchmark-disable each row runs once, as a smoke
-test.  bench/ is outside the tier-1 testpaths.
+objects.  One coherence row runs in a basis whose truncation carriers
+are oblique, built with the change of basis of tests/.  The stages
+before the timed one run in the untimed setup of every round.  With
+--benchmark-disable each row runs once, as a smoke test.  bench/ is
+outside the tier-1 testpaths.
 """
 
 import random
+import sys
+from pathlib import Path
 
 from whakit import examples
 from whakit.linalg import (LinMap, VectorSpace, _coordinate_split,
@@ -26,6 +30,10 @@ from whakit.quasitriangular import certify_quasitriangular
 from whakit.transmutation import certify_braided_hopf, transmute
 from whakit.weak_hopf import certify
 from whakit.yetter_drinfeld import check_equivalence_roundtrip
+
+# the tests' change of basis, for the row on an oblique carrier
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_yetter_drinfeld import rebased  # noqa: E402
 
 
 def certified(build):
@@ -92,6 +100,18 @@ def test_monoidal_coherence_groupoid_3x4(benchmark):
     # the weak family: the pair groupoid on three objects times Z_4
     def setup():
         H, R, _ = certified(lambda: examples.groupoid_algebra(3, 4))
+        return (H, R), {}
+    run_row(benchmark, setup, coherence, rounds=3)
+
+
+def test_monoidal_coherence_rebased_groupoid_2x1(benchmark):
+    # groupoid_algebra(2, 1) in the basis f0 = e0 + e1, f1 = e1, f2 = e2,
+    # f3 = e3 + e0: Delta(1) is no 0/1 diagonal there, so the truncated
+    # tensors' carriers are split by elimination
+    def setup():
+        H, R, _ = certified(lambda: rebased(
+            *examples.groupoid_algebra(2, 1),
+            [{0: 1, 1: 1}, {1: 1}, {2: 1}, {3: 1, 0: 1}]))
         return (H, R), {}
     run_row(benchmark, setup, coherence, rounds=3)
 

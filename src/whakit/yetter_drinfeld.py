@@ -11,14 +11,19 @@ check_equivalence_roundtrip verifies table by table, together with
 monoidality.  A function that reads one side raises ValueError when
 given a comodule over the other.
 
-Both functors and yd_tensor run one kernel, _products, on terms grouped
-by distinct value and type (int 1 and Fraction(1) are equal but multiply
-to different types).  For the functors one group is twist(R^2) (x)
-R^1 . m, formed once per module basis m.  R holds few distinct values (3
-of 9 terms on anyonic Z_3), so each coefficient meets each value once.
-The kernel then sums the product-table entries at each output key per
-distinct product, and multiplies and adds each product once per key:
-the same few products recur many times at a key.
+Both functors and yd_tensor run one kernel, made by _products once per
+translation or tensor.  Its by_value groups a table's terms by distinct
+value and type (int 1 and Fraction(1) are equal but multiply to
+different types) and numbers each value in one table for all of the
+call's tables, so that a product v x y is formed once per distinct
+triple of numbers however many columns meet it.  For the functors one
+group is twist(R^2) (x) R^1 . m, formed once per module basis m; R holds
+few distinct values (3 of 9 terms on anyonic Z_3).  The kernel then sums
+the product-table entries at each output key per distinct product, and
+adds each product once per key: an int product in ints, any other as its
+int numerators over the kernel's common denominator, phi(n) of them over
+Q(w_n) and one over Q.  Most keys of a translated tensor cancel to zero,
+and only the others are canonicalized, once each.
 
 yd_braiding and comodule_braiding realize the braidings of the two
 categories.  Like the module braiding, each takes the coacting object
@@ -29,14 +34,17 @@ left leg of source (of target, for the inverse).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm
 
 from .linalg import (_ONE, LinMap, VectorSpace, act, flatten, on_leg,
                      permute, unflatten)
 from .module_cat import (HModule, _inverse_mismatch, carrier_map,
                          hexagon_mismatches, regular_module, swapped_legs,
                          truncation_projector, truncated_tensor, unit_object)
+from .scalars import Cyclo, FieldMismatch, _canon
 from .transmutation import BraidedHopfAlgebra
 from .weak_hopf import (VerificationReport, entries_witness, first_unequal,
                         first_witness, map_witness)
@@ -188,57 +196,123 @@ def check_rh_comodule(N: Comodule) -> VerificationReport:
     return report
 
 
-def _by_value(t: dict) -> list:
-    """The terms of t as [(v, [(k[0], k[1:]), ...]), ...], one entry per
-    distinct value v of a distinct type."""
-    groups = {}
-    for k, v in t.items():
-        groups.setdefault((type(v), v), (v, []))[1].append((k[0], k[1:]))
-    return list(groups.values())
+def _products(mult: dict):
+    """The kernel of yd_tensor, functor_G and functor_F over the product
+    table mult, one per translation or tensor: (by_value, products).
 
+    by_value(t) lists the terms of t as [(id, v, [(k[0], k[1:]), ...]),
+    ...], one per distinct value v of a distinct type, numbered in a table
+    that all the kernel's tables share.  products(terms) sums, over terms
+    (v, left, right) with left and right by_value lists, v x y e at (h,)
+    + rest + rest' for every (x, [(a, rest), ...]) in left, (y, [(s,
+    rest'), ...]) in right and entry e at h of the row mult[(a, s)], and
+    leaves out a key whose sum is zero.  Keys come in the order of their
+    first term, and a sum is an int when all its terms are.
+    """
+    # the int 1, the usual coefficient, is numbered up front
+    ids = {(int, 1): 0}
+    # (v, x, y) ids -> index of the product, the products by (type, value)
+    triples, index, prods = {}, {}, []
+    # per product: None for an int, else width numerators over den
+    nums = []
+    den, order, width = 1, None, 1
 
-def _products(mult: dict, terms) -> dict:
-    """The sum over terms (v, left, right), two _by_value lists, of v x y e
-    at (h,) + rest + rest' for every (x, [(a, rest), ...]) in left, (y,
-    [(s, rest'), ...]) in right and entry e at h of the row mult[(a, s)].
+    def by_value(t: dict) -> list:
+        groups = {}
+        for k, v in t.items():
+            key = (type(v), v)
+            g = groups.get(key)
+            if g is None:
+                g = groups[key] = (ids.setdefault(key, len(ids)), v, [])
+            g[2].append((k[0], k[1:]))
+        return [*groups.values()]
 
-    Each distinct product v x y is numbered once per (x, y), and the
-    entries e are summed per key and product number, so that each
-    product is multiplied by its sum and added once per key; a key whose
-    sum is zero is left out."""
-    ids = {}
-    acc = {}
-    get = acc.get
-    for v, left, right in terms:
-        for x, xs in left:
-            vx = v if x is _ONE else x if v is _ONE else v * x
-            for y, ys in right:
-                p = vx if y is _ONE else y if vx is _ONE else vx * y
-                # keyed by (type, value), the sums would hash a Fraction
-                # or Cyclo at every entry below
-                pid = ids.setdefault((type(p), p), len(ids))
-                for a, lt in xs:
-                    for s, rt in ys:
-                        for h, e in (mult.get((a, s)) or {}).items():
-                            key = (h,) + lt + rt
-                            sums = get(key)
-                            if sums is None:
-                                acc[key] = {pid: e}
-                            else:
-                                cur = sums.get(pid)
-                                sums[pid] = e if cur is None else cur + e
-    prods = [p for _, p in ids]
-    out = {}
-    for key, sums in acc.items():
-        total = None
-        for pid, e in sums.items():
-            if e:
-                p = prods[pid]
-                w = p if e is _ONE else p * e
-                total = w if total is None else total + w
-        if total:
-            out[key] = total
-    return out
+    def numerators(p) -> list:
+        # a Cyclo's residue or a rational's one numerator, zero-padded
+        num, d = ((p.num, p.den) if type(p) is Cyclo
+                  else ((p.numerator,), p.denominator))
+        return [c * (den // d) for c in num] + [0] * (width - len(num))
+
+    def number(p) -> int:
+        # the index of p; the first Cyclo, or a new denominator, forms
+        # the numerators of the earlier products again
+        nonlocal den, order, width
+        i = index.setdefault((type(p), p), len(prods))
+        if i < len(prods):
+            return i
+        if type(p) is int:
+            nums.append(None)
+        else:
+            d = p.den if type(p) is Cyclo else p.denominator
+            grown = den % d
+            if type(p) is Cyclo and p.order != order:
+                if order is not None:
+                    raise FieldMismatch(
+                        f"cyclotomic orders differ: {order} vs {p.order}")
+                order, width, grown = p.order, len(p.num), True
+            if grown:
+                den = lcm(den, d)
+                nums[:] = [None if n is None else numerators(q)
+                           for q, n in zip(prods, nums)]
+            nums.append(numerators(p))
+        prods.append(p)
+        return i
+
+    def products(terms) -> dict:
+        # the entries e are summed per key and product, and each product
+        # then enters a key once: an int product in ints, with an int sum
+        # e, any other as its numerators times e, canonicalized once per
+        # key; a product with a sum e that is no int (a rebased table's)
+        # is added as a scalar
+        acc = {}
+        get = acc.get
+        for v, left, right in terms:
+            vid = 0 if v is _ONE else ids.setdefault((type(v), v), len(ids))
+            for xid, x, xs in left:
+                for yid, y, ys in right:
+                    pid = triples.get((vid, xid, yid))
+                    if pid is None:
+                        p = v if x is _ONE else x if v is _ONE else v * x
+                        p = p if y is _ONE else y if p is _ONE else p * y
+                        pid = triples[vid, xid, yid] = number(p)
+                    for a, lt in xs:
+                        for s, rt in ys:
+                            for h, e in (mult.get((a, s)) or {}).items():
+                                key = (h,) + lt + rt
+                                sums = get(key)
+                                if sums is None:
+                                    acc[key] = {pid: e}
+                                else:
+                                    cur = sums.get(pid)
+                                    sums[pid] = e if cur is None else cur + e
+        out = {}
+        for key, sums in acc.items():
+            total = 0
+            vec = rest = None
+            for pid, e in sums.items():
+                num = nums[pid]
+                if num is None and type(e) is int:
+                    total += prods[pid] * e
+                elif not e:
+                    continue
+                elif type(e) is not int:
+                    w = prods[pid] * e
+                    rest = w if rest is None else rest + w
+                elif vec is None:
+                    vec = [c * e for c in num]
+                else:
+                    vec = [a + c * e for a, c in zip(vec, num)]
+            if vec is not None:
+                # a Fraction or a Cyclo entered
+                vec[0] += total * den
+                total = (0 if not any(vec) else Fraction(vec[0], den)
+                         if order is None else _canon(order, vec, den))
+            if rest is not None:
+                total += rest
+            if total:
+                out[key] = total
+        return out
+    return by_value, products
 
 
 def _absorb_r(table: dict, read: dict, twist: dict, M: HModule, B):
@@ -246,15 +320,16 @@ def _absorb_r(table: dict, read: dict, twist: dict, M: HModule, B):
     table[j] read through read, in one pass.  R^1 . m and twist(R^2)
     depend on m alone, so they are formed once per basis m."""
     r = B.rmatrix.r
+    by_value, products = _products(M.algebra.mult)
     # only R^1's rows of the action are read
     action = M.action_of(sorted({p for p, _ in r}))
-    kernel = {m: _by_value(on_leg(on_leg(
+    kernel = {m: by_value(on_leg(on_leg(
         {(q, p, m): w for (p, q), w in r.items()}, 0, twist),
         slice(1, 3), action)) for m in range(M.dim)}
-    reads = {x: _by_value({(a,): c for a, c in col.items()})
+    reads = {x: by_value({(a,): c for a, c in col.items()})
              for x, col in read.items()}
-    return lambda j: _products(M.algebra.mult, (
-        (v, reads[x], kernel[m]) for (x, m), v in table[j].items()))
+    return lambda j: products(
+        (v, reads[x], kernel[m]) for (x, m), v in table[j].items())
 
 
 def functor_G(Y: Comodule, B: BraidedHopfAlgebra) -> Comodule:
@@ -346,10 +421,11 @@ def yd_tensor(tt, Y1: Comodule, Y2: Comodule) -> Comodule:
     """The compatible coaction on tt, the truncated tensor of the modules
     of Y1 and Y2: m_(-1) n_(-1) (x) m_(0) (x) n_(0), in one pass."""
     H = _tensor_legs(tt, Y1, Y2, False)
-    t1 = {m: _by_value(c) for m, c in Y1.table().items()}
-    t2 = {n: _by_value(c) for n, c in Y2.table().items()}
-    return Comodule(H, tt, _tensor_coaction(tt, H.dim, lambda pd: (
-        _products(H.mult, ((c, t1[m], t2[n]) for (m, n), c in pd.items())))))
+    by_value, products = _products(H.mult)
+    t1 = {m: by_value(c) for m, c in Y1.table().items()}
+    t2 = {n: by_value(c) for n, c in Y2.table().items()}
+    return Comodule(H, tt, _tensor_coaction(tt, H.dim, lambda pd: products(
+        (c, t1[m], t2[n]) for (m, n), c in pd.items())))
 
 
 def comodule_tensor(tt, M: Comodule, N: Comodule) -> Comodule:

@@ -10,9 +10,10 @@ from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
 from whakit.module_cat import (check_monoidal_coherence, regular_module,
                                unit_object)
-from whakit.quasitriangular import certify_quasitriangular, is_triangular
+from whakit.quasitriangular import (RMatrix, certify_quasitriangular,
+                                    is_triangular)
 from whakit.transmutation import certify_braided_hopf, transmute
-from whakit.weak_hopf import certify, is_hopf
+from whakit.weak_hopf import WeakHopfAlgebra, certify, is_hopf
 from whakit.yetter_drinfeld import check_equivalence_roundtrip
 
 
@@ -108,3 +109,63 @@ def test_every_stage_agrees_in_a_sparse_basis(name, monkeypatch):
                         lambda P: splits.append(P) or image_split(P))
     assert stage_flags(H, R) == expected
     assert bool(splits) == name.startswith("groupoid")
+
+
+def first_rejection(H, R):
+    """(stage, check name, witness) of the first failing check of the six
+    stages, which stop at the first failing report; None if all pass."""
+    B = None
+    stages = (lambda: certify(H), lambda: certify_quasitriangular(H, R),
+              lambda: certify_braided_hopf(B),
+              lambda: check_monoidal_coherence(
+                  H, R, [regular_module(H), unit_object(H)],
+                  random.Random(0)),
+              lambda: check_equivalence_roundtrip(H, R, braided=B))
+    for stage, run in enumerate(stages):
+        if stage == 2:
+            B = transmute(H, R)
+        failure = run().first_failure()
+        if failure is not None:
+            return stage, failure.name, failure.witness
+    return None
+
+
+def doubled(H, R, kind, rng):
+    """H and R with one entry of the flat mult, comult or R table doubled,
+    the key drawn as certbench's mutate draws it: rng.choice over the
+    sorted keys of that table."""
+    tables = {
+        "mult": {(i, j, k): c for (i, j), row in H.mult.items()
+                 for k, c in row.items()},
+        "comult": {(i, j, k): c for i, row in H.comult.items()
+                   for (j, k), c in row.items()},
+        "r": dict(R.r),
+    }
+    table = tables[kind]
+    key = rng.choice(sorted(table))
+    table[key] = 2 * table[key]
+
+    def flat(m):
+        return {(i, j): c for i, col in m.columns().items()
+                for j, c in col.items()}
+    H2 = WeakHopfAlgebra(
+        name=f"{H.name}~{kind}{key}", field=H.field, labels=H.labels,
+        mult=tables["mult"], unit=H.unit, comult=tables["comult"],
+        counit=H.counit, antipode=flat(H.antipode_map),
+        antipode_inverse=flat(H.antipode_inverse_map))
+    return H2, RMatrix(H2, tables["r"], R.r_bar)
+
+
+@pytest.mark.parametrize("kind", ["mult", "comult", "r"])
+@pytest.mark.parametrize("name", sorted(ALL_EXAMPLES))
+def test_doubled_entry_is_rejected_in_a_sparse_basis(name, kind):
+    """A doubled entry of the canonical tables, rebased as in
+    test_every_stage_agrees_in_a_sparse_basis, fails the same first
+    check of the same stage with a witness: the axioms do not depend on
+    the basis."""
+    H, R = doubled(*ALL_EXAMPLES[name](), kind, random.Random(f"{name} {kind}"))
+    expected = first_rejection(H, R)
+    assert expected is not None and expected[2] is not None
+    H, R = rebased(H, R, sparse_basis(random.Random(name), H.dim))
+    stage, check, witness = first_rejection(H, R)
+    assert (stage, check) == expected[:2] and witness is not None

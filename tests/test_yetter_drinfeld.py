@@ -13,7 +13,7 @@ from whakit.linalg import (LinMap, VectorSpace, flatten, on_leg, permute,
 from whakit.module_cat import (HModule, check_monoidal_coherence,
                                regular_module, truncated_tensor, unit_object)
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
-from whakit.scalars import omega
+from whakit.scalars import Cyclo, invert, omega
 from whakit.transmutation import certify_braided_hopf, transmute
 from whakit.weak_hopf import WeakHopfAlgebra, certify
 from whakit import yetter_drinfeld
@@ -308,50 +308,116 @@ def test_translations_match_on_random_mixed_coactions(name, order):
                      reference_yd_tensor(tt, Y1, Y2))
 
 
-def signed_table(rng, keys):
-    """Random signed int and Fraction values on some of keys."""
-    values = [1, -1, 2, -2, Fraction(1), Fraction(-1), Fraction(1, 2),
-              Fraction(-3, 2)]
-    return {k: rng.choice(values) for k in keys if rng.random() < 0.6}
+def signed_table(rng, keys, values, density):
+    """Random values on about density of keys."""
+    return {k: rng.choice(values) for k in keys if rng.random() < density}
 
 
-@pytest.mark.parametrize("name", sorted(EXAMPLES))
-def test_products_match_on_leg_on_signed_coactions(name):
+SIGNED = [1, -1, 2, -2, Fraction(1), Fraction(-1), Fraction(1, 2),
+          Fraction(-3, 2)]
+
+
+def halved_z3():
+    """Z_3 in the basis e0 + e1, e0 - e1, e2: a product table with
+    entries such as 1/2, which are not ints."""
+    return rebased(*group_algebra_zn(3), [{0: 1, 1: 1}, {0: 1, 1: -1},
+                                          {2: 1}])
+
+
+PRODUCT_TABLES = [*sorted(EXAMPLES), "z3_halved"]
+
+
+def same_sign(terms):
+    """Whether every term is a positive rational multiple of the first,
+    so that no partial sum of them cancels."""
+    ratios = [t * invert(terms[0]) for t in terms]
+    return all(type(r) is not Cyclo and r > 0 for r in ratios)
+
+
+def grouped_legs(t):
+    """The entries of t as lists of (first leg, other legs), one list per
+    distinct value of a distinct type, in order of first appearance."""
+    groups = {}
+    for (a, *rest), v in t.items():
+        groups.setdefault((type(v), v), []).append((a, tuple(rest)))
+    return groups.values()
+
+
+def products_against_on_leg(name, values, seed, density):
     """_products on yd_tensor's input against the on_leg chain it replaces,
-    on random coaction tables with signed values: equal values, no key
-    whose terms sum to zero, and equal scalar types at every key whose
-    terms share one sign.  Where terms of both signs meet, a partial sum
-    may cancel, and the type of what follows depends on summation order."""
-    H, _ = EXAMPLES[name]()
+    on random coaction tables with the given values, over the product
+    table of EXAMPLES[name] or halved_z3: equal values, keys in the order
+    of their first term, the terms taken by coefficient, then by distinct
+    value of each leg, and no key whose terms sum to zero.  At every key
+    whose terms share one sign, that is are positive rational multiples
+    of one another, the scalar types are equal too: where terms of both
+    signs meet, a partial sum may cancel, and the type of what follows
+    depends on summation order.  Returns the number of cancelled keys
+    and the types met at one-sign keys."""
+    H, _ = halved_z3() if name == "z3_halved" else EXAMPLES[name]()
     n = 3
     legs = list(product(range(H.dim), range(n)))
-    rng = random.Random(f"signed {name}")
-    seen = {"cancelled": 0, "one_sign": set()}
+    rng = random.Random(seed)
+    cancelled, types = 0, set()
     for _ in range(20):
-        t1, t2 = ({m: signed_table(rng, legs) for m in range(n)}
+        t1, t2 = ({m: signed_table(rng, legs, values, density) for m in range(n)}
                   for _ in range(2))
-        pd = signed_table(rng, product(range(n), repeat=2))
-        by1, by2 = ({m: yetter_drinfeld._by_value(c) for m, c in t.items()}
+        pd = signed_table(rng, product(range(n), repeat=2), values,
+                          density)
+        by_value, products = yetter_drinfeld._products(H.mult)
+        by1, by2 = ({m: by_value(c) for m, c in t.items()}
                     for t in (t1, t2))
-        got = yetter_drinfeld._products(H.mult, (
-            (c, by1[m], by2[k]) for (m, k), c in pd.items()))
+        got = products((c, by1[m], by2[k]) for (m, k), c in pd.items())
         reference = on_leg(permute(on_leg(on_leg(pd, 0, t1), 2, t2),
                                    (0, 2, 1, 3)), slice(0, 2), H.mult)
         assert got == reference
         terms = {}
         for (m, k), c in pd.items():
-            for (a, m2), x in t1[m].items():
-                for (s, k2), y in t2[k].items():
-                    for h, e in H.mult.get((a, s), {}).items():
-                        terms.setdefault((h, m2, k2), []).append(c * x * y * e)
-        assert set(got) == {key for key, ts in terms.items() if sum(ts)}
-        seen["cancelled"] += sum(not sum(ts) for ts in terms.values())
+            for xs in grouped_legs(t1[m]):
+                for ys in grouped_legs(t2[k]):
+                    for a, lt in xs:
+                        for s, rt in ys:
+                            for h, e in H.mult.get((a, s), {}).items():
+                                terms.setdefault((h,) + lt + rt, []).append(
+                                    c * t1[m][(a, *lt)] * t2[k][(s, *rt)]
+                                    * e)
+        assert list(got) == [key for key, ts in terms.items() if sum(ts)]
+        cancelled += sum(not sum(ts) for ts in terms.values())
         for key, ts in terms.items():
-            if all(t > 0 for t in ts) or all(t < 0 for t in ts):
+            if same_sign(ts):
                 assert type(got[key]) is type(reference[key])
-                seen["one_sign"].add(type(got[key]))
-    # the comparison met both kinds of key and both scalar types
-    assert seen["cancelled"] and seen["one_sign"] == {int, Fraction}
+                types.add(type(got[key]))
+    return cancelled, types
+
+
+@pytest.mark.parametrize("name", PRODUCT_TABLES)
+def test_products_match_on_leg_on_signed_coactions(name):
+    """products_against_on_leg with signed int and Fraction values.  The
+    halved table's entries are not ints, most of them halves, and keys
+    whose terms are all ints are rare there."""
+    if name == "z3_halved":
+        assert any(type(e) is Fraction for row in halved_z3()[0].mult.values()
+                   for e in row.values())
+    cancelled, types = products_against_on_leg(name, SIGNED,
+                                               f"signed {name}", 0.6)
+    assert cancelled and types >= (
+        {Fraction} if name == "z3_halved" else {int, Fraction})
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("name", PRODUCT_TABLES)
+def test_products_match_on_leg_on_cyclotomic_coactions(name, order):
+    """products_against_on_leg with signed values that also hold elements
+    of Q(w_order) that are not rational, so that one call sums int,
+    Fraction and Cyclo products.  Sparser tables than in the signed test
+    give keys of few terms, so that keys whose terms are all ints occur,
+    but for the halved table."""
+    w = omega(order)
+    cancelled, types = products_against_on_leg(
+        name, SIGNED + [w, -w, Fraction(1, 3) * w, -1 - w],
+        f"cyclotomic {name} {order}", 0.4)
+    assert cancelled and types >= (
+        {Fraction, Cyclo} if name == "z3_halved" else {int, Fraction, Cyclo})
 
 
 def shifted_coaction(M, first, shift):
