@@ -196,6 +196,14 @@ def check_rh_comodule(N: Comodule) -> VerificationReport:
     return report
 
 
+def _numerators(p, den: int, width: int) -> list:
+    """p over den as width ints: a Cyclo's residue or a rational's one
+    numerator, zero-padded."""
+    num, d = ((p.num, p.den) if type(p) is Cyclo
+              else ((p.numerator,), p.denominator))
+    return [c * (den // d) for c in num] + [0] * (width - len(num))
+
+
 def _products(mult: dict):
     """The kernel of yd_tensor, functor_G and functor_F over the product
     table mult, one per translation or tensor: (by_value, products).
@@ -209,7 +217,7 @@ def _products(mult: dict):
     leaves out a key whose sum is zero.  Keys come in the order of their
     first term, and a sum is an int when all its terms are.
     """
-    # the int 1, the usual coefficient, is numbered up front
+    # the int 1, the usual value, has id 0, read without a lookup
     ids = {(int, 1): 0}
     # (v, x, y) ids -> index of the product, the products by (type, value)
     triples, index, prods = {}, {}, []
@@ -223,15 +231,10 @@ def _products(mult: dict):
             key = (type(v), v)
             g = groups.get(key)
             if g is None:
-                g = groups[key] = (ids.setdefault(key, len(ids)), v, [])
+                g = groups[key] = (0 if v is _ONE else
+                                   ids.setdefault(key, len(ids)), v, [])
             g[2].append((k[0], k[1:]))
         return [*groups.values()]
-
-    def numerators(p) -> list:
-        # a Cyclo's residue or a rational's one numerator, zero-padded
-        num, d = ((p.num, p.den) if type(p) is Cyclo
-                  else ((p.numerator,), p.denominator))
-        return [c * (den // d) for c in num] + [0] * (width - len(num))
 
     def number(p) -> int:
         # the index of p; the first Cyclo, or a new denominator, forms
@@ -252,9 +255,9 @@ def _products(mult: dict):
                 order, width, grown = p.order, len(p.num), True
             if grown:
                 den = lcm(den, d)
-                nums[:] = [None if n is None else numerators(q)
+                nums[:] = [None if n is None else _numerators(q, den, width)
                            for q, n in zip(prods, nums)]
-            nums.append(numerators(p))
+            nums.append(_numerators(p, den, width))
         prods.append(p)
         return i
 

@@ -13,7 +13,7 @@ from whakit.linalg import (LinMap, VectorSpace, flatten, on_leg, permute,
 from whakit.module_cat import (HModule, check_monoidal_coherence,
                                regular_module, truncated_tensor, unit_object)
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
-from whakit.scalars import Cyclo, invert, omega
+from whakit.scalars import Cyclo, FieldMismatch, invert, omega
 from whakit.transmutation import certify_braided_hopf, transmute
 from whakit.weak_hopf import WeakHopfAlgebra, certify
 from whakit import yetter_drinfeld
@@ -418,6 +418,15 @@ def test_products_match_on_leg_on_cyclotomic_coactions(name, order):
         f"cyclotomic {name} {order}", 0.4)
     assert cancelled and types >= (
         {Fraction, Cyclo} if name == "z3_halved" else {int, Fraction, Cyclo})
+
+
+def test_products_reject_values_of_two_cyclotomic_fields():
+    """Numerators of Q(w_3) and Q(w_5) cannot be summed side by side."""
+    H, _ = EXAMPLES["z3"]()
+    by_value, products = yetter_drinfeld._products(H.mult)
+    one = by_value({(0,): 1})
+    with pytest.raises(FieldMismatch, match="orders differ: 3 vs 5"):
+        products([(omega(3), one, one), (omega(5), one, one)])
 
 
 def shifted_coaction(M, first, shift):
