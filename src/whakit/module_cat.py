@@ -8,9 +8,11 @@ built by one batched contraction per algebra basis element over all
 carrier columns: whole on the first read of action, or, through
 action_of, for only the elements a reader names, as the roundtrip reads
 R^1's; a carrier that is only compared with another, as the nested
-carriers of a triple are, never builds it.  The unit object is the
-target subalgebra with action h . z = eps_t(hz).  A certified R-matrix
-braids the truncated products.
+carriers of a triple are, never builds it.  The build also records the
+elements whose image of some column leaves the carrier, which is all the
+invariance check needs.  The unit object is the target subalgebra with
+action h . z = eps_t(hz).  A certified R-matrix braids the truncated
+products.
 
 Maps between truncated products take their carriers first and read the
 modules from the carrier legs: braiding_c(source, target, R) maps the
@@ -41,12 +43,15 @@ H-linear, compatible with the unitors, and obeys both hexagons.  The
 carriers of each module with the unit object and of each pair of
 modules, the unitors and the braidings on them are built once, and each
 check is one first_witness search over them that reports the first
-failing case only.  The unit carriers, unitors and braidings are freed
-before any triple carrier is built, and nested_carriers_coincide splits
-one triple carrier at a time.  On a certified R each hexagon's two
-elements of H tensor H tensor H are equal, and it passes without acting
-on a carrier; only when they differ does it search the triples, both
-hexagons sharing one hexagon_mismatches call per triple.
+failing case only.  truncated_action_well_defined acts on a pair
+carrier again only at the elements its action build found escaping.
+The unit carriers, unitors and braidings are freed before any triple
+carrier is built, and nested_carriers_coincide splits one triple carrier
+at a time and embeds each nesting's columns into it by flat index,
+through the inner carrier's inclusion columns.  On a certified R each
+hexagon's two elements of H tensor H tensor H are equal, and it passes
+without acting on a carrier; only when they differ does it search the
+triples, both hexagons sharing one hexagon_mismatches call per triple.
 """
 
 from __future__ import annotations
@@ -254,8 +259,9 @@ class TruncatedTensor(HModule):
     index riding along as a pass-through leg, and one on_leg with the
     carrier projection on the two module legs takes the result to
     carrier coordinates.  The first read of action builds and keeps the
-    whole table; action_of(elements) before it builds only the rows of
-    those elements and keeps nothing.
+    whole table, and escaped lists the elements whose raw image left the
+    carrier on the way; action_of(elements) before it builds only the
+    rows of those elements and keeps nothing.
     """
 
     def __init__(self, left: HModule, right: HModule):
@@ -270,6 +276,7 @@ class TruncatedTensor(HModule):
         self.carrier = carrier
         self.space = VectorSpace(carrier.dim)
         self._action = None
+        self._escaped = None
         self._rho = None
         self._projection_table = None
 
@@ -286,18 +293,35 @@ class TruncatedTensor(HModule):
             return self._conjugated_action(elements)
         return self._action
 
+    @property
+    def escaped(self) -> list:
+        """The algebra basis elements, in order, whose diagonal action takes
+        some carrier column off the carrier, found while building action."""
+        self.action    # built once, with _escaped
+        return self._escaped
+
     def _conjugated_action(self, elements) -> dict:
         """The table {(i, j): {r: c}}: e_i acting on carrier basis j, for
-        each i in elements."""
+        each i in elements; _escaped lists the i whose raw image leaves
+        the carrier.  On a coordinate carrier the projection renames each
+        kept pair and drops the rest, so the image stays exactly when no
+        term is dropped; on any other carrier it stays exactly when
+        re-embedding its coordinates gives it back."""
         legs = (self.left.action, self.right.action, None)
         cols = self.inclusion_tensor()
         proj = self.projection_table()
-        action = {}
+        kept = self.carrier.kept is not None
+        incl = None if kept else self.inclusion_table()
+        action, self._escaped = {}, []
         for i in elements:
             cop = self.algebra.comult.get(i)
             if cop:
-                for (r, j), c in on_leg(act(legs, cop, cols), slice(0, 2),
-                                        proj).items():
+                raw = act(legs, cop, cols)
+                coords = on_leg(raw, slice(0, 2), proj)
+                if (len(coords) != len(raw) if kept
+                        else on_leg(coords, 0, incl) != raw):
+                    self._escaped.append(i)
+                for (r, j), c in coords.items():
                     action.setdefault((i, j), {})[r] = c
         return action
 
@@ -541,21 +565,25 @@ def _inverse_mismatch(f: LinMap, g: LinMap):
 def _action_mismatch(tt: TruncatedTensor):
     """None when the diagonal action leaves the carrier of tt invariant:
     for each algebra basis h, the conjugated action composed with
-    inclusion matches the ambient action; else the first h's witness."""
-    H = tt.algebra
+    inclusion matches the ambient action; else the first h's witness.
+
+    inclusion after projection fixes exactly the vectors of the carrier,
+    so the two sides differ exactly at the elements tt.escaped names,
+    found while building the action; only those are composed and acted
+    on again, in order."""
     legs = (tt.left.action, tt.right.action, None)
-    cols = tt.inclusion_tensor()
     n = tt.right.dim
 
     def ambient(h):
         # the diagonal action on every embedded carrier column at once
         out = {}
-        for (a, b, j), c in act(legs, H.comult.get(h, {}), cols).items():
+        for (a, b, j), c in act(legs, tt.algebra.comult[h],
+                                tt.inclusion_tensor()).items():
             out.setdefault(j, {})[a * n + b] = c
         return LinMap._adopt(tt.space, tt.carrier.ambient, out)
     return first_witness(((h,), map_witness(
         tt.carrier.inclusion.compose(tt.rho(h)), ambient(h)))
-        for h in range(H.dim))
+        for h in tt.escaped)
 
 
 def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
@@ -648,11 +676,10 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
         # triple carrier
         M, N, P = modules[i], modules[j], modules[k]
         split3 = split_idempotent(triple_projector(M, N, P))
-        dims = (M.dim, N.dim, P.dim)
         return (_nested_carrier_mismatch(
-            split3, truncated_tensor(tts[(i, j)], P), 0, dims)
+            split3, truncated_tensor(tts[(i, j)], P), 0)
             or _nested_carrier_mismatch(
-                split3, truncated_tensor(M, tts[(j, k)]), 1, dims))
+                split3, truncated_tensor(M, tts[(j, k)]), 1))
     triples = list(product(range(n), repeat=3))
     report.record("nested_carriers_coincide", first_witness(
         (key, nested(*key)) for key in triples))
@@ -670,20 +697,45 @@ def check_monoidal_coherence(H, R, modules, rng=None) -> VerificationReport:
 
 
 def _nested_carrier_mismatch(split3: Subspace, outer: TruncatedTensor,
-                             inner_leg: int, dims):
+                             inner_leg: int):
     """Check that one nesting order, with the inner truncated product on
     leg inner_leg of outer, spans exactly the triple projector image: the
     carriers have one dimension, and split3 contains every column of
-    outer, all embedded in M tensor N tensor P by one contraction."""
+    outer, embedded in M tensor N tensor P by _nested_columns."""
     if outer.dim != split3.dim:
         return ((), {0: outer.dim}, {0: split3.dim})
-    inner = (outer.left, outer.right)[inner_leg].inclusion_table()
-    _, n, p = dims
-    embedded = [{} for _ in range(outer.dim)]
-    for (a, b, c, j), v in on_leg(outer.inclusion_tensor(), inner_leg,
-                                  inner).items():
-        embedded[j][(a * n + b) * p + c] = v
-    for j, col in enumerate(embedded):
+    for j, col in enumerate(_nested_columns(outer, inner_leg)):
         if not split3.contains(col):
             return ((j,), col, {})
     return None
+
+
+def _nested_columns(outer: TruncatedTensor, inner_leg: int) -> list:
+    """The carrier columns of outer, the truncated product of M (x) N and
+    P (inner_leg 0) or of M and N (x) P (inner_leg 1), embedded in the
+    flattened M tensor N tensor P through the inner carrier's inclusion.
+
+    Outer column entry c splits as q, r = divmod(c, outer.right.dim).  On
+    leg 0 each entry c2 of inner column q lands at c2 p + r, p the
+    dimension of P; on leg 1 each entry c2 of inner column r lands at
+    q n p + c2, n p the inner ambient dimension.  These are the flat
+    indices of on_leg through inclusion_table and flatten, and the terms
+    sum by add_term's rule in their key order.
+    """
+    inner = (outer.left, outer.right)[inner_leg].carrier
+    inner_cols = inner.inclusion.columns()
+    right = outer.right.dim
+    cols = outer.carrier.inclusion.columns()
+    out = []
+    for j in range(outer.dim):
+        acc = {}
+        for c, v in cols.get(j, {}).items():
+            q, r = divmod(c, right)
+            if inner_leg == 0:
+                row, stride, shift = inner_cols[q], right, r
+            else:
+                row, stride, shift = inner_cols[r], 1, q * inner.ambient.dim
+            for c2, w in row.items():
+                add_term(acc, c2 * stride + shift, v if w is _ONE else v * w)
+        out.append(acc)
+    return out
