@@ -479,26 +479,6 @@ def _map_rows(f: LinMap) -> dict:
     return rows
 
 
-def rank(f: LinMap) -> int:
-    _, pivots, _ = _rref(_map_rows(f).values())
-    return len(pivots)
-
-
-def kernel(f: LinMap) -> "Subspace":
-    reduced, pivots, _ = _rref(_map_rows(f).values())
-    pivot_set = set(pivots)
-    free = [c for c in range(f.domain.dim) if c not in pivot_set]
-    basis = []
-    for cf in free:
-        vec = {cf: 1}
-        for row, pc in zip(reduced, pivots):
-            v = row.get(cf)
-            if v:
-                vec[pc] = -v
-        basis.append(vec)
-    return Subspace.from_span(f.domain, basis)
-
-
 def image(f: LinMap) -> "Subspace":
     return Subspace.from_span(f.codomain, f.columns().values())
 

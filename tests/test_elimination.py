@@ -1,13 +1,14 @@
 """Elimination against an independent oracle.
 
-Over Q, rank, kernel dimension and the solvability of solve are compared
-with sympy's exact Matrix.rank, nullspace and gauss_jordan_solve on
-seeded random sparse maps: wide, tall, rank-deficient, and with all-zero
-rows.  Over Q(w_5), where sympy is no oracle, the reduced rows are
-checked for the defining invariants of a reduced row echelon form, and
-split_idempotent for its two factorisation identities, on idempotent
-and on arbitrary square maps.  Coordinate projections, split without
-elimination, are checked against the maps elimination gives.
+Over Q, the rank and null space that _rref's reduced rows give and the
+solvability of solve are compared with sympy's exact Matrix.rank,
+nullspace and gauss_jordan_solve on seeded random sparse maps: wide,
+tall, rank-deficient, and with all-zero rows.  Over Q(w_5), where sympy
+is no oracle, the reduced rows are checked for the defining invariants
+of a reduced row echelon form, and split_idempotent for its two
+factorisation identities, on idempotent and on arbitrary square maps.
+Coordinate projections, split without elimination, are checked against
+the maps elimination gives.
 """
 
 import random
@@ -16,10 +17,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from test_linalg import rref_kernel, rref_rank
 from whakit import linalg
 from whakit.linalg import (LinMap, NotIdempotent, Subspace, VectorSpace,
                            _coordinate_split, _image_split, _rref, add_term,
-                           kernel, rank, solve, split_idempotent)
+                           solve, split_idempotent)
 from whakit.scalars import invert, omega
 
 SHAPES = [(3, 9), (9, 3), (7, 7), (1, 6), (6, 1), (12, 12)]
@@ -94,8 +96,10 @@ def test_rank_kernel_and_solve_match_sympy(seed):
     rows = rand_rows(rng, nrows, ncols)
     f = as_map(rows, ncols)
     A = as_sympy(rows, ncols)
-    assert rank(f) == A.rank()
-    assert kernel(f).dim == len(A.nullspace())
+    assert rref_rank(f) == A.rank()
+    ker = rref_kernel(f)
+    assert len(ker) == len(A.nullspace())
+    assert all(f(v) == {} for v in ker)
     # one right hand side in the image, one random (often outside it)
     x = {c: rand_scalar(rng, False) for c in range(ncols) if rng.random() < 0.5}
     for y in (f({c: v for c, v in x.items() if v != 0}),
@@ -216,7 +220,7 @@ def test_image_split_identities_on_square_maps(seed):
         assert split.projection.compose(split.inclusion).is_identity() == (
             idempotent)
         if idempotent:
-            assert split_idempotent(P).dim == rank(P)
+            assert split_idempotent(P).dim == rref_rank(P)
         else:
             with pytest.raises(NotIdempotent):
                 split_idempotent(P)
