@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
 
 import test_report_snapshot as snap
+from test_examples import ALL_EXAMPLES, sparse_basis
 from test_yetter_drinfeld import rebased
 from whakit import linalg, module_cat
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
@@ -833,3 +835,43 @@ def test_roundtrip_builds_only_the_rows_of_r1(monkeypatch):
     monkeypatch.setattr(TruncatedTensor, "_conjugated_action", counted)
     assert check_equivalence_roundtrip(H, R, braided=B).passed
     assert built == [r1] * 9
+
+
+def nested_by_on_leg(outer, inner_leg):
+    """The carrier columns of outer, the truncated product of M (x) N and
+    P (inner_leg 0) or of M and N (x) P (inner_leg 1), embedded in the
+    flattened M tensor N tensor P through inclusion_tensor, on_leg with
+    the inner inclusion table and the flat index of each triple key."""
+    inner = (outer.left, outer.right)[inner_leg]
+    _, n, p = ((inner.left.dim, inner.right.dim, outer.right.dim)
+               if inner_leg == 0 else
+               (outer.left.dim, inner.left.dim, inner.right.dim))
+    embedded = [{} for _ in range(outer.dim)]
+    for (a, b, c, j), v in on_leg(outer.inclusion_tensor(), inner_leg,
+                                  inner.inclusion_table()).items():
+        embedded[j][(a * n + b) * p + c] = v
+    return embedded
+
+
+@pytest.mark.parametrize("basis", ["canonical", "sparse"])
+@pytest.mark.parametrize("name", sorted(ALL_EXAMPLES))
+def test_nested_columns_match_the_on_leg_embedding(name, basis):
+    """For every triple of [regular, unit], both nestings embed by flat
+    index to the keys, key order, values and value types of the on_leg
+    embedding.  In the sparse basis the groupoids' carriers are oblique."""
+    H, R = ALL_EXAMPLES[name]()
+    if basis == "sparse":
+        H, R = rebased(H, R, sparse_basis(random.Random(name), H.dim))
+    assert certify(H).passed
+    modules = [regular_module(H), unit_object(H)]
+    tt = cache(truncated_tensor)
+    oblique = False
+    for M, N, P in product(modules, repeat=3):
+        for leg, outer in ((0, tt(tt(M, N), P)), (1, tt(M, tt(N, P)))):
+            inner = (outer.left, outer.right)[leg]
+            oblique = oblique or inner.carrier.kept is None
+            assert [[(k, v, type(v)) for k, v in col.items()]
+                    for col in module_cat._nested_columns(outer, leg)] == [
+                [(k, v, type(v)) for k, v in col.items()]
+                for col in nested_by_on_leg(outer, leg)]
+    assert oblique == (basis == "sparse" and name.startswith("groupoid"))

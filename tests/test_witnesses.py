@@ -3,18 +3,25 @@ empty one."""
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
+from test_module_cat import counted_act, nested_by_on_leg
+from test_yetter_drinfeld import rebased
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
-from whakit.linalg import LinMap, flatten, on_leg, split_idempotent
-from whakit.module_cat import (HModule, check_module, check_monoidal_coherence,
+from whakit.linalg import (LinMap, VectorSpace, add_term, flatten, on_leg,
+                           solve, split_idempotent, unflatten)
+from whakit.module_cat import (HModule, _action_mismatch, act_pair,
+                               check_module, check_monoidal_coherence,
                                regular_module, triple_projector,
                                truncated_tensor, unit_object)
 from whakit.quasitriangular import (RMatrix, certify_quasitriangular,
                                     check_quasitriangular)
 from whakit.transmutation import (BraidedHopfAlgebra, check_braided_hopf,
                                   transmute)
-from whakit.weak_hopf import WeakHopfAlgebra, certify, check_weak_hopf
+from whakit.weak_hopf import (WeakHopfAlgebra, certify, check_weak_hopf,
+                              map_witness)
 from whakit.yetter_drinfeld import (check_comodule_braiding,
                                     check_equivalence_roundtrip,
                                     regular_rh_comodule)
@@ -169,6 +176,11 @@ def test_module_axioms_witness():
     assert (key, lhs, rhs) == ((1,) + own[0],) + own[1:]
 
 
+# the basis f0 = e0 + e1, f1 = e1, f2 = e2, f3 = e3 + e0 of the pair
+# groupoid on two objects, where its pair carriers are oblique
+OBLIQUE = [{0: 1, 1: 1}, {1: 1}, {2: 1}, {3: 1, 0: 1}]
+
+
 def moved_coproduct_groupoid():
     """The pair groupoid on two objects with the term e_11 (x) e_11 moved
     from the coproduct of e_11 to that of e_00, marked certified with its
@@ -248,6 +260,36 @@ def test_nested_carriers_coincide_witness():
         (0, 0, 4), {}, {(2, 0): 1})
 
 
+def nested_witness_by_on_leg(modules):
+    """nested_carriers_coincide searched triple by triple, each nesting
+    embedded by nested_by_on_leg."""
+    tt = cache(truncated_tensor)
+    for i, j, k in product(range(len(modules)), repeat=3):
+        M, N, P = modules[i], modules[j], modules[k]
+        split3 = split_idempotent(triple_projector(M, N, P))
+        for leg, outer in ((0, tt(tt(M, N), P)), (1, tt(M, tt(N, P)))):
+            if outer.dim != split3.dim:
+                return ((i, j, k), {0: outer.dim}, {0: split3.dim})
+            for col, v in enumerate(nested_by_on_leg(outer, leg)):
+                if not split3.contains(v):
+                    return ((i, j, k, col), v, {})
+    return None
+
+
+def test_nested_carriers_coincide_witness_in_an_oblique_basis():
+    # The moved-coproduct groupoid in the basis OBLIQUE, marked certified
+    # with its R: its carriers are split by elimination, and the nested
+    # carriers still differ, with the witness of the on_leg embedding.
+    H, R = rebased(*moved_coproduct_groupoid(), OBLIQUE)
+    H.certified = True
+    R.certified = True
+    reg = regular_module(H)
+    assert truncated_tensor(reg, reg).carrier.kept is None
+    report = check_monoidal_coherence(H, R, [reg], random.Random(0))
+    witness = failing_witness(report, "nested_carriers_coincide")
+    assert witness == nested_witness_by_on_leg([reg])
+
+
 def test_structure_maps_h_linear_witness():
     # one doubled entry of the transmuted product breaks H-linearity on
     # Sweedler, whose adjoint action is not trivial
@@ -263,13 +305,52 @@ def test_structure_maps_h_linear_witness():
     assert (row, col) in set(lhs) | set(rhs)
 
 
+def in_basis(M, H2, basis):
+    """The module M over H, with H2 the rebasing of H by basis and the
+    space of M, of the dimension of H, rebased by basis as well: the same
+    action as an HModule over H2."""
+    change = LinMap.from_function(VectorSpace(len(basis)), M.space,
+                                  basis.__getitem__)
+    action = {}
+    for k, x in enumerate(basis):
+        for c, y in enumerate(basis):
+            image = {}
+            for a, u in x.items():
+                for r, v in M.rho(a)(y).items():
+                    add_term(image, r, u * v)
+            for r, v in solve(change, image).items():
+                action[(k, r, c)] = v
+    return HModule(H2, H2.space, action)
+
+
+def action_witness_by_composing(modules):
+    """truncated_action_well_defined searched at every algebra basis h of
+    every pair carrier in order: the inclusion after the conjugated
+    operator of h against h acting on each embedded carrier column."""
+    H = modules[0].algebra
+    for (i, M), (j, N) in product(enumerate(modules), repeat=2):
+        tt = truncated_tensor(M, N)
+        dims = (M.dim, N.dim)
+        for h in range(H.dim):
+            ambient = LinMap.from_function(
+                tt.space, tt.carrier.ambient, lambda c: flatten(act_pair(
+                    M, N, H.comult.get(h, {}),
+                    unflatten(tt.carrier.inclusion.column(c), dims)), dims))
+            w = map_witness(tt.carrier.inclusion.compose(tt.rho(h)), ambient)
+            if w is not None:
+                return ((i, j, h) + w[0],) + w[1:]
+    return None
+
+
 def test_truncated_action_well_defined_witness():
     # On the pair groupoid the carrier of M tensor N is the sum over
     # objects x of e_x M tensor e_x N.  The arrow g: 0 -> 1 is group-like,
     # so g tensor g must map the x = 0 summand into the x = 1 summand; an
     # extra term of g . b inside e_0 M sends part of b tensor b to
     # e_0 M tensor e_1 N, off the carrier, while the identity arrows that
-    # cut out the carrier still act as before.
+    # cut out the carrier still act as before.  The same module in the
+    # basis OBLIQUE has oblique pair carriers, where the escape is found
+    # by re-embedding; both witnesses are those of composing every h.
     H, R = groupoid_algebra(2, 1)
     assert certify(H).passed and certify_quasitriangular(H, R).passed
     reg = regular_module(H)
@@ -279,10 +360,37 @@ def test_truncated_action_well_defined_witness():
     action[(g, b, b)] = 1
     bad = HModule(H, H.space, action)
     report = check_monoidal_coherence(H, R, [bad, reg], random.Random(0))
-    key, lhs, rhs = failing_witness(report, "truncated_action_well_defined")
-    assert key[:3] == (0, 0, g)
+    witness = failing_witness(report, "truncated_action_well_defined")
+    assert witness[0][:3] == (0, 0, g)
+    assert witness == action_witness_by_composing([bad, reg])
     assert check_monoidal_coherence(H, R, [reg], random.Random(0)).find(
         "truncated_action_well_defined").passed
+
+    H2, R2 = rebased(H, R, OBLIQUE)
+    assert certify(H2).passed and certify_quasitriangular(H2, R2).passed
+    reg2 = regular_module(H2)
+    assert in_basis(reg, H2, OBLIQUE).action == reg2.action
+    modules = [in_basis(bad, H2, OBLIQUE), reg2]
+    assert truncated_tensor(modules[0], modules[0]).carrier.kept is None
+    report = check_monoidal_coherence(H2, R2, modules)
+    assert failing_witness(report, "truncated_action_well_defined") == (
+        action_witness_by_composing(modules))
+    assert check_monoidal_coherence(H2, R2, [reg2]).find(
+        "truncated_action_well_defined").passed
+
+
+def test_action_invariance_acts_on_no_carrier_once_the_action_is_built(
+        monkeypatch):
+    # On a passing Z_4 sample no pair carrier escapes, and the check reads
+    # that from the action build alone.
+    H, _, _ = certified(lambda: group_algebra_zn(4))
+    modules = [regular_module(H), unit_object(H)]
+    tts = [truncated_tensor(M, N) for M, N in product(modules, repeat=2)]
+    for tt in tts:
+        assert tt.action and tt.escaped == []
+    calls = counted_act(monkeypatch)
+    assert [_action_mismatch(tt) for tt in tts] == [None] * 4
+    assert calls == []
 
 
 def test_braiding_natural_witness():
