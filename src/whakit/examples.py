@@ -12,7 +12,9 @@ primitive n-th root of unity, with a non-triangular R-matrix.
 groupoid_algebra(k, G) is a genuinely weak Hopf algebra, the algebra of
 the pair groupoid on k objects times Z_G, after Nikshych and Vainerman,
 "Finite quantum groupoids and their applications" (2002): there the
-coproduct of 1 is not 1 tensor 1, and truncation is real.
+coproduct of 1 is not 1 tensor 1, and truncation is real.  All three
+take their tables from one builder, _pair_groupoid: the pair groupoid on
+one object times Z_n is Z_n, with R = Delta(1) = 1 tensor 1.
 
 Constructors return unverified values; callers certify.
 """
@@ -71,22 +73,45 @@ def sweedler():
     return H, RMatrix(H, r0, dict(r0))
 
 
-def _cyclic_group_algebra(name, field, n):
-    if n < 1:
-        raise ValueError("group order must be positive")
+def _pair_groupoid(k: int, G: int, name: str, field: Field, label):
+    """The pair groupoid on k objects times Z_G over field, with R = R_bar
+    = Delta(1); label(x, y, g) names the basis element (x, y, g).  With
+    k = 1 this is the group algebra of Z_G, basis index g, R = 1 (x) 1."""
+    if k < 1 or G < 1:
+        raise ValueError("object count and group order must be positive")
     one = Fraction(1)
-    antipode = {(i, (-i) % n): one for i in range(n)}
-    return WeakHopfAlgebra(
+    index = {}
+    for x in range(k):
+        for y in range(k):
+            for g in range(G):
+                index[(x, y, g)] = len(index)
+    mult = {}
+    for (x, y, g), i in index.items():
+        for z in range(k):
+            for h in range(G):
+                mult[(i, index[(y, z, h)], index[(x, z, (g + h) % G)])] = one
+    antipode = {(i, index[(y, x, (-g) % G)]): one
+                for (x, y, g), i in index.items()}
+    units = [index[(x, x, 0)] for x in range(k)]
+    H = WeakHopfAlgebra(
         name=name,
         field=field,
-        labels=tuple(f"g^{i}" for i in range(n)),
-        mult={(i, j, (i + j) % n): one for i in range(n) for j in range(n)},
-        unit={0: one},
-        comult={(i, i, i): one for i in range(n)},
-        counit={i: one for i in range(n)},
+        labels=tuple(label(*key) for key in index),
+        mult=mult,
+        unit={i: one for i in units},
+        comult={(i, i, i): one for i in index.values()},
+        counit={i: one for i in index.values()},
         antipode=antipode,
         antipode_inverse=dict(antipode),
     )
+    r = {(i, i): one for i in units}
+    return H, RMatrix(H, r, dict(r))
+
+
+def _power(x, y, g):
+    """The label of (0, 0, g) on one object: the g-th power of the
+    generator."""
+    return f"g^{g}"
 
 
 def group_algebra_zn(n: int):
@@ -96,9 +121,7 @@ def group_algebra_zn(n: int):
     R-matrix is 1 tensor 1, making the structure triangular.  Returns an
     uncertified (algebra, rmatrix) pair.
     """
-    H = _cyclic_group_algebra(f"group_algebra_z{n}", Field(), n)
-    one = Fraction(1)
-    return H, RMatrix(H, {(0, 0): one}, {(0, 0): one})
+    return _pair_groupoid(1, n, f"group_algebra_z{n}", Field(), _power)
 
 
 def group_algebra_zn_anyonic(n: int):
@@ -110,7 +133,7 @@ def group_algebra_zn_anyonic(n: int):
     not triangular.  Returns an uncertified (algebra, rmatrix) pair.
     """
     field = Field(n)
-    H = _cyclic_group_algebra(f"group_algebra_z{n}_anyonic", field, n)
+    H, _ = _pair_groupoid(1, n, f"group_algebra_z{n}_anyonic", field, _power)
     powers = [Fraction(1)]
     for _ in range(n - 1):
         powers.append(powers[-1] * field.omega())
@@ -132,32 +155,5 @@ def groupoid_algebra(k: int, G: int):
     themselves.  For k > 1 this is a weak Hopf algebra that is not a Hopf
     algebra.  Returns an uncertified (algebra, rmatrix) pair.
     """
-    if k < 1 or G < 1:
-        raise ValueError("object count and group order must be positive")
-    one = Fraction(1)
-    index = {}
-    for x in range(k):
-        for y in range(k):
-            for g in range(G):
-                index[(x, y, g)] = len(index)
-    mult = {}
-    for (x, y, g), i in index.items():
-        for z in range(k):
-            for h in range(G):
-                mult[(i, index[(y, z, h)], index[(x, z, (g + h) % G)])] = one
-    antipode = {(i, index[(y, x, (-g) % G)]): one
-                for (x, y, g), i in index.items()}
-    units = [index[(x, x, 0)] for x in range(k)]
-    H = WeakHopfAlgebra(
-        name=f"groupoid_algebra_{k}x{G}",
-        field=Field(),
-        labels=tuple(f"{x}<-{y}:g^{g}" for (x, y, g) in index),
-        mult=mult,
-        unit={i: one for i in units},
-        comult={(i, i, i): one for i in index.values()},
-        counit={i: one for i in index.values()},
-        antipode=antipode,
-        antipode_inverse=dict(antipode),
-    )
-    r = {(i, i): one for i in units}
-    return H, RMatrix(H, r, dict(r))
+    return _pair_groupoid(k, G, f"groupoid_algebra_{k}x{G}", Field(),
+                          lambda x, y, g: f"{x}<-{y}:g^{g}")

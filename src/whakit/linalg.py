@@ -22,18 +22,22 @@ actions), and on_leg applies a linear map to a single leg (coproduct,
 counit, antipode, or a carrier projection read on a slice of legs).
 
 Three kernels sum terms with add_term inlined: act, on_leg and
-LinMap.__call__; compose applies __call__ to each column.  A fourth
-place is module_cat's truncation projector when the coproduct of 1 acts
-by 0/1 diagonals, which sums each diagonal entry without act.  Every sum
-in the package accumulates by add_term's rule.  A key takes its place in
-the result when its first term arrives, a sum that cancels to zero is
-deleted (a later term at that key enters again, last).  The kernels also
-skip a product by the int 1, and store a first term untested: their
-inputs hold no zeros, so no term is zero.  act builds a term whose
-looked-up table rows each hold a single entry, the case of every 0/1
-table, directly, without itertools.product, in the order the product
-loop would give.  Elimination breaks ties by key order, so report
-witnesses depend on this order.
+LinMap.__call__; compose applies __call__ to each column.  They, and
+every other sum in the package but two, accumulate by add_term's rule.
+A key takes its place in the result when its first term arrives, a sum
+that cancels to zero is deleted (a later term at that key enters again,
+last).  The two exceptions differ only once a sum has cancelled.
+module_cat's truncation projector, when the coproduct of 1 acts by 0/1
+diagonals, sums each diagonal entry without act, and a cancelled column
+keeps its place for a later term.  yetter_drinfeld's _products keeps
+each key at its first term and drops a sum that is zero only at the
+end, so a key that cancels and is met again keeps its first place too.
+The three kernels also skip a product by the int 1, and store a first
+term untested: their inputs hold no zeros, so no term is zero.  act
+builds a term whose looked-up table rows each hold a single entry, the
+case of every 0/1 table, directly, without itertools.product, in the
+order the product loop would give.  Elimination breaks ties by key
+order, so report witnesses depend on this order.
 
 A LinMap built with LinMap(...) takes (row, col) entries, checks each
 against its dimensions and drops zeros, since those entries come from

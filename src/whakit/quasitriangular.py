@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .linalg import (LinMap, VectorSpace, check_keys, flatten, on_leg, solve,
-                     unflatten)
+from .linalg import (LinMap, VectorSpace, check_keys, flatten, on_leg,
+                     permute, solve, unflatten)
 from .weak_hopf import (NotCertified, VerificationReport, first_unequal,
                         pair_mult, scalar_table_mismatch)
 
@@ -88,12 +88,11 @@ def _yang_baxter_mismatch(H, r):
     def legs(t, leg):
         return on_leg(t, slice(leg, leg + 2), H.mult)
 
-    t1 = legs({(a, c, b, d): v * w for (a, b), v in r.items()
-               for (c, d), w in r.items()}, 0)
+    # R12 R13 and R23 R13 are R13 R12 and R13 R23 with two legs swapped
+    t1 = permute(r13_r12(H, r), (0, 2, 1))
     lhs = legs(legs({(x, y, u, z, t): v * w for (x, y, z), v in t1.items()
                      for (u, t), w in r.items()}, 3), 1)
-    t2 = legs({(c, a, b, d): v * w for (a, b), v in r.items()
-               for (c, d), w in r.items()}, 2)
+    t2 = permute(r13_r23(H, r), (1, 0, 2))
     rhs = legs(legs({(x, c, y, d, z): v * w for (x, y, z), v in t2.items()
                      for (c, d), w in r.items()}, 2), 0)
     return scalar_table_mismatch(lhs, rhs)

@@ -239,20 +239,6 @@ class Cyclo:
         inv = self.inverse()
         return inv * other
 
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Fraction(1)
-        base = self
-        while k:
-            if k & 1:
-                result = base * result
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, Cyclo):
             return (self.order == other.order and self.den == other.den

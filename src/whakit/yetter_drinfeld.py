@@ -25,11 +25,15 @@ int numerators over the kernel's common denominator, phi(n) of them over
 Q(w_n) and one over Q.  Most keys of a translated tensor cancel to zero,
 and only the others are canonicalized, once each.
 
-yd_braiding and comodule_braiding realize the braidings of the two
-categories.  Like the module braiding, each takes the coacting object
-and then its source and target carriers, and raises ValueError unless
-target holds the legs of source swapped and the coacting module is the
-left leg of source (of target, for the inverse).
+yd_braiding and yd_braiding_inv realize the braiding of the compatible
+coactions and its inverse, the inverse through the antipode inverse.
+The equivalence is braided, so the braiding of carrier comodules is the
+same map carried across by functor_F: comodule_braiding(U) is
+yd_braiding(functor_F(U)), and likewise for the inverses.  Like the
+module braiding, each takes the coacting object and then its source and
+target carriers, and raises ValueError unless target holds the legs of
+source swapped and the coacting module is the left leg of source (of
+target, for the inverse).
 """
 
 from __future__ import annotations
@@ -497,11 +501,11 @@ def check_equivalence_roundtrip(H, R, braided) -> VerificationReport:
     return report
 
 
-def _braided_past(C: Comodule, braided: bool, source, target):
+def _braided_past(C: Comodule, source, target):
     """The right leg of source, which the module of C braids past;
-    ValueError unless _over(C, braided) holds, target holds the source
-    legs swapped and the module of C is the left."""
-    _over(C, braided)
+    ValueError unless C coacts over its module's algebra, target holds the
+    source legs swapped and the module of C is the left."""
+    _over(C, False)
     M, N = swapped_legs(source, target)
     if M is not C.module:
         raise ValueError("the coacting module is not the left leg")
@@ -512,62 +516,48 @@ def yd_braiding(V: Comodule, source, target) -> LinMap:
     """Braid the truncated tensor source of V and W onto target, the
     tensor of W and V, by acting with the exposed coaction leg: v (x) w
     maps to the coaction leg of v acting on w, tensor the rest of v."""
-    W = _braided_past(V, False, source, target)
+    W = _braided_past(V, source, target)
     return carrier_map(source, target, lambda x: on_leg(
         permute(on_leg(x, 0, V.table()), (0, 2, 1, 3)), slice(0, 2),
         W.action))
 
 
-def _braid_step(com: Comodule, other: HModule, t: dict, twist) -> dict:
-    """One comodule braiding step on legs 0 (in com) and 1 (in other) of t;
-    the other legs pass through.
-
-    The coaction leg of com, read in the algebra and times the second
-    R-matrix leg (then mapped through the table twist, if one is given),
-    acts on leg 1; the first R-matrix leg acts on what is left of leg 0;
-    the two outputs swap places.
-    """
-    B = com.over
-    t = on_leg(on_leg(t, 0, com.table()), 0, B.carrier.inclusion.columns())
-    # (h, x, y, ..) -> (h, R^2, y, R^1, x, ..)
-    t = {(k[0], q, k[2], p, k[1]) + k[3:]: c * w
-         for k, c in t.items() for (p, q), w in B.rmatrix.r.items()}
-    t = on_leg(t, slice(0, 2), com.algebra.mult)
-    if twist is not None:
-        t = on_leg(t, 0, twist)
-    t = on_leg(t, slice(0, 2), other.action)
-    return on_leg(t, slice(1, 3), com.module.action)
+def yd_braiding_inv(V: Comodule, source, target) -> LinMap:
+    """The inverse braiding, from the tensor source of W and V back to
+    target, that of V and W: w (x) v maps to the rest of v tensor the
+    antipode inverse of the coaction leg of v acting on w."""
+    H = V.algebra
+    if H.antipode_inverse_map is None:
+        raise AntipodeNotInvertible(
+            f"{H.name} carries no antipode inverse")
+    W = _braided_past(V, target, source)
+    untwist = H.antipode_inverse_map.columns()
+    return carrier_map(source, target, lambda x: permute(on_leg(permute(
+        on_leg(on_leg(x, 1, V.table()), 1, untwist), (1, 0, 2, 3)),
+        slice(0, 2), W.action), (1, 0, 2)))
 
 
 def comodule_braiding(U: Comodule, source, target) -> LinMap:
     """Braid the truncated tensor source of carrier comodules U and V onto
-    target, the tensor of V and U: the coaction leg of u, pushed through
-    an R-matrix leg, acts on v; the other R-matrix leg acts on what is
-    left of u, and the two outputs swap places."""
-    V = _braided_past(U, True, source, target)
-    return carrier_map(source, target, lambda x: _braid_step(U, V, x, None))
+    target, the tensor of V and U: the Yetter-Drinfeld braiding of
+    functor_F(U), (u_(-1) R^2) . v (x) R^1 . u_(0)."""
+    return yd_braiding(functor_F(U), source, target)
 
 
 def comodule_braiding_inv(U: Comodule, source, target) -> LinMap:
     """The inverse braiding, from the tensor of V and U back to that of U
-    and V; needs the antipode inverse to untwist the coaction leg."""
-    H = U.algebra
-    if H.antipode_inverse_map is None:
-        raise AntipodeNotInvertible(
-            f"{H.name} carries no antipode inverse")
-    V = _braided_past(U, True, target, source)
-    return carrier_map(source, target, lambda x: permute(_braid_step(
-        U, V, permute(x, (1, 0, 2)), H.antipode_inverse_map.columns()),
-        (1, 0, 2)))
+    and V: the inverse Yetter-Drinfeld braiding of functor_F(U), which
+    needs the antipode inverse to untwist the coaction leg."""
+    return yd_braiding_inv(functor_F(U), source, target)
 
 
 def check_comodule_braiding(U: Comodule, V: Comodule,
                             P: Comodule | None = None) -> VerificationReport:
     """Invertibility and, given a third comodule, both hexagons through
     comodule_tensor and comodule_braiding.  Raises ValueError unless V and
-    P coact over the transmuted algebra U coacts over.  Agreement with
-    yd_braiding of functor_F(U) holds by construction: both evaluate
-    (u_(-1) R^2) . v (x) R^1 . u_(0) from the same tables."""
+    P coact over the transmuted algebra U coacts over.  comodule_braiding
+    is yd_braiding of functor_F(U), the same map, so there is no
+    agreement between the two to check."""
     H = U.algebra
     if any(_over(C, True) is not U.over for C in (V, P) if C is not None):
         raise ValueError("the comodules coact over different algebras")

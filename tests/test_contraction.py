@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from test_scalars import power
 from whakit.linalg import (LinMap, VectorSpace, act, flatten, on_leg, permute,
                            unflatten)
 from whakit.scalars import omega
@@ -375,8 +376,8 @@ def mixed_scalar(rng, order):
         return rng.choice([-2, -1, 2, 3])
     if kind == "rational":
         return Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3]))
-    return rng.choice([1, -1, Fraction(1, 2)]) * omega(order) ** rng.randint(
-        1, order - 1) + rng.randint(-1, 1)
+    return rng.choice([1, -1, Fraction(1, 2)]) * power(
+        omega(order), rng.randint(1, order - 1)) + rng.randint(-1, 1)
 
 
 def mixed_row(rng, order, keys):

@@ -1,6 +1,6 @@
 """Differential test of Cyclo arithmetic against sympy over QQ.
 
-Seeded random elements of Q(w_N) go through +, -, *, inverse and **;
+Seeded random elements of Q(w_N) go through +, -, * and inverse;
 each result is compared with the remainder of the same polynomial
 computation modulo sympy's cyclotomic_poly(N, x), and checked to be in
 canonical form.
@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 import sympy
 
+from test_scalars import power
 from whakit.scalars import Cyclo, cyclotomic_polynomial, invert
 
 X = sympy.Symbol("x")
@@ -104,12 +105,8 @@ def test_arithmetic_matches_sympy(n):
         assert_matches(a * r, pa * pr, n)
         assert_matches(r * a, pa * pr, n)
         assert_matches(-a, -pa, n)
-        for k in range(6):
-            assert_matches(a ** k, (pa ** k).rem(phi(n)), n)
         if a != 0:
-            inv = pa.invert(phi(n))
-            assert_matches(invert(a), inv, n)
-            assert_matches(a ** -2, (inv ** 2).rem(phi(n)), n)
+            assert_matches(invert(a), pa.invert(phi(n)), n)
         if isinstance(a, Cyclo):
             assert_matches(a.inverse(), pa.invert(phi(n)), n)
 
@@ -120,13 +117,13 @@ def test_constant_results_are_never_cyclos(n):
     for _ in range(CASES):
         a = random_element(rng, n)
         r = random_rational(rng)
-        for s in (a - a, a - a + r, (a + r) - a, a * 0, a ** 0):
+        for s in (a - a, a - a + r, (a + r) - a, a * 0):
             assert isinstance(s, (int, Fraction))
         if a != 0:
             assert a * invert(a) == 1
             assert isinstance(a * invert(a), (int, Fraction))
     w = Cyclo.make(n, [0, 1])
-    assert isinstance(w ** n, (int, Fraction)) and w ** n == 1
+    assert isinstance(power(w, n), (int, Fraction)) and power(w, n) == 1
 
 
 def same_form(s, t):

@@ -18,6 +18,7 @@ import pytest
 import sympy
 
 from test_linalg import rref_kernel, rref_rank
+from test_scalars import power
 from whakit import linalg
 from whakit.linalg import (LinMap, NotIdempotent, Subspace, VectorSpace,
                            _coordinate_split, _image_split, _rref, add_term,
@@ -30,7 +31,7 @@ SHAPES = [(3, 9), (9, 3), (7, 7), (1, 6), (6, 1), (12, 12)]
 def rand_scalar(rng, cyclotomic):
     v = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
     if cyclotomic and rng.random() < 0.5:
-        v = v * omega(5) ** rng.randint(1, 4) + rng.randint(-2, 2)
+        v = v * power(omega(5), rng.randint(1, 4)) + rng.randint(-2, 2)
     return v
 
 

@@ -25,10 +25,11 @@ from whakit.module_cat import (HModule, TruncatedTensor, act_pair, braiding_c,
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import transmute
 from whakit.weak_hopf import NotCertified, certify, first_unequal
-from whakit.yetter_drinfeld import (_braid_step, check_equivalence_roundtrip,
+from whakit.yetter_drinfeld import (check_equivalence_roundtrip,
                                     comodule_braiding, comodule_braiding_inv,
-                                    induced_yd, regular_rh_comodule,
-                                    trivial_comodule, yd_braiding)
+                                    functor_F, induced_yd, regular_rh_comodule,
+                                    trivial_comodule, yd_braiding,
+                                    yd_braiding_inv)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +148,28 @@ def per_column_mismatch(carrier, dims, lhs, rhs):
     return first_unequal(product(range(carrier.dim)), sides)
 
 
+def braid_step(com, other, t, twist):
+    """The comodule braiding written out from the carrier tables, a
+    reference that does not go through functor_F: one step on legs 0 (in
+    com) and 1 (in other) of t, the other legs passing through.
+
+    The coaction leg of com, read in the algebra and times the second
+    R-matrix leg (then mapped through the table twist, if one is given),
+    acts on leg 1; the first R-matrix leg acts on what is left of leg 0;
+    the two outputs swap places.
+    """
+    B = com.over
+    t = on_leg(on_leg(t, 0, com.table()), 0, B.carrier.inclusion.columns())
+    # (h, x, y, ..) -> (h, R^2, y, R^1, x, ..)
+    t = {(k[0], q, k[2], p, k[1]) + k[3:]: c * w
+         for k, c in t.items() for (p, q), w in B.rmatrix.r.items()}
+    t = on_leg(t, slice(0, 2), com.algebra.mult)
+    if twist is not None:
+        t = on_leg(t, 0, twist)
+    t = on_leg(t, slice(0, 2), other.action)
+    return on_leg(t, slice(1, 3), com.module.action)
+
+
 def assert_same_map(batched, reference):
     # entry order too: a map's entries feed elimination, whose ties
     # follow key order
@@ -220,14 +243,40 @@ def test_batched_carrier_maps_match_per_column(build):
     B = transmute(H, R)
     untwist = H.antipode_inverse_map.columns()
     for V in (regular_rh_comodule(B), trivial_comodule(B, M)):
+        table = functor_F(V).table()
         for C in (M, B.module):
             vc = truncated_tensor(V.module, C)
             cv = truncated_tensor(C, V.module)
-            assert_same_map(comodule_braiding(V, vc, cv), per_column_map(
-                vc, cv, lambda x: _braid_step(V, C, x, None)))
-            assert_same_map(comodule_braiding_inv(V, cv, vc), per_column_map(
-                cv, vc, lambda x: permute(_braid_step(
-                    V, C, permute(x, (1, 0)), untwist), (1, 0))))
+            braid = comodule_braiding(V, vc, cv)
+            braid_inv = comodule_braiding_inv(V, cv, vc)
+            assert_same_map(braid, per_column_map(
+                vc, cv, lambda x: on_leg(permute(on_leg(x, 0, table),
+                                                 (0, 2, 1)), slice(0, 2),
+                                         C.action)))
+            assert_same_map(braid_inv, per_column_map(
+                cv, vc, lambda x: permute(on_leg(permute(on_leg(on_leg(
+                    x, 1, table), 1, untwist), (1, 0, 2)), slice(0, 2),
+                    C.action), (1, 0))))
+            # the hand-written braiding gives the same values; within a
+            # column its entries may come in another order
+            assert braid == per_column_map(
+                vc, cv, lambda x: braid_step(V, C, x, None))
+            assert braid_inv == per_column_map(
+                cv, vc, lambda x: permute(braid_step(
+                    V, C, permute(x, (1, 0)), untwist), (1, 0)))
+
+
+@pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
+def test_yd_braiding_inv_inverts_yd_braiding(build):
+    H, R = build()
+    certify(H)
+    certify_quasitriangular(H, R)
+    Y = functor_F(regular_rh_comodule(transmute(H, R)))
+    for W in (regular_module(H), unit_object(H), Y.module):
+        yw, wy = truncated_tensor(Y.module, W), truncated_tensor(W, Y.module)
+        braid, braid_inv = yd_braiding(Y, yw, wy), yd_braiding_inv(Y, wy, yw)
+        assert braid_inv.compose(braid).is_identity()
+        assert braid.compose(braid_inv).is_identity()
 
 
 @pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)

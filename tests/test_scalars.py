@@ -60,13 +60,21 @@ def test_omega_relations():
     assert w3 * w3 + w3 == -1
 
 
+def power(x, k):
+    """x multiplied by itself, k factors in all (k >= 1)."""
+    p = x
+    for _ in range(k - 1):
+        p = p * x
+    return p
+
+
 @pytest.mark.parametrize("n", range(1, 25))
 def test_omega_is_primitive(n):
     w = omega(n)
-    assert w**n == 1
+    assert power(w, n) == 1
     for d in range(1, n):
         if n % d == 0:
-            assert w**d != 1
+            assert power(w, d) != 1
 
 
 def test_low_order_roots_demote_to_fractions():
@@ -75,7 +83,7 @@ def test_low_order_roots_demote_to_fractions():
     assert omega(2) == Fraction(-1)
     assert isinstance(omega(2), Fraction)
     w = omega(3)
-    assert isinstance(w**3, Fraction)
+    assert isinstance(power(w, 3), Fraction)
     assert isinstance(w + (1 - w), Fraction)
 
 
@@ -101,7 +109,7 @@ def test_inversion():
     for n in (3, 4, 5, 7, 8, 12):
         w = omega(n)
         for k in range(1, n):
-            s = w**k + 2
+            s = power(w, k) + 2
             assert s * invert(s) == 1
         assert w * invert(w) == 1
         assert (1 + w) * invert(1 + w) == 1
@@ -177,7 +185,7 @@ def test_cyclo_is_immutable_and_hashable():
 
 
 def test_cyclo_copies_and_pickles():
-    for x in (omega(5), Fraction(3, 4) * omega(12) ** 5 - 2):
+    for x in (omega(5), Fraction(3, 4) * power(omega(12), 5) - 2):
         table = {(0, 1): x}
         for y in (copy.copy(x), copy.deepcopy(x),
                   pickle.loads(pickle.dumps(x)),
@@ -195,7 +203,7 @@ def test_constructor_gives_the_canonical_form():
     assert s == Cyclo.make(5, cs) and hash(s) == hash(Cyclo.make(5, cs))
     w = omega(5)
     # reduced modulo Phi_5: w^4 = -1 - w - w^2 - w^3
-    assert Cyclo(5, [0, 0, 0, 0, 1]) == -(1 + w + w**2 + w**3)
+    assert Cyclo(5, [0, 0, 0, 0, 1]) == -(1 + w + power(w, 2) + power(w, 3))
     assert Cyclo(5, [0, 0, 0, 0, 1]).num == (-1, -1, -1, -1)
 
 

@@ -15,7 +15,7 @@ import pytest
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
 from whakit.linalg import on_leg
-from whakit.quasitriangular import certify_quasitriangular
+from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import (BraidedHopfAlgebra, CarrierInvariantError,
                                   ComultiplicationEscapesCarrier,
                                   centralizer_subalgebra,
@@ -169,6 +169,25 @@ def test_half_braiding_fixes_comult(name):
 def test_escape_error_is_carrier_error():
     assert issubclass(ComultiplicationEscapesCarrier, CarrierInvariantError)
     assert issubclass(CarrierInvariantError, RuntimeError)
+
+
+@pytest.mark.parametrize("term, where", [
+    ((0, 2), "left the carrier square"),
+    ((2, 0), "missed the truncated square"),
+])
+def test_transmute_rejects_a_coproduct_that_escapes(term, where):
+    """One R term of coefficient 1 added to a certified groupoid algebra,
+    the R-matrix marked certified as if it had passed.  With the term
+    (0, 2) a leg of the deformed coproduct of carrier basis 0 leaves the
+    carrier; with (2, 0) both legs stay on it, but the pair misses the
+    truncated square."""
+    H, R = groupoid_algebra(2, 1)
+    assert certify(H).passed
+    bad = RMatrix(H, {**R.r, term: 1}, R.r_bar)
+    bad.certified = True
+    with pytest.raises(ComultiplicationEscapesCarrier,
+                       match=f"coproduct of carrier basis 0 {where}"):
+        transmute(H, bad)
 
 
 def test_repr_mentions_certification(z3_setup):
