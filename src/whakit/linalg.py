@@ -53,17 +53,20 @@ vectors it is given before eliminating them, so the maps it adopts are
 in range too.  LinMap.entries is a new {(row, col): c} dict built from
 the columns, for reading only.
 
-A Subspace split from a coordinate projection records the ambient
-indices it keeps as the frozenset kept, None on every other subspace.
-There the projection renames each kept index and drops every other one,
-so a vector lies in the subspace exactly when its keys are kept, and
-contains is that lookup.
+Subspace.locate takes a tensor, its ambient index on one leg or a slice
+of legs, to subspace coordinates and says whether it lay in the
+subspace; every membership test of the package asks it.  It reads the
+splice tables that Subspace.tables builds once per layout of legs.  A
+coordinate split records the ambient indices it keeps as the frozenset
+kept (None on every other subspace): its projection drops every other
+index, so locate counts the terms kept, and contains is a lookup in kept.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import product
+from operator import itemgetter
 
 from .scalars import invert
 
@@ -233,7 +236,16 @@ def on_leg(t: dict, leg, op: dict) -> dict:
 def permute(t: dict, order) -> dict:
     """Reorder the legs of a tuple-keyed tensor: leg k of the result is
     leg order[k] of t."""
-    return {tuple(key[i] for i in order): c for key, c in t.items()}
+    get = itemgetter(*order)
+    if len(order) == 1:
+        return {(get(key),): c for key, c in t.items()}
+    return {get(key): c for key, c in t.items()}
+
+
+def outer(x: dict, y: dict) -> dict:
+    """The tensor product of two tuple-keyed tensors, the legs of x
+    first: {a + b: v * w}, x's terms in the outer loop."""
+    return {a + b: v * w for a, v in x.items() for b, w in y.items()}
 
 
 def check_keys(table, name: str, dims) -> None:
@@ -513,7 +525,7 @@ class Subspace:
     kept is the frozenset of ambient indices a coordinate split keeps
     (see split_idempotent), and None for every other subspace."""
 
-    __slots__ = ("ambient", "inclusion", "projection", "kept")
+    __slots__ = ("ambient", "inclusion", "projection", "kept", "_tables")
 
     def __init__(self, ambient: VectorSpace, inclusion: LinMap, projection: LinMap):
         if inclusion.codomain.dim != ambient.dim or projection.domain.dim != ambient.dim:
@@ -526,6 +538,7 @@ class Subspace:
         self.inclusion = inclusion
         self.projection = projection
         self.kept = None
+        self._tables = {}
 
     @classmethod
     def _adopt(cls, ambient: VectorSpace, inclusion: LinMap,
@@ -536,6 +549,7 @@ class Subspace:
         space.inclusion = inclusion
         space.projection = projection
         space.kept = None
+        space._tables = {}
         return space
 
     @property
@@ -560,17 +574,46 @@ class Subspace:
             reduced))), LinMap._adopt(ambient, sub, {
                 p: {j: 1} for j, p in enumerate(pivots)}))
 
+    def tables(self, dims) -> tuple:
+        """(proj, incl): the projection and inclusion as on_leg tables
+        {key: {j: c}} and {j: {key: c}}, keys split into legs of the tuple
+        dims (a bare index on one leg); built once per dims."""
+        if len(dims) == 1:
+            return self.projection.columns(), self.inclusion.columns()
+        tabs = self._tables.get(dims)
+        if tabs is None:
+            tabs = self._tables[dims] = (
+                unflatten(self.projection.columns(), dims),
+                {j: unflatten(col, dims)
+                 for j, col in self.inclusion.columns().items()})
+        return tabs
+
+    def locate(self, t: dict, leg, dims) -> tuple:
+        """(coords, inside): t, its ambient index on leg (an index or a
+        slice, as on_leg reads it) split into legs of dims, in subspace
+        coordinates, and whether t lay in the subspace: on a coordinate
+        split when no term was dropped, else when re-embedding coords
+        gives t back."""
+        proj, incl = self.tables(dims)
+        coords = on_leg(t, leg, proj)
+        if self.kept is not None:
+            return coords, len(coords) == len(t)
+        return coords, on_leg(coords, leg if type(leg) is int
+                              else leg.start, incl) == t
+
     def contains(self, vec: dict) -> bool:
         if self.kept is not None:
             return self.kept.issuperset(vec)
-        return self.inclusion(self.projection(vec)) == vec
+        return self.locate({(i,): c for i, c in vec.items()}, 0,
+                           (self.ambient.dim,))[1]
 
     def coords(self, vec: dict) -> dict:
         """Coordinates of an ambient vector lying in the subspace."""
-        c = self.projection(vec)
-        if self.inclusion(c) != vec:
+        c, inside = self.locate({(i,): v for i, v in vec.items()}, 0,
+                                (self.ambient.dim,))
+        if not inside:
             raise DimensionMismatch("vector is not in the subspace")
-        return c
+        return {j: v for (j,), v in c.items()}
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient.dim})"
@@ -612,7 +655,7 @@ def split_idempotent(P: LinMap) -> Subspace:
     drops every other index, and its inclusion sends e_j back to v e_c,
     so inclusion(projection(vec)) == vec exactly when every key of vec is
     kept: v v == 1, and a dropped key is missing from the left side.
-    contains reads kept alone.
+    contains reads kept alone, and locate counts the terms it keeps.
     """
     if P.domain.dim != P.codomain.dim:
         raise DimensionMismatch("idempotent must be an endomorphism")

@@ -256,12 +256,14 @@ class TruncatedTensor(HModule):
     built on demand, since nested carriers are compared by their
     inclusions alone: for each algebra basis element one contraction
     acts with its coproduct on every carrier column at once, the column
-    index riding along as a pass-through leg, and one on_leg with the
-    carrier projection on the two module legs takes the result to
-    carrier coordinates.  The first read of action builds and keeps the
-    whole table, and escaped lists the elements whose raw image left the
-    carrier on the way; action_of(elements) before it builds only the
-    rows of those elements and keeps nothing.
+    index riding along as a pass-through leg, and the carrier's locate on
+    the two module legs takes the result to carrier coordinates and says
+    whether it stayed on the carrier.  The first read of action builds
+    and keeps the whole table, and escaped lists the elements whose raw
+    image left the carrier on the way; action_of(elements) before it
+    builds only the rows of those elements and keeps nothing.  The
+    splice tables of the carrier inclusion and projection on the two
+    module legs belong to the carrier, which builds them once.
     """
 
     def __init__(self, left: HModule, right: HModule):
@@ -274,11 +276,11 @@ class TruncatedTensor(HModule):
         self.left = left
         self.right = right
         self.carrier = carrier
+        self.dims = (left.dim, right.dim)
         self.space = VectorSpace(carrier.dim)
         self._action = None
         self._escaped = None
         self._rho = None
-        self._projection_table = None
 
     @property
     def action(self) -> dict:
@@ -303,23 +305,16 @@ class TruncatedTensor(HModule):
     def _conjugated_action(self, elements) -> dict:
         """The table {(i, j): {r: c}}: e_i acting on carrier basis j, for
         each i in elements; _escaped lists the i whose raw image leaves
-        the carrier.  On a coordinate carrier the projection renames each
-        kept pair and drops the rest, so the image stays exactly when no
-        term is dropped; on any other carrier it stays exactly when
-        re-embedding its coordinates gives it back."""
+        the carrier, as the carrier's locate finds it."""
         legs = (self.left.action, self.right.action, None)
         cols = self.inclusion_tensor()
-        proj = self.projection_table()
-        kept = self.carrier.kept is not None
-        incl = None if kept else self.inclusion_table()
         action, self._escaped = {}, []
         for i in elements:
             cop = self.algebra.comult.get(i)
             if cop:
-                raw = act(legs, cop, cols)
-                coords = on_leg(raw, slice(0, 2), proj)
-                if (len(coords) != len(raw) if kept
-                        else on_leg(coords, 0, incl) != raw):
+                coords, inside = self.carrier.locate(
+                    act(legs, cop, cols), slice(0, 2), self.dims)
+                if not inside:
                     self._escaped.append(i)
                 for (r, j), c in coords.items():
                     action.setdefault((i, j), {})[r] = c
@@ -328,33 +323,23 @@ class TruncatedTensor(HModule):
     def inclusion_tensor(self) -> dict:
         """The carrier inclusion as one tensor {(a, b, j): c}, the column
         index j as a trailing leg."""
-        return column_tensor(self.carrier.inclusion,
-                             (self.left.dim, self.right.dim))
+        return column_tensor(self.carrier.inclusion, self.dims)
 
     def inclusion_table(self) -> dict:
         """The carrier inclusion as a splice table {j: {(a, b): c}}."""
-        dims = (self.left.dim, self.right.dim)
-        return {j: unflatten(col, dims)
-                for j, col in self.carrier.inclusion.columns().items()}
+        return self.carrier.tables(self.dims)[1]
 
     def projection_table(self) -> dict:
-        """The carrier projection as a table {(a, b): {j: c}} on pairs,
-        built on first read."""
-        if self._projection_table is None:
-            self._projection_table = unflatten(
-                self.carrier.projection.columns(),
-                (self.left.dim, self.right.dim))
-        return self._projection_table
+        """The carrier projection as a table {(a, b): {j: c}} on pairs."""
+        return self.carrier.tables(self.dims)[0]
 
     def embed_pairs(self, coords: dict) -> dict:
         """Carrier coordinates to a pair-keyed ambient vector."""
-        return unflatten(self.carrier.inclusion(coords),
-                         (self.left.dim, self.right.dim))
+        return unflatten(self.carrier.inclusion(coords), self.dims)
 
     def project_pairs(self, pd: dict) -> dict:
         """Pair-keyed ambient vector to carrier coordinates."""
-        return self.carrier.projection(
-            flatten(pd, (self.left.dim, self.right.dim)))
+        return self.carrier.projection(flatten(pd, self.dims))
 
     def __repr__(self):
         return (f"TruncatedTensor(dim={self.dim} inside "

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 from .linalg import (LinMap, VectorSpace, check_keys, flatten, on_leg,
-                     permute, solve, unflatten)
+                     outer, permute, solve, unflatten)
 from .weak_hopf import (NotCertified, VerificationReport, first_unequal,
                         pair_mult, scalar_table_mismatch)
 
@@ -61,15 +61,13 @@ class RMatrix:
 def r13_r23(H, r):
     """R13 R23 in H tensor H tensor H: (Delta tensor id)(R) when R is
     quasitriangular."""
-    return on_leg({(a, c, b, d): v * w for (a, b), v in r.items()
-                   for (c, d), w in r.items()}, slice(2, 4), H.mult)
+    return on_leg(permute(outer(r, r), (0, 2, 1, 3)), slice(2, 4), H.mult)
 
 
 def r13_r12(H, r):
     """R13 R12 in H tensor H tensor H: (id tensor Delta)(R) when R is
     quasitriangular."""
-    return on_leg({(a, c, d, b): v * w for (a, b), v in r.items()
-                   for (c, d), w in r.items()}, slice(0, 2), H.mult)
+    return on_leg(permute(outer(r, r), (0, 2, 3, 1)), slice(0, 2), H.mult)
 
 
 def _intertwine_mismatch(H, r):
@@ -90,11 +88,9 @@ def _yang_baxter_mismatch(H, r):
 
     # R12 R13 and R23 R13 are R13 R12 and R13 R23 with two legs swapped
     t1 = permute(r13_r12(H, r), (0, 2, 1))
-    lhs = legs(legs({(x, y, u, z, t): v * w for (x, y, z), v in t1.items()
-                     for (u, t), w in r.items()}, 3), 1)
+    lhs = legs(legs(permute(outer(t1, r), (0, 1, 3, 2, 4)), 3), 1)
     t2 = permute(r13_r23(H, r), (1, 0, 2))
-    rhs = legs(legs({(x, c, y, d, z): v * w for (x, y, z), v in t2.items()
-                     for (c, d), w in r.items()}, 2), 0)
+    rhs = legs(legs(permute(outer(t2, r), (0, 3, 1, 4, 2)), 2), 0)
     return scalar_table_mismatch(lhs, rhs)
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .linalg import (LinMap, Subspace, VectorSpace, act, on_leg, permute,
-                     split_idempotent)
+from .linalg import (DimensionMismatch, LinMap, Subspace, VectorSpace, act,
+                     on_leg, outer, permute, split_idempotent)
 from .module_cat import (HModule, carrier_mismatch,
                          h_linear_mismatch, left_unitor, right_unitor,
                          triple_projector, truncated_tensor, unit_object)
@@ -38,24 +38,22 @@ class ComultiplicationEscapesCarrier(CarrierInvariantError):
 def _checked_coords(carrier: Subspace, vec: dict, message: str) -> dict:
     """Carrier coordinates of vec; CarrierInvariantError(message) when vec
     lies outside the carrier."""
-    coords = carrier.projection(vec)
-    if carrier.inclusion(coords) != vec:
-        raise CarrierInvariantError(message)
-    return coords
+    try:
+        return carrier.coords(vec)
+    except DimensionMismatch:
+        raise CarrierInvariantError(message) from None
 
 
 def centralizer_subalgebra(H) -> Subspace:
-    """The span of 1_1 e_i S(1_2) over all basis i, verified as a subalgebra
-    of elements commuting with the source subalgebra."""
+    """The span of 1_1 e_i S(1_2) over all basis i, verified to commute
+    with the source subalgebra.  That it is closed under multiplication is
+    tested once, by transmute, as it takes the products of carrier pairs
+    to carrier coordinates."""
     H.require_certified()
     S = H.antipode_map.columns()
-    spanning = []
-    for i in range(H.dim):
-        vec = H.fold(on_leg({(x, i, y): v for (x, y), v in H.delta_one().items()},
-                            2, S))
-        if vec:
-            spanning.append(vec)
-    carrier = Subspace.from_span(H.space, spanning)
+    carrier = Subspace.from_span(H.space, [H.fold(on_leg(
+        {(x, i, y): v for (x, y), v in H.delta_one().items()}, 2, S))
+        for i in range(H.dim)])
     src = H.source_space()
     for j in range(carrier.dim):
         x = carrier.inclusion.column(j)
@@ -64,11 +62,6 @@ def centralizer_subalgebra(H) -> Subspace:
             if H.multiply(x, y) != H.multiply(y, x):
                 raise CarrierInvariantError(
                     "carrier element does not commute with the source subalgebra")
-        for k in range(carrier.dim):
-            prod = H.multiply(x, carrier.inclusion.column(k))
-            if not carrier.contains(prod):
-                raise CarrierInvariantError(
-                    "carrier is not closed under multiplication")
     return carrier
 
 
@@ -81,10 +74,7 @@ def _adjoint_module(H, carrier: Subspace) -> HModule:
         for i in range(H.dim):
             t = {(a, p, b): v * c for (a, b), v in H.comult.get(i, {}).items()
                  for p, c in x.items()}
-            out = H.fold(on_leg(t, 2, S))
-            if not out:
-                continue
-            coords = _checked_coords(carrier, out,
+            coords = _checked_coords(carrier, H.fold(on_leg(t, 2, S)),
                                      "adjoint action left the carrier")
             for r, c in coords.items():
                 action[(i, r, j)] = c
@@ -144,40 +134,40 @@ def transmute(H, R) -> BraidedHopfAlgebra:
     H.require_certified()
     R.require_certified()
     carrier = centralizer_subalgebra(H)
-    module = _adjoint_module(H, carrier)
-    square = truncated_tensor(module, module)
-    unit_module = unit_object(H)
-    tgt = unit_module.target
-    S = H.antipode_map.columns()
-    incl = carrier.inclusion.columns()
-    proj = carrier.projection.columns()
-
     mult_table = {}
     for i, j in product(range(carrier.dim), repeat=2):
         prod = H.multiply(carrier.inclusion.column(i),
                           carrier.inclusion.column(j))
         if prod:
-            mult_table[(i, j)] = carrier.coords(prod)
+            mult_table[(i, j)] = _checked_coords(
+                carrier, prod, "carrier is not closed under multiplication")
+
+    module = _adjoint_module(H, carrier)
+    square = truncated_tensor(module, module)
+    unit_module = unit_object(H)
+    tgt = unit_module.target
+    S = H.antipode_map.columns()
+    one = (H.dim,)
 
     comult_table = {}
     for i in range(carrier.dim):
         # x_1 S(R^2) (x) R^1 . x_2, the adjoint action p_1 x_2 S(p_2)
         # written out on the R^1 = p leg
-        t = {(a, q, p, b): v * w for (a, b), v in
-             H.comultiply(carrier.inclusion.column(i)).items()
-             for (p, q), w in R.r.items()}
+        t = permute(outer(H.comultiply(carrier.inclusion.column(i)), R.r),
+                    (0, 3, 2, 1))
         t = on_leg(on_leg(t, 1, S), slice(0, 2), H.mult)
         t = on_leg(permute(on_leg(t, 1, H.comult), (0, 1, 3, 2)), 3, S)
         pd = on_leg(on_leg(t, slice(1, 3), H.mult), slice(1, 3), H.mult)
-        coords_pd = on_leg(on_leg(pd, 0, proj), 1, proj)
-        if on_leg(on_leg(coords_pd, 0, incl), 1, incl) != pd:
+        # pd lies in carrier (x) carrier exactly when each leg does
+        coords, first = carrier.locate(pd, 0, one)
+        coords, second = carrier.locate(coords, 1, one)
+        if not (first and second):
             raise ComultiplicationEscapesCarrier(
                 f"coproduct of carrier basis {i} left the carrier square")
-        sq_coords = square.project_pairs(coords_pd)
-        if square.embed_pairs(sq_coords) != coords_pd:
+        if not square.carrier.locate(coords, slice(0, 2), square.dims)[1]:
             raise ComultiplicationEscapesCarrier(
                 f"coproduct of carrier basis {i} missed the truncated square")
-        comult_table[i] = coords_pd
+        comult_table[i] = coords
 
     counit_bar = LinMap.from_function(
         module.space, unit_module.space,
@@ -188,8 +178,7 @@ def transmute(H, R) -> BraidedHopfAlgebra:
             carrier, tgt.inclusion.column(j),
             "target subalgebra does not embed in the carrier"))
 
-    pairs = {(p, p2, q, q2): v * w for (p, q), v in R.r.items()
-             for (p2, q2), w in R.r.items()}
+    pairs = permute(outer(R.r, R.r), (0, 2, 1, 3))
 
     def antipode_column(i):
         # R^2 R'^2 S(R^1 x S(R'^1)), with R' a second copy of R

@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import product
 
 from .linalg import (DimensionMismatch, LinMap, Subspace, VectorSpace, act,
-                     add_term, check_keys, image, on_leg, permute)
+                     add_term, check_keys, image, on_leg, outer, permute)
 
 
 class NotCertified(RuntimeError):
@@ -189,11 +189,7 @@ class WeakHopfAlgebra:
 
     def comultiply(self, a):
         """Coproduct as a dict keyed by index pairs."""
-        out = {}
-        for i, x in a.items():
-            for jk, c in self.comult.get(i, {}).items():
-                add_term(out, jk, c * x)
-        return out
+        return on_leg({(i,): x for i, x in a.items()}, 0, self.comult)
 
     def antipode(self, a):
         return self.antipode_map(a)
@@ -314,12 +310,11 @@ def _check_unit_comult(H, report):
     d1 = H.delta_one()
     d2 = H.delta2_one()
     # (Delta(1) (x) 1)(1 (x) Delta(1)), then (1 (x) Delta(1))(Delta(1) (x) 1)
-    lhs1 = on_leg({(a, b, c, e): v * w for (a, b), v in d1.items()
-                   for (c, e), w in d1.items()}, slice(1, 3), H.mult)
+    pairs = outer(d1, d1)
+    lhs1 = on_leg(pairs, slice(1, 3), H.mult)
     mism = None if d2 == lhs1 else ((), d2, lhs1)
     if mism is None:
-        lhs2 = on_leg({(c, a, b, e): v * w for (c, e), w in d1.items()
-                       for (a, b), v in d1.items()}, slice(0, 2), H.mult)
+        lhs2 = on_leg(permute(pairs, (0, 2, 3, 1)), slice(0, 2), H.mult)
         mism = None if d2 == lhs2 else ((), d2, lhs2)
     report.record("unit_comult_compatible", mism)
 

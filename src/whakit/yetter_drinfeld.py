@@ -44,7 +44,7 @@ from itertools import product
 from math import lcm
 
 from .linalg import (_ONE, LinMap, VectorSpace, act, flatten, on_leg,
-                     permute, unflatten)
+                     outer, permute, unflatten)
 from .module_cat import (HModule, _inverse_mismatch, carrier_map,
                          hexagon_mismatches, regular_module, swapped_legs,
                          truncation_projector, truncated_tensor, unit_object)
@@ -138,8 +138,7 @@ def check_yd(Y: Comodule) -> VerificationReport:
     S = H.antipode_map.columns()
 
     def compatible(i, j):
-        t = {(i1, a, i3, i2, m): w * v for (i1, i2, i3), w in
-             H.comult2(i).items() for (a, m), v in table[j].items()}
+        t = permute(outer(H.comult2(i), table[j]), (0, 3, 2, 1, 4))
         t = on_leg(on_leg(on_leg(t, 2, S), slice(0, 2), H.mult), slice(0, 2),
                    H.mult)
         return (Y.coaction_pairs(M.rho(i).column(j)),
@@ -149,8 +148,7 @@ def check_yd(Y: Comodule) -> VerificationReport:
 
     def absorbed(j):
         # m_(-1) S(1_2) (x) 1_1 . m_(0) against rho(m)
-        t = {(a, y, x, m): v * w for (a, m), v in table[j].items()
-             for (x, y), w in H.delta_one().items()}
+        t = permute(outer(table[j], H.delta_one()), (0, 3, 2, 1))
         t = on_leg(on_leg(t, 1, S), slice(0, 2), H.mult)
         return on_leg(t, slice(1, 3), M.action), table[j]
     report.record("split_unit_absorbed",
@@ -343,15 +341,12 @@ def functor_G(Y: Comodule, B: BraidedHopfAlgebra) -> Comodule:
     """Translate an ambient coaction into a carrier coaction by absorbing
     one antipode-twisted R-matrix leg: m_(-1) S(R^2) (x) R^1 . m_(0)."""
     H, M = _over(Y, False), Y.module
-    proj = B.carrier.projection.columns()
-    incl = B.carrier.inclusion.columns()
     absorbed = _absorb_r(Y.table(), {i: {i: 1} for i in range(H.dim)},
                          H.antipode_map.columns(), M, B)
 
     def column(j):
-        pd = absorbed(j)
-        coords = on_leg(pd, 0, proj)
-        if on_leg(coords, 0, incl) != pd:
+        coords, inside = B.carrier.locate(absorbed(j), 0, (H.dim,))
+        if not inside:
             raise CoactionEscapesCarrier(
                 f"translated coaction of basis {j} left the carrier")
         return flatten(coords, (B.dim, M.dim))
@@ -390,21 +385,15 @@ def regular_rh_comodule(B: BraidedHopfAlgebra) -> Comodule:
 def _tensor_coaction(tt, first_dim: int, coact) -> LinMap:
     """The coaction on a truncated tensor tt whose column j, keyed
     (coacting leg, left module leg, right module leg), is coact(pairs)
-    for the pair-keyed embedding of carrier basis j; the module legs are
-    projected back onto the carrier, which they must not leave."""
-    proj = tt.projection_table()
+    for the pair-keyed embedding of carrier basis j; the carrier's locate
+    takes the module legs back to carrier coordinates, raising
+    CoactionEscapesCarrier when they leave the carrier."""
     incl = tt.inclusion_table()
 
-    # on a coordinate carrier the projection renames each kept pair to
-    # its own index and drops the rest, so raw stays on the carrier
-    # exactly when no term is dropped
-    kept = tt.carrier.kept is not None
-
     def column(j):
-        raw = coact(incl[j])
-        coords = on_leg(raw, slice(1, 3), proj)
-        if (len(coords) != len(raw) if kept
-                else on_leg(coords, 1, incl) != raw):
+        coords, inside = tt.carrier.locate(coact(incl[j]), slice(1, 3),
+                                           tt.dims)
+        if not inside:
             raise CoactionEscapesCarrier(
                 f"tensor coaction of basis {j} missed the truncated square")
         return flatten(coords, (first_dim, tt.dim))
@@ -554,23 +543,24 @@ def comodule_braiding_inv(U: Comodule, source, target) -> LinMap:
 def check_comodule_braiding(U: Comodule, V: Comodule,
                             P: Comodule | None = None) -> VerificationReport:
     """Invertibility and, given a third comodule, both hexagons through
-    comodule_tensor and comodule_braiding.  Raises ValueError unless V and
-    P coact over the transmuted algebra U coacts over.  comodule_braiding
-    is yd_braiding of functor_F(U), the same map, so there is no
-    agreement between the two to check."""
+    comodule_tensor and the comodule braiding: yd_braiding and
+    yd_braiding_inv of functor_F of the comodule braided, each distinct
+    comodule translated once.  Raises ValueError unless V and P coact over
+    the transmuted algebra U coacts over."""
     H = U.algebra
     if any(_over(C, True) is not U.over for C in (V, P) if C is not None):
         raise ValueError("the comodules coact over different algebras")
     report = VerificationReport(subject=f"{H.name} comodule braiding")
+    F = cache(functor_F)
 
     uv = truncated_tensor(U.module, V.module)
     vu = truncated_tensor(V.module, U.module)
     report.record("braiding_invertible", _inverse_mismatch(
-        comodule_braiding_inv(U, vu, uv), comodule_braiding(U, uv, vu)))
+        yd_braiding_inv(F(U), vu, uv), yd_braiding(F(U), uv, vu)))
 
     if P is not None:
         for name, witness in hexagon_mismatches(
                 U, V, P, lambda C: C.module, comodule_tensor,
-                comodule_braiding).items():
+                lambda A, *carriers: yd_braiding(F(A), *carriers)).items():
             report.record(name, witness)
     return report

@@ -143,6 +143,10 @@ def test_flatten_roundtrip_and_permute():
     assert flatten({(1, 2, 3): 1}, dims) == {(1 * 3 + 2) * 4 + 3: 1}
     moved = permute(t, (2, 0, 1))
     assert permute(moved, (1, 2, 0)) == t
+    assert list(moved.items()) == [((k[2], k[0], k[1]), c)
+                                   for k, c in t.items()]
+    # one leg kept: keys stay tuples
+    assert permute({(0, 5): 1, (1, 6): 2}, (1,)) == {(5,): 1, (6,): 2}
 
 
 def unit_table(rng, order):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from whakit.linalg import (
     _rref,
     flatten,
     image,
+    on_leg,
     solve,
     split_idempotent,
     unflatten,
@@ -283,3 +285,68 @@ def test_contains_by_kept_indices_agrees_with_the_roundtrip(one):
     assert split_idempotent(P).kept is None
     assert _image_split(P).kept is None
     assert Subspace.from_span(sp, [{0: 1}, {2: 1}]).kept is None
+
+
+def unit_upper(rng, n):
+    """A seeded unit upper-triangular change of basis and its inverse."""
+    sp = VectorSpace(n)
+    U = LinMap(sp, sp, {**{(i, i): 1 for i in range(n)}, **{
+        (i, j): rng.choice([-1, 1, 2]) for j in range(n) for i in range(j)
+        if rng.random() < 0.5}})
+    return U, LinMap.from_function(sp, sp, lambda c: solve(U, {c: 1}))
+
+
+@pytest.mark.parametrize("dims, leg", [
+    ((6,), 0), ((6,), 1), ((2, 3), slice(1, 3)), ((3, 3), slice(1, 3))],
+    ids=["leg0", "middle", "slice2x3", "slice3x3"])
+def test_locate_agrees_with_the_roundtrip(dims, leg):
+    """locate on 0/1-diagonal projectors, which split by coordinates, and
+    on the same projectors conjugated by a unit upper-triangular basis
+    change, which split by elimination: coords is the projection table
+    applied on leg, and inside is the flat roundtrip inclusion(projection)
+    of every slot of t, whether locate counted terms or re-embedded.  Half
+    the tensors lie in the subspace, half have one escaping term."""
+    rng = random.Random(2501)
+    n = math.prod(dims)
+    sp = VectorSpace(n)
+    start = leg if type(leg) is int else leg.start
+    answers, splits = set(), set()
+    for _ in range(12):
+        kept = rng.sample(range(n), rng.randint(1, n - 1))
+        P = LinMap(sp, sp, {(c, c): 1 for c in kept})
+        U, U_inv = unit_upper(rng, n)
+        for Q in (P, U.compose(P).compose(U_inv)):
+            sub = split_idempotent(Q)
+            splits.add(sub.kept is None)
+            outside = [k for k in range(n) if not sub.contains({k: 1})]
+            for escape in (False, True):
+                # slots (head, tail) around the ambient legs, each holding
+                # a flat vector of the subspace, one of them pushed off it
+                slots = {}
+                for _ in range(rng.randint(1, 3)):
+                    slot = (tuple(rng.randrange(2) for _ in range(start)),
+                            (rng.randrange(3),))
+                    cols = rng.sample(range(sub.dim), rng.randint(1, sub.dim))
+                    slots[slot] = sub.inclusion(
+                        {j: rand_value(rng) for j in cols})
+                if escape:
+                    vec = slots[rng.choice(sorted(slots))]
+                    k = rng.choice(outside)
+                    vec[k] = vec.get(k, 0) + rand_value(rng)
+                t = {head + key + tail: c
+                     for (head, tail), vec in slots.items()
+                     for key, c in unflatten(
+                         {k: c for k, c in vec.items() if c != 0},
+                         dims).items()}
+                roundtrip = all(
+                    sub.inclusion(sub.projection(vec)) == vec
+                    for vec in ({k: c for k, c in v.items() if c != 0}
+                                for v in slots.values()))
+                coords, inside = sub.locate(t, leg, dims)
+                assert coords == on_leg(t, leg, sub.tables(dims)[0])
+                assert inside is roundtrip is not escape
+                if len(dims) == 1:
+                    assert sub.tables(dims) == (sub.projection.columns(),
+                                                sub.inclusion.columns())
+                answers.add(inside)
+    assert answers == {True, False} and splits == {True, False}

@@ -74,6 +74,27 @@ def test_comodule_braiding_and_hexagons(certified):
             "braiding_invertible", "hexagon_forward", "hexagon_backward"]
 
 
+def test_comodule_braiding_translates_each_comodule_once(certified,
+                                                        monkeypatch):
+    """check_comodule_braiding calls functor_F once per distinct comodule
+    it braids: U and U (x) U for (U, U, U), and T, T (x) U and U for
+    (T, U, T), the tensors built by the hexagons."""
+    H, _, B = certified
+    calls = []
+
+    def counting_functor_F(N):
+        calls.append(N)
+        return functor_F(N)
+    monkeypatch.setattr(yetter_drinfeld, "functor_F", counting_functor_F)
+    U = regular_rh_comodule(B)
+    T = trivial_comodule(B, regular_module(H))
+    for triple, distinct in (((U, U, U), 2), ((T, U, T), 3)):
+        calls.clear()
+        assert check_comodule_braiding(*triple).passed
+        assert len(calls) == len(set(map(id, calls))) == distinct
+        assert calls[0] is triple[0]
+
+
 def test_roundtrip_translates_each_sample_once(certified, monkeypatch):
     """functor_G runs once per sample and once per tensor of two samples,
     however many checks use a translation, and each pair of samples gets
