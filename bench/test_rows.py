@@ -11,7 +11,8 @@ pipeline, the split of one truncation carrier, the triple truncation
 projector (on Z_12 and on the groupoid 3 x 4), or the split of an
 idempotent that is not a coordinate projection, on freshly built
 objects.  One coherence row runs in a basis whose truncation carriers
-are oblique, built with the change of basis of tests/.  The stages
+are oblique, built with the change of basis of tests/, and one
+certify_braided_hopf row runs Sweedler in a dense basis.  The stages
 before the timed one run in the untimed setup of every round.  With
 --benchmark-disable each row runs once, as a smoke test.  bench/ is
 outside the tier-1 testpaths.
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 
 from whakit import examples
-from whakit.linalg import (LinMap, VectorSpace, _coordinate_split,
+from whakit.linalg import (LinMap, Subspace, VectorSpace, _coordinate_split,
                            split_idempotent)
 from whakit.module_cat import (check_monoidal_coherence, regular_module,
                                triple_projector, unit_object)
@@ -34,6 +35,19 @@ from whakit.yetter_drinfeld import check_equivalence_roundtrip
 # the tests' change of basis, for the row on an oblique carrier
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_yetter_drinfeld import rebased  # noqa: E402
+
+
+def dense_basis(rng, n):
+    """A basis with a unit diagonal whose every off-diagonal entry is set,
+    with probability 0.35, to 1, -1 or 2; redrawn until it is a basis."""
+    while True:
+        basis = [{i: 1} for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < 0.35:
+                    basis[i][j] = rng.choice((1, -1, 2))
+        if Subspace.from_span(VectorSpace(n), basis).dim == n:
+            return basis
 
 
 def certified(build):
@@ -70,6 +84,16 @@ def test_sweedler_pipeline(benchmark):
 def test_certify_braided_hopf_z32(benchmark):
     def setup():
         _, _, B = certified(lambda: examples.group_algebra_zn(32))
+        return (B,), {}
+    run_row(benchmark, setup, certify_braided_hopf, rounds=3)
+
+
+def test_certify_braided_hopf_rebased_sweedler(benchmark):
+    # Sweedler in a dense basis (seed 1): the products and actions have
+    # rows of several entries, so act contracts them leg by leg
+    def setup():
+        _, _, B = certified(lambda: rebased(
+            *examples.sweedler(), dense_basis(random.Random(1), 4)))
         return (B,), {}
     run_row(benchmark, setup, certify_braided_hopf, rounds=3)
 

@@ -33,11 +33,14 @@ keeps its place for a later term.  yetter_drinfeld's _products keeps
 each key at its first term and drops a sum that is zero only at the
 end, so a key that cancels and is met again keeps its first place too.
 The three kernels also skip a product by the int 1, and store a first
-term untested: their inputs hold no zeros, so no term is zero.  act
-builds a term whose looked-up table rows each hold a single entry, the
-case of every 0/1 table, directly, without itertools.product, in the
-order the product loop would give.  Elimination breaks ties by key
-order, so report witnesses depend on this order.
+term untested: their inputs hold no zeros, so no term is zero.  act has
+one algorithm: one pass per acting leg, each summing into the dict the
+next pass reads, so the keys of its result come in order of first
+arrival over the passes.  With one acting leg, or with rows of at most
+one entry (every 0/1 table) where no sum cancels on the way, that is the
+order, and the value types, of the loop over each (y term, x term) pair
+and each choice of an entry from each row.  Elimination breaks ties by
+key order, so report witnesses depend on this order.
 
 A LinMap built with LinMap(...) takes (row, col) entries, checks each
 against its dimensions and drops zeros, since those entries come from
@@ -65,7 +68,6 @@ index, so locate counts the terms kept, and contains is a lookup in kept.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import product
 from operator import itemgetter
 
 from .scalars import invert
@@ -136,66 +138,40 @@ def act(tables, x: dict, y: dict) -> dict:
     keyed like y.  With the product table of an algebra on every leg,
     act(tables, x, y) is the product x y in the tensor power; with
     module actions, it is x acting on y.
+
+    The terms of x tensor y, y's in the outer loop, are keyed by x's
+    indices followed by y's key.  Each acting leg in turn contracts the
+    leading x index into its leg of y through its table, summing by
+    add_term's rule into the dict that the next leg reads.
     """
-    legs = [k for k, t in enumerate(tables) if t is not None]
-    a, b = legs[0], legs[-1] + 1
-    # The legs a .. b-1 of y form one block, replaced in each output key
-    # between the untouched head and tail of the y key.  A leg passed
-    # through inside the block acts by an identity table, read at x
-    # index 0.
-    block = [tables[k] if tables[k] is not None
-             else {(0, i): {i: _ONE} for i in {yk[k] for yk in y}}
-             for k in range(a, b)]
-    # each term of x once per call: (table, x index, y leg) per block leg
-    xs = []
-    for xk, xc in x.items():
-        at = dict(zip(legs, xk))
-        xs.append(([(t, at.get(k, 0), k) for k, t in enumerate(block, a)], xc))
-    out = {}
-    get = out.get
-    for yk, yc in y.items():
-        head, tail = yk[:a], yk[b:]
-        for terms, xc in xs:
-            rs = []
-            vs = []
-            for t, p, k in terms:
-                row = t.get((p, yk[k]))
-                if not row or len(row) != 1:
-                    break
-                (r, v), = row.items()
-                rs.append(r)
-                vs.append(v)
-            else:
-                # every row holds a single entry: one output term
-                c = xc if yc is _ONE else yc if xc is _ONE else xc * yc
-                for v in vs:
-                    if v is not _ONE:
-                        c = c * v
-                key = head + tuple(rs) + tail
-                # add_term, inlined: this loop runs for every term
-                cur = get(key)
-                if cur is None:
-                    out[key] = c
-                else:
-                    cur = cur + c
-                    if cur:
-                        out[key] = cur
-                    else:
-                        del out[key]
-                continue
+    n = sum(t is not None for t in tables)
+    terms = ((xk + yk, xc if yc is _ONE else yc if xc is _ONE else xc * yc)
+             for yk, yc in y.items() for xk, xc in x.items())
+    for k, t in enumerate(tables):
+        if t is None:
+            continue
+        i = n + k   # y's leg k in the key, after n leading x indices
+        out = {}
+        get = out.get
+        for key, c in terms:
+            row = t.get((key[0], key[i]))
             if row:
-                # a row with several entries: one term per choice of an
-                # entry from each row, unless a later row is empty
-                rows = [t.get((p, yk[k])) for t, p, k in terms]
-                if all(rows):
-                    c0 = xc if yc is _ONE else yc if xc is _ONE else xc * yc
-                    for combo in product(*map(dict.items, rows)):
-                        rs, vals = zip(*combo)
-                        c = c0
-                        for v in vals:
-                            if v is not _ONE:
-                                c = c * v
-                        add_term(out, head + rs + tail, c)
+                head, tail = key[1:i], key[i + 1:]
+                for r, v in row.items():
+                    nk = head + (r,) + tail
+                    w = c if v is _ONE else c * v
+                    # add_term, inlined: this loop runs for every term
+                    cur = get(nk)
+                    if cur is None:
+                        out[nk] = w
+                    else:
+                        cur = cur + w
+                        if cur:
+                            out[nk] = cur
+                        else:
+                            del out[nk]
+        terms = out.items()
+        n -= 1
     return out
 
 

@@ -189,9 +189,10 @@ def _projector(modules, d: dict) -> LinMap:
     add_term's rule and in d's term order, the coefficients of the terms
     whose every leg acts on basis tensor k, and a c that cancels drops the
     column.  act gives the same entry for entry, since it skips products
-    by the int 1; on any other row act runs.  Either way the columns come
-    in the order their basis tensors are first met over d's terms, by
-    which split_idempotent orders the carrier basis.
+    by the int 1, as long as no sum it forms leg by leg cancels; on any
+    other row act runs.  Either way the columns come in the order their
+    basis tensors are first met over d's terms, by which split_idempotent
+    orders the carrier basis.
     """
     dims = [M.dim for M in modules]
     n = math.prod(dims)

@@ -10,7 +10,11 @@ from itertools import product
 
 import pytest
 
+from test_examples import certify_all
 from test_scalars import power
+from whakit import module_cat, transmutation, weak_hopf, yetter_drinfeld
+from whakit.examples import (group_algebra_zn_anyonic, groupoid_algebra,
+                             sweedler)
 from whakit.linalg import (LinMap, VectorSpace, act, flatten, on_leg, permute,
                            unflatten)
 from whakit.scalars import omega
@@ -83,10 +87,12 @@ def on_leg_reference(t, leg, op, legs):
 
 LEG_PATTERNS = [(True,), (True, True), (True, None), (None, True),
                 (True, True, True), (True, None, True), (None, True, None)]
+# a leg passed through outside the acting block, and two inside it
+WIDE_PATTERNS = [(None, True, True, None), (True, None, None, True)]
 
 
 @pytest.mark.parametrize("order", [None, 5])
-@pytest.mark.parametrize("pattern", LEG_PATTERNS)
+@pytest.mark.parametrize("pattern", LEG_PATTERNS + WIDE_PATTERNS)
 def test_act_matches_reference(pattern, order):
     rng = random.Random(f"{pattern} {order}")
     for _ in range(4):
@@ -273,22 +279,25 @@ def test_compose_skips_unit_entries_exactly(order):
                    for v in unit.compose(unit).entries.values())
 
 
-# Order oracles: the kernels in their generic form, every act term taken
-# through itertools.product and every sum accumulated by a call in the
-# manner of add_term.  Unlike the brute-force references above, they
-# produce keys in the kernels' order, so the tests below compare
-# list(out.items()) and value types, on which elimination ties and report
-# witnesses depend.  Every oracle accumulates through oracle_add, which
-# also records each key that cancels to zero and is later accumulated
-# again.
+# Order oracles: the kernels in their generic form, every sum accumulated
+# by a call in the manner of add_term.  Unlike the brute-force references
+# above, they produce keys in the kernels' order, so the tests below
+# compare list(out.items()) and value types, on which elimination ties
+# and report witnesses depend.  act has two: act_oracle, the loop over
+# each (y term, x term) pair taking every term through itertools.product,
+# and act_leg_oracle, one pass per acting leg.  Every oracle accumulates
+# through oracle_add, which records each key whose sum cancels to zero,
+# and each such key that is later accumulated again.
 
 REAPPEARED = []
+CANCELLED = []
 _ONE = 1    # compared by identity, as the kernels skip a product by it
 
 
 def oracle_add(acc, key, c, dropped):
     """add_term, recording cancellations: dropped holds the keys whose
-    sum has been zero; a term at such a key is recorded in REAPPEARED."""
+    sum has been zero, each also recorded in CANCELLED; a term at such a
+    key is recorded in REAPPEARED."""
     cur = acc.get(key)
     if cur is None:
         if key in dropped:
@@ -300,6 +309,7 @@ def oracle_add(acc, key, c, dropped):
         if cur == 0:
             del acc[key]
             dropped.add(key)
+            CANCELLED.append(key)
         else:
             acc[key] = cur
 
@@ -334,6 +344,23 @@ def act_oracle(tables, x, y):
                             c = c * v
                     oracle_add(out, key, c, dropped)
     return out
+
+
+def act_leg_oracle(tables, x, y):
+    """The terms of x tensor y, y's in the outer loop, as {(x key, y key):
+    c}; each acting leg in turn moves the first index of the x key into
+    its leg of the y key through its table."""
+    terms = [((xk, yk), xc if yc is _ONE else yc if xc is _ONE else xc * yc)
+             for yk, yc in y.items() for xk, xc in x.items()]
+    for k, t in enumerate(tables):
+        if t is not None:
+            out, dropped = {}, set()
+            for (xk, yk), c in terms:
+                for r, v in t.get((xk[0], yk[k]), {}).items():
+                    oracle_add(out, (xk[1:], yk[:k] + (r,) + yk[k + 1:]),
+                               c if v is _ONE else c * v, dropped)
+            terms = list(out.items())
+    return {yk: c for (_, yk), c in terms}
 
 
 def on_leg_oracle(t, leg, op):
@@ -384,16 +411,17 @@ def mixed_scalar(rng, order):
         omega(order), rng.randint(1, order - 1)) + rng.randint(-1, 1)
 
 
-def mixed_row(rng, order, keys):
-    """A table row: mostly a single entry, sometimes several, rarely
-    empty; the values mixed as mixed_scalar makes them."""
-    size = min(rng.choice([1, 1, 1, 1, 2, 3, 0]), len(keys))
+def mixed_row(rng, order, keys, sizes=(1, 1, 1, 1, 2, 3, 0)):
+    """A table row of a size drawn from sizes: mostly a single entry,
+    sometimes several, rarely empty; the values mixed as mixed_scalar
+    makes them."""
+    size = min(rng.choice(sizes), len(keys))
     return {k: mixed_scalar(rng, order) for k in rng.sample(keys, size)}
 
 
-def mixed_table(rng, order, domain, keys):
+def mixed_table(rng, order, domain, keys, sizes=(1, 1, 1, 1, 2, 3, 0)):
     """{i: row} over domain, some rows missing."""
-    return {i: mixed_row(rng, order, keys) for i in domain
+    return {i: mixed_row(rng, order, keys, sizes) for i in domain
             if rng.random() < 0.85}
 
 
@@ -405,26 +433,87 @@ def mixed_tensor(rng, order, keys, density):
     return {k: mixed_scalar(rng, order) for k in keys}
 
 
-ORACLE_PATTERNS = LEG_PATTERNS + [(None, True, True, None),
-                                  (True, None, None, True),
-                                  (True, True, None, True, None)]
+ORACLE_PATTERNS = LEG_PATTERNS + WIDE_PATTERNS + [(True, True, None, True, None)]
+SINGLE = (1, 1, 1, 1, 0)    # row sizes of at most one entry
+
+
+def mixed_act_input(rng, order, pattern, sizes=(1, 1, 1, 1, 2, 3, 0),
+                    density=0.5):
+    """(tables, x, y) for act: a mixed table on each live leg of pattern,
+    its rows of the sizes drawn from sizes, and mixed x and y of the
+    given density."""
+    tables = [mixed_table(rng, order, product(range(D), repeat=2), range(D),
+                          sizes) if live else None for live in pattern]
+    n_live = sum(1 for live in pattern if live)
+    x = mixed_tensor(rng, order, product(range(D), repeat=n_live), density)
+    y = mixed_tensor(rng, order, product(range(D), repeat=len(pattern)),
+                     density)
+    return tables, x, y
 
 
 @pytest.mark.parametrize("order", [None, 5])
 def test_act_keeps_the_order_and_types_of_the_product_loop(order):
+    """With one acting leg, act is the product loop on any rows.  With
+    several, on rows of at most one entry, it is the product loop wherever
+    no sum cancels to zero in either form; a cancelled sum can move a key
+    or change a value's type, and then the values alone agree."""
     rng = random.Random(f"act order {order}")
+    REAPPEARED.clear()
+    one = [p for p in ORACLE_PATTERNS if sum(map(bool, p)) == 1]
+    for pattern in one:
+        for _ in range(12):
+            tables, x, y = mixed_act_input(rng, order, pattern)
+            same(act(tables, x, y), act_oracle(tables, x, y))
+    assert REAPPEARED
+    CANCELLED.clear()
+    exact = []
+    several = [p for p in ORACLE_PATTERNS if p not in one]
+    for pattern in several:
+        for _ in range(30):
+            tables, x, y = mixed_act_input(rng, order, pattern, SINGLE, 0.2)
+            cancelled = len(CANCELLED)
+            out, expected = act(tables, x, y), act_oracle(tables, x, y)
+            act_leg_oracle(tables, x, y)    # records its cancellations
+            if len(CANCELLED) == cancelled:
+                same(out, expected)
+                exact.append(pattern)
+            else:
+                assert out == expected
+    assert CANCELLED
+    assert set(exact) == set(several)
+
+
+@pytest.mark.parametrize("order", [None, 5])
+def test_act_keeps_the_order_and_types_of_the_leg_passes(order):
+    """On any rows, act gives act_leg_oracle's keys, key order and value
+    types, cancellations and keys taken up again included."""
+    rng = random.Random(f"act leg order {order}")
     REAPPEARED.clear()
     for pattern in ORACLE_PATTERNS:
         for _ in range(6):
-            tables = [mixed_table(rng, order, product(range(D), repeat=2),
-                                  range(D)) if live else None
-                      for live in pattern]
-            n_live = sum(1 for live in pattern if live)
-            x = mixed_tensor(rng, order, product(range(D), repeat=n_live), 0.5)
-            y = mixed_tensor(rng, order,
-                             product(range(D), repeat=len(pattern)), 0.5)
-            same(act(tables, x, y), act_oracle(tables, x, y))
+            tables, x, y = mixed_act_input(rng, order, pattern)
+            same(act(tables, x, y), act_leg_oracle(tables, x, y))
     assert REAPPEARED
+
+
+@pytest.mark.parametrize("build", [lambda: group_algebra_zn_anyonic(3),
+                                   lambda: groupoid_algebra(2, 2), sweedler],
+                         ids=["anyonic_z3", "groupoid_2x2", "sweedler"])
+def test_act_is_the_product_loop_through_the_six_stages(build, monkeypatch):
+    """Every act call of the six stages on an example in its canonical
+    basis gives act_oracle's keys, key order and value types, the order
+    that elimination ties and report witnesses read."""
+    acting = []
+
+    def checked(tables, x, y):
+        out = act(tables, x, y)
+        same(out, act_oracle(tables, x, y))
+        acting.append(sum(t is not None for t in tables))
+        return out
+    for module in (module_cat, transmutation, weak_hopf, yetter_drinfeld):
+        monkeypatch.setattr(module, "act", checked)
+    certify_all(*build())
+    assert max(acting) > 1
 
 
 @pytest.mark.parametrize("order", [None, 5])
