@@ -89,8 +89,8 @@ def test_certify_braided_hopf_z32(benchmark):
 
 
 def test_certify_braided_hopf_rebased_sweedler(benchmark):
-    # Sweedler in a dense basis (seed 1): the products and actions have
-    # rows of several entries, so act contracts them leg by leg
+    # Sweedler in a dense basis (seed 1), where the products and actions
+    # have rows of several entries
     def setup():
         _, _, B = certified(lambda: rebased(
             *examples.sweedler(), dense_basis(random.Random(1), 4)))
