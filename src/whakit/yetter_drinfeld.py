@@ -11,6 +11,15 @@ check_equivalence_roundtrip verifies table by table, together with
 monoidality.  A function that reads one side raises ValueError when
 given a comodule over the other.
 
+A coaction m -> m_(-1) (x) m_(0) is held as its splice table
+{j: {(a, m): c}}, a column per module basis j keyed by the coacting leg
+and the module leg, the shape every law here reads through on_leg; no
+other module knows this format.  Comodule(...) checks the keys of a
+table from outside the package and drops its zeros.  Comodule._adopt
+takes the tables that the functors, the tensors, induced_yd and
+trivial_comodule build, complete, zero-free and in range by
+construction, unchecked, by the rule LinMap._adopt follows.
+
 Both functors and yd_tensor run one kernel, made by _products once per
 translation or tensor.  Its by_value groups a table's terms by distinct
 value and type (int 1 and Fraction(1) are equal but multiply to
@@ -27,13 +36,12 @@ and only the others are canonicalized, once each.
 
 yd_braiding and yd_braiding_inv realize the braiding of the compatible
 coactions and its inverse, the inverse through the antipode inverse.
-The equivalence is braided, so the braiding of carrier comodules is the
-same map carried across by functor_F: comodule_braiding(U) is
-yd_braiding(functor_F(U)), and likewise for the inverses.  Like the
-module braiding, each takes the coacting object and then its source and
-target carriers, and raises ValueError unless target holds the legs of
-source swapped and the coacting module is the left leg of source (of
-target, for the inverse).
+The equivalence is braided, so the braiding of carrier comodules is
+yd_braiding of functor_F of the one braided, and likewise for the
+inverse.  Like the module braiding, each takes the coacting object and
+then its source and target carriers, and raises ValueError unless
+target holds the legs of source swapped and the coacting module is the
+left leg of source (of target, for the inverse).
 """
 
 from __future__ import annotations
@@ -43,11 +51,12 @@ from functools import cache
 from itertools import product
 from math import lcm
 
-from .linalg import (_ONE, LinMap, VectorSpace, act, flatten, on_leg,
-                     outer, permute, unflatten)
-from .module_cat import (HModule, _inverse_mismatch, carrier_map,
-                         hexagon_mismatches, regular_module, swapped_legs,
-                         truncation_projector, truncated_tensor, unit_object)
+from .linalg import (_ONE, DimensionMismatch, LinMap, VectorSpace, act,
+                     check_keys, flatten, on_leg, outer, permute)
+from .module_cat import (HModule, _inverse_mismatch, _split_columns,
+                         carrier_map, hexagon_mismatches, regular_module,
+                         swapped_legs, truncation_projector, truncated_tensor,
+                         unit_object)
 from .scalars import Cyclo, FieldMismatch, _canon
 from .transmutation import BraidedHopfAlgebra
 from .weak_hopf import (VerificationReport, entries_witness, first_unequal,
@@ -67,37 +76,44 @@ class Comodule:
     coaction landing in H (x) M, or a transmuted algebra of H, the
     coaction landing in its carrier (x) M.
 
-    coaction maps the module into that flattened tensor, first leg major,
-    first leg in the coordinates of over.
+    table is the coaction {j: {(a, m): c}}, a in the coordinates of
+    over; a missing column reads as {}, and a key out of range or not an
+    int (a pair of ints in a column) raises DimensionMismatch naming it.
+    coaction is that map flattened, first leg major, built on first read.
     """
 
-    def __init__(self, over, module: HModule, coaction: LinMap):
-        self.over = over
-        self.module = module
-        self.algebra = module.algebra
-        if getattr(over, "algebra", over) is not self.algebra:
+    def __init__(self, over, module: HModule, table: dict):
+        if getattr(over, "algebra", over) is not module.algebra:
             raise ValueError("the module is over another algebra")
-        if coaction.domain.dim != module.dim:
-            raise ValueError("coaction domain does not match the module")
-        if coaction.codomain.dim != over.dim * module.dim:
-            raise ValueError("coaction codomain is not over (x) module")
-        self.coaction = coaction
-        self._table = None
+        for j, col in table.items():
+            if type(j) is not int or not 0 <= j < module.dim:
+                raise DimensionMismatch(f"coaction: column {j!r} out of range")
+            check_keys(col, f"coaction column {j}", (over.dim, module.dim))
+        self.over, self.module, self.algebra = over, module, module.algebra
+        self.table = {j: {k: c for k, c in table.get(j, {}).items() if c != 0}
+                      for j in range(module.dim)}
+        self._coaction = None
+
+    @classmethod
+    def _adopt(cls, over, module: HModule, table: dict) -> "Comodule":
+        """A comodule on a table the package built, taken as it stands."""
+        C = object.__new__(cls)
+        C.over, C.module, C.algebra = over, module, module.algebra
+        C.table, C._coaction = table, None
+        return C
 
     @property
     def dim(self):
         return self.module.dim
 
-    def coaction_pairs(self, vec: dict) -> dict:
-        return unflatten(self.coaction(vec), (self.over.dim, self.dim))
-
-    def table(self) -> dict:
-        """The coaction as a splice table {j: {(a, m): c}}."""
-        if self._table is None:
+    @property
+    def coaction(self) -> LinMap:
+        if self._coaction is None:
             dims = (self.over.dim, self.dim)
-            self._table = {j: unflatten(self.coaction.column(j), dims)
-                           for j in range(self.dim)}
-        return self._table
+            self._coaction = LinMap._adopt(
+                self.module.space, VectorSpace(self.over.dim * self.dim),
+                {j: flatten(t, dims) for j, t in self.table.items() if t})
+        return self._coaction
 
 
 def _over(C: Comodule, braided: bool):
@@ -126,7 +142,7 @@ def check_yd(Y: Comodule) -> VerificationReport:
     report.record("coaction_lands_in_truncated",
                   map_witness(P.compose(Y.coaction), Y.coaction))
 
-    table = Y.table()
+    table = Y.table
     eps = {i: {(): c} for i, c in H.counit.items()}
     report.record("coaction_counital", first_unequal(
         product(range(M.dim)), lambda j: (
@@ -141,7 +157,7 @@ def check_yd(Y: Comodule) -> VerificationReport:
         t = permute(outer(H.comult2(i), table[j]), (0, 3, 2, 1, 4))
         t = on_leg(on_leg(on_leg(t, 2, S), slice(0, 2), H.mult), slice(0, 2),
                    H.mult)
-        return (Y.coaction_pairs(M.rho(i).column(j)),
+        return (on_leg(on_leg({(i, j): 1}, slice(0, 2), M.action), 0, table),
                 on_leg(t, slice(1, 3), M.action))
     report.record("action_coaction_compatible", first_unequal(
         product(range(H.dim), range(M.dim)), compatible))
@@ -161,10 +177,9 @@ def induced_yd(M: HModule, R) -> Comodule:
     and expose the other."""
     R.require_certified()
     H = M.algebra
-    return Comodule(H, M, LinMap.from_function(
-        M.space, VectorSpace(H.dim * M.dim), lambda j: flatten(on_leg(
-            {(q, p, j): v for (p, q), v in R.r.items()}, slice(1, 3),
-            M.action), (H.dim, M.dim))))
+    return Comodule._adopt(H, M, {j: on_leg(
+        {(q, p, j): v for (p, q), v in R.r.items()}, slice(1, 3), M.action)
+        for j in range(M.dim)})
 
 
 def check_rh_comodule(N: Comodule) -> VerificationReport:
@@ -178,7 +193,7 @@ def check_rh_comodule(N: Comodule) -> VerificationReport:
     report.record("coaction_lands_in_truncated",
                   map_witness(P.compose(N.coaction), N.coaction))
 
-    table = N.table()
+    table = N.table
     report.record("coaction_coassociative_deformed",
                   _coassociative(table, B.comult, M.dim))
 
@@ -193,7 +208,7 @@ def check_rh_comodule(N: Comodule) -> VerificationReport:
 
     report.record("coaction_h_linear", first_unequal(
         product(range(H.dim), range(M.dim)), lambda i, j: (
-            N.coaction_pairs(M.rho(i).column(j)),
+            on_leg(on_leg({(i, j): 1}, slice(0, 2), M.action), 0, table),
             act((B.module.action, M.action), H.comult.get(i, {}), table[j]))))
     return report
 
@@ -320,10 +335,10 @@ def _products(mult: dict):
     return by_value, products
 
 
-def _absorb_r(table: dict, read: dict, twist: dict, M: HModule, B):
-    """Column j of m_(-1) twist(R^2) (x) R^1 . m_(0), the coaction leg of
-    table[j] read through read, in one pass.  R^1 . m and twist(R^2)
-    depend on m alone, so they are formed once per basis m."""
+def _absorb_r(table: dict, read: dict, twist: dict, M: HModule, B) -> dict:
+    """Each column j of m_(-1) twist(R^2) (x) R^1 . m_(0), the coaction
+    leg of table[j] read through read, in one pass.  R^1 . m and
+    twist(R^2) depend on m alone, so they are formed once per basis m."""
     r = B.rmatrix.r
     by_value, products = _products(M.algebra.mult)
     # only R^1's rows of the action are read
@@ -333,72 +348,70 @@ def _absorb_r(table: dict, read: dict, twist: dict, M: HModule, B):
         slice(1, 3), action)) for m in range(M.dim)}
     reads = {x: by_value({(a,): c for a, c in col.items()})
              for x, col in read.items()}
-    return lambda j: products(
-        (v, reads[x], kernel[m]) for (x, m), v in table[j].items())
+    return {j: products((v, reads[x], kernel[m]) for (x, m), v in col.items())
+            for j, col in table.items()}
+
+
+def _located(carrier, columns: dict, leg, dims, escape: str) -> dict:
+    """The columns {j: t} in carrier coordinates on leg, split into legs
+    of dims, by one locate, j riding along as a trailing leg that keeps
+    each column's key order; CoactionEscapesCarrier names, through
+    escape, the first column j that left the carrier."""
+    coords, inside = carrier.locate(
+        {k + (j,): c for j, t in columns.items() for k, c in t.items()},
+        leg, dims)
+    if not inside:
+        j = next(j for j, t in columns.items()
+                 if not carrier.locate(t, leg, dims)[1])
+        raise CoactionEscapesCarrier(escape.format(j))
+    return dict(enumerate(_split_columns(coords, len(columns))))
 
 
 def functor_G(Y: Comodule, B: BraidedHopfAlgebra) -> Comodule:
     """Translate an ambient coaction into a carrier coaction by absorbing
-    one antipode-twisted R-matrix leg: m_(-1) S(R^2) (x) R^1 . m_(0)."""
+    one antipode-twisted R-matrix leg: m_(-1) S(R^2) (x) R^1 . m_(0),
+    every column located on the carrier at once."""
     H, M = _over(Y, False), Y.module
-    absorbed = _absorb_r(Y.table(), {i: {i: 1} for i in range(H.dim)},
+    absorbed = _absorb_r(Y.table, {i: {i: 1} for i in range(H.dim)},
                          H.antipode_map.columns(), M, B)
-
-    def column(j):
-        coords, inside = B.carrier.locate(absorbed(j), 0, (H.dim,))
-        if not inside:
-            raise CoactionEscapesCarrier(
-                f"translated coaction of basis {j} left the carrier")
-        return flatten(coords, (B.dim, M.dim))
-    return Comodule(B, M, LinMap.from_function(
-        M.space, VectorSpace(B.dim * M.dim), column))
+    return Comodule._adopt(B, M, _located(
+        B.carrier, absorbed, 0, (H.dim,),
+        "translated coaction of basis {} left the carrier"))
 
 
 def functor_F(N: Comodule) -> Comodule:
     """Translate a carrier coaction back by restoring the R-matrix leg:
     m_(-1) R^2 (x) R^1 . m_(0), the carrier leg read in the algebra."""
     B, H, M = _over(N, True), N.algebra, N.module
-    restored = _absorb_r(N.table(), B.carrier.inclusion.columns(),
-                         {i: {i: 1} for i in range(H.dim)}, M, B)
-    return Comodule(H, M, LinMap.from_function(
-        M.space, VectorSpace(H.dim * M.dim),
-        lambda j: flatten(restored(j), (H.dim, M.dim))))
+    return Comodule._adopt(H, M, _absorb_r(
+        N.table, B.carrier.inclusion.columns(),
+        {i: {i: 1} for i in range(H.dim)}, M, B))
 
 
 def trivial_comodule(B: BraidedHopfAlgebra, M: HModule) -> Comodule:
     """The coaction pairing each vector with the truncated unit."""
     H = B.algebra
     one_c = B.carrier.projection(dict(H.unit))
-    return Comodule(B, M, LinMap.from_function(
-        M.space, VectorSpace(B.dim * M.dim), lambda j: flatten(act(
-            (B.module.action, M.action), H.delta_one(),
-            {(a, j): c for a, c in one_c.items()}), (B.dim, M.dim))))
+    return Comodule._adopt(B, M, {j: act(
+        (B.module.action, M.action), H.delta_one(),
+        {(a, j): c for a, c in one_c.items()}) for j in range(M.dim)})
 
 
 def regular_rh_comodule(B: BraidedHopfAlgebra) -> Comodule:
-    """The carrier coacting on itself through the deformed coproduct."""
-    return Comodule(B, B.module, LinMap.from_function(
-        B.space, VectorSpace(B.dim * B.dim),
-        lambda i: flatten(B.comult.get(i, {}), (B.dim, B.dim))))
+    """The carrier coacting on itself through the deformed coproduct, a
+    table Comodule checks: BraidedHopfAlgebra(...) takes it unchecked."""
+    return Comodule(B, B.module, B.comult)
 
 
-def _tensor_coaction(tt, first_dim: int, coact) -> LinMap:
-    """The coaction on a truncated tensor tt whose column j, keyed
+def _tensor_coaction(tt, coact) -> dict:
+    """The coaction table on a truncated tensor tt whose column j, keyed
     (coacting leg, left module leg, right module leg), is coact(pairs)
-    for the pair-keyed embedding of carrier basis j; the carrier's locate
-    takes the module legs back to carrier coordinates, raising
-    CoactionEscapesCarrier when they leave the carrier."""
+    for the pair-keyed embedding of carrier basis j; one locate takes
+    every column's module legs back to carrier coordinates."""
     incl = tt.inclusion_table()
-
-    def column(j):
-        coords, inside = tt.carrier.locate(coact(incl[j]), slice(1, 3),
-                                           tt.dims)
-        if not inside:
-            raise CoactionEscapesCarrier(
-                f"tensor coaction of basis {j} missed the truncated square")
-        return flatten(coords, (first_dim, tt.dim))
-    return LinMap.from_function(tt.space, VectorSpace(first_dim * tt.dim),
-                                column)
+    return _located(tt.carrier, {j: coact(incl[j]) for j in range(tt.dim)},
+                    slice(1, 3), tt.dims,
+                    "tensor coaction of basis {} missed the truncated square")
 
 
 def _tensor_legs(tt, C1: Comodule, C2: Comodule, braided: bool):
@@ -418,9 +431,9 @@ def yd_tensor(tt, Y1: Comodule, Y2: Comodule) -> Comodule:
     of Y1 and Y2: m_(-1) n_(-1) (x) m_(0) (x) n_(0), in one pass."""
     H = _tensor_legs(tt, Y1, Y2, False)
     by_value, products = _products(H.mult)
-    t1 = {m: by_value(c) for m, c in Y1.table().items()}
-    t2 = {n: by_value(c) for n, c in Y2.table().items()}
-    return Comodule(H, tt, _tensor_coaction(tt, H.dim, lambda pd: products(
+    t1 = {m: by_value(c) for m, c in Y1.table.items()}
+    t2 = {n: by_value(c) for n, c in Y2.table.items()}
+    return Comodule._adopt(H, tt, _tensor_coaction(tt, lambda pd: products(
         (c, t1[m], t2[n]) for (m, n), c in pd.items())))
 
 
@@ -429,9 +442,9 @@ def comodule_tensor(tt, M: Comodule, N: Comodule) -> Comodule:
     modules: braid the inner legs with the R-matrix, multiply the carrier
     legs with the deformed product."""
     B = _tensor_legs(tt, M, N, True)
-    t1, t2 = M.table(), N.table()
+    t1, t2 = M.table, N.table
     inner = (None, M.module.action, B.module.action, None)
-    return Comodule(B, tt, _tensor_coaction(tt, B.dim, lambda pd: on_leg(
+    return Comodule._adopt(B, tt, _tensor_coaction(tt, lambda pd: on_leg(
         permute(act(inner, B.rmatrix.r, on_leg(on_leg(pd, 0, t1), 2, t2)),
                 (0, 2, 1, 3)), slice(0, 2), B.mult)))
 
@@ -507,7 +520,7 @@ def yd_braiding(V: Comodule, source, target) -> LinMap:
     maps to the coaction leg of v acting on w, tensor the rest of v."""
     W = _braided_past(V, source, target)
     return carrier_map(source, target, lambda x: on_leg(
-        permute(on_leg(x, 0, V.table()), (0, 2, 1, 3)), slice(0, 2),
+        permute(on_leg(x, 0, V.table), (0, 2, 1, 3)), slice(0, 2),
         W.action))
 
 
@@ -522,29 +535,15 @@ def yd_braiding_inv(V: Comodule, source, target) -> LinMap:
     W = _braided_past(V, target, source)
     untwist = H.antipode_inverse_map.columns()
     return carrier_map(source, target, lambda x: permute(on_leg(permute(
-        on_leg(on_leg(x, 1, V.table()), 1, untwist), (1, 0, 2, 3)),
+        on_leg(on_leg(x, 1, V.table), 1, untwist), (1, 0, 2, 3)),
         slice(0, 2), W.action), (1, 0, 2)))
-
-
-def comodule_braiding(U: Comodule, source, target) -> LinMap:
-    """Braid the truncated tensor source of carrier comodules U and V onto
-    target, the tensor of V and U: the Yetter-Drinfeld braiding of
-    functor_F(U), (u_(-1) R^2) . v (x) R^1 . u_(0)."""
-    return yd_braiding(functor_F(U), source, target)
-
-
-def comodule_braiding_inv(U: Comodule, source, target) -> LinMap:
-    """The inverse braiding, from the tensor of V and U back to that of U
-    and V: the inverse Yetter-Drinfeld braiding of functor_F(U), which
-    needs the antipode inverse to untwist the coaction leg."""
-    return yd_braiding_inv(functor_F(U), source, target)
 
 
 def check_comodule_braiding(U: Comodule, V: Comodule,
                             P: Comodule | None = None) -> VerificationReport:
     """Invertibility and, given a third comodule, both hexagons through
-    comodule_tensor and the comodule braiding: yd_braiding and
-    yd_braiding_inv of functor_F of the comodule braided, each distinct
+    comodule_tensor and the braiding of carrier comodules, yd_braiding
+    and yd_braiding_inv of functor_F of the one braided, each distinct
     comodule translated once.  Raises ValueError unless V and P coact over
     the transmuted algebra U coacts over."""
     H = U.algebra

@@ -25,9 +25,8 @@ from whakit.module_cat import (HModule, TruncatedTensor, act_pair, braiding_c,
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import transmute
 from whakit.weak_hopf import NotCertified, certify, first_unequal
-from whakit.yetter_drinfeld import (check_equivalence_roundtrip,
-                                    comodule_braiding, comodule_braiding_inv,
-                                    functor_F, induced_yd, regular_rh_comodule,
+from whakit.yetter_drinfeld import (check_equivalence_roundtrip, functor_F,
+                                    induced_yd, regular_rh_comodule,
                                     trivial_comodule, yd_braiding,
                                     yd_braiding_inv)
 
@@ -159,7 +158,7 @@ def braid_step(com, other, t, twist):
     the two outputs swap places.
     """
     B = com.over
-    t = on_leg(on_leg(t, 0, com.table()), 0, B.carrier.inclusion.columns())
+    t = on_leg(on_leg(t, 0, com.table), 0, B.carrier.inclusion.columns())
     # (h, x, y, ..) -> (h, R^2, y, R^1, x, ..)
     t = {(k[0], q, k[2], p, k[1]) + k[3:]: c * w
          for k, c in t.items() for (p, q), w in B.rmatrix.r.items()}
@@ -236,19 +235,20 @@ def test_batched_carrier_maps_match_per_column(build):
                             per_column_map(ac, ac, both))
         Y = induced_yd(A, R)
         assert_same_map(yd_braiding(Y, ac, ca), per_column_map(
-            ac, ca, lambda x: on_leg(permute(on_leg(x, 0, Y.table()),
+            ac, ca, lambda x: on_leg(permute(on_leg(x, 0, Y.table),
                                              (0, 2, 1)), slice(0, 2),
                                      C.action)))
 
     B = transmute(H, R)
     untwist = H.antipode_inverse_map.columns()
     for V in (regular_rh_comodule(B), trivial_comodule(B, M)):
-        table = functor_F(V).table()
+        Y = functor_F(V)
+        table = Y.table
         for C in (M, B.module):
             vc = truncated_tensor(V.module, C)
             cv = truncated_tensor(C, V.module)
-            braid = comodule_braiding(V, vc, cv)
-            braid_inv = comodule_braiding_inv(V, cv, vc)
+            braid = yd_braiding(Y, vc, cv)
+            braid_inv = yd_braiding_inv(Y, cv, vc)
             assert_same_map(braid, per_column_map(
                 vc, cv, lambda x: on_leg(permute(on_leg(x, 0, table),
                                                  (0, 2, 1)), slice(0, 2),

@@ -28,7 +28,7 @@ import pytest
 
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
-from whakit.linalg import LinMap
+from whakit.linalg import LinMap, unflatten
 from whakit.module_cat import (HModule, check_module, check_monoidal_coherence,
                                regular_module, unit_object)
 from whakit.quasitriangular import (RMatrix, certify_quasitriangular,
@@ -139,9 +139,12 @@ def perturbed(H, R, B):
     N = regular_rh_comodule(B)
     for name, check, C in (("check_yd", check_yd, Y),
                            ("check_rh_comodule", check_rh_comodule, N)):
-        out[name] = attempt(check, Comodule(C.over, C.module, LinMap(
-            C.coaction.domain, C.coaction.codomain,
-            _doubled(C.coaction.entries))))
+        # the middle flat entry of the coaction, doubled, as a table
+        bent = LinMap(C.coaction.domain, C.coaction.codomain,
+                      _doubled(C.coaction.entries))
+        out[name] = attempt(check, Comodule(C.over, C.module, {
+            j: unflatten(bent.column(j), (C.over.dim, C.dim))
+            for j in range(C.dim)}))
     parts = (B.carrier, B.module, B.square, B.unit_module)
     maps = (B.counit_bar, B.antipode_bar, B.unit_bar)
     out["check_braided_hopf_mult"] = attempt(check_braided_hopf,

@@ -15,8 +15,8 @@ from whakit.weak_hopf import (NotCertified, VerificationReport,
                               first_mismatch, first_witness, is_hopf,
                               is_regular, map_witness, pair_mult,
                               scalar_table_mismatch)
-from whakit.yetter_drinfeld import (AntipodeNotInvertible,
-                                    comodule_braiding_inv, regular_rh_comodule)
+from whakit.yetter_drinfeld import (AntipodeNotInvertible, functor_F,
+                                    regular_rh_comodule, yd_braiding_inv)
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +267,7 @@ def test_missing_antipode_inverse_raises():
     regular = regular_rh_comodule(B)
     square = truncated_tensor(B.module, B.module)
     with pytest.raises(AntipodeNotInvertible):
-        comodule_braiding_inv(regular, square, square)
+        yd_braiding_inv(functor_F(regular), square, square)
 
 
 def test_first_mismatch_reports_the_least_key():

@@ -1,6 +1,7 @@
 """Compatible coactions, carrier comodules and their braidings."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -8,23 +9,24 @@ import pytest
 
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
-from whakit.linalg import (LinMap, VectorSpace, flatten, on_leg, permute,
-                           solve)
+from whakit.linalg import (DimensionMismatch, LinMap, Subspace, VectorSpace,
+                           flatten, on_leg, permute, solve)
 from whakit.module_cat import (HModule, check_monoidal_coherence,
                                regular_module, truncated_tensor, unit_object)
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.scalars import Cyclo, FieldMismatch, invert, omega
-from whakit.transmutation import certify_braided_hopf, transmute
+from whakit.transmutation import (BraidedHopfAlgebra, certify_braided_hopf,
+                                  transmute)
 from whakit.weak_hopf import WeakHopfAlgebra, certify
 from whakit import yetter_drinfeld
 from whakit.yetter_drinfeld import (CoactionEscapesCarrier, Comodule,
                                     check_comodule_braiding,
                                     check_equivalence_roundtrip,
                                     check_rh_comodule, check_yd,
-                                    comodule_braiding, comodule_braiding_inv,
                                     comodule_tensor, functor_F, functor_G,
                                     induced_yd, regular_rh_comodule,
-                                    trivial_comodule, yd_braiding, yd_tensor)
+                                    trivial_comodule, yd_braiding,
+                                    yd_braiding_inv, yd_tensor)
 
 EXAMPLES = {
     "sweedler": sweedler,
@@ -127,25 +129,20 @@ def test_braidings_reject_carriers_that_do_not_match(certified):
     Y = functor_F(U)
     uv = truncated_tensor(U.module, V.module)
     vu = truncated_tensor(V.module, U.module)
-    assert comodule_braiding(U, uv, vu).domain.dim == uv.dim
-    assert comodule_braiding_inv(U, vu, uv).domain.dim == vu.dim
     assert yd_braiding(Y, uv, vu).domain.dim == uv.dim
+    assert yd_braiding_inv(Y, vu, uv).domain.dim == vu.dim
     # the target does not hold the source legs swapped
     for source, target in ((uv, uv), (vu, vu)):
-        for braid in (comodule_braiding, comodule_braiding_inv):
+        for braid in (yd_braiding, yd_braiding_inv):
             with pytest.raises(ValueError):
-                braid(U, source, target)
-        with pytest.raises(ValueError):
-            yd_braiding(Y, source, target)
+                braid(Y, source, target)
     # the coacting module is the other leg
-    with pytest.raises(ValueError):
-        comodule_braiding(U, vu, uv)
-    with pytest.raises(ValueError):
-        comodule_braiding_inv(U, uv, vu)
     with pytest.raises(ValueError):
         yd_braiding(Y, vu, uv)
     with pytest.raises(ValueError):
-        comodule_braiding(V, uv, vu)
+        yd_braiding_inv(Y, uv, vu)
+    with pytest.raises(ValueError):
+        yd_braiding(functor_F(V), uv, vu)
 
 
 def test_each_side_rejects_a_comodule_over_the_other(certified):
@@ -159,7 +156,8 @@ def test_each_side_rejects_a_comodule_over_the_other(certified):
                  lambda: yd_tensor(tt, N, N), lambda: yd_braiding(N, tt, tt),
                  lambda: check_rh_comodule(Y), lambda: functor_F(Y),
                  lambda: comodule_tensor(tt, Y, Y),
-                 lambda: comodule_braiding(Y, tt, tt),
+                 lambda: yd_braiding(functor_F(Y), tt, tt),
+                 lambda: yd_braiding_inv(N, tt, tt),
                  lambda: yd_tensor(tt, Y, N), lambda: comodule_tensor(tt, N, Y),
                  lambda: check_comodule_braiding(N, Y),
                  lambda: check_comodule_braiding(N, N, Y),
@@ -169,7 +167,7 @@ def test_each_side_rejects_a_comodule_over_the_other(certified):
             call()
     other = HModule(group_algebra_zn(2)[0], B.module.space, {})
     with pytest.raises(ValueError, match="over another algebra"):
-        Comodule(H, other, Y.coaction)
+        Comodule(H, other, Y.table)
 
 
 def test_tensors_reject_carriers_that_do_not_match(certified):
@@ -188,6 +186,125 @@ def test_tensors_reject_carriers_that_do_not_match(certified):
             comodule_tensor(other, U, V)
 
 
+def test_comodule_rejects_malformed_tables():
+    """A table from outside is checked key by key: a column index out of
+    range or not an int, a leg key that is not a pair, and a leg index
+    out of range or not an int each raise DimensionMismatch naming the
+    key."""
+    H, _ = EXAMPLES["z3"]()
+    assert certify(H).passed
+    M = regular_module(H)
+    for table, message in (
+            ({3: {}}, "column 3 out of range"),
+            ({-1: {}}, "column -1 out of range"),
+            ({1.0: {}}, "column 1.0 out of range"),
+            ({(0,): {}}, "column (0,) out of range"),
+            ({0: {0: 1}}, "column 0: key 0 out of range"),
+            ({0: {(0, 1, 2): 1}}, "column 0: key (0, 1, 2) out of range"),
+            ({1: {(3, 0): 1}}, "column 1: key (3, 0) out of range"),
+            ({1: {(0, -1): 1}}, "column 1: key (0, -1) out of range"),
+            ({2: {(0, 1.0): 1}}, "column 2: key (0, 1.0) out of range")):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            Comodule(H, M, table)
+
+
+def test_comodule_drops_zeros_and_fills_missing_columns():
+    H, _ = EXAMPLES["z3"]()
+    assert certify(H).passed
+    M = regular_module(H)
+    C = Comodule(H, M, {1: {(0, 1): 0, (2, 1): Fraction(0), (1, 2): 2}})
+    assert C.table == {0: {}, 1: {(1, 2): 2}, 2: {}}
+    assert C.coaction.entries == {(1 * M.dim + 2, 1): 2}
+    assert C.coaction.domain.dim == 3 and C.coaction.codomain.dim == 9
+
+
+def test_regular_comodule_checks_the_deformed_coproduct():
+    """BraidedHopfAlgebra(...) takes its tables unchecked, so
+    regular_rh_comodule checks the columns it coacts by: a zero is
+    dropped, and a key out of range raises DimensionMismatch."""
+    H, R = EXAMPLES["z3"]()
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+
+    def with_comult(extra):
+        comult = {i: {**col, **extra.get(i, {})}
+                  for i, col in B.comult.items()}
+        return BraidedHopfAlgebra(H, R, B.carrier, B.module, B.square,
+                                  B.unit_module, B.mult, comult, B.counit_bar,
+                                  B.antipode_bar, B.unit_bar)
+    zeroed = regular_rh_comodule(with_comult({0: {(2, 2): 0}}))
+    assert zeroed.table == regular_rh_comodule(B).table
+    with pytest.raises(DimensionMismatch, match=re.escape("key (7, 0)")):
+        regular_rh_comodule(with_comult({1: {(7, 0): 1}}))
+
+
+def test_coaction_is_the_flattened_table(certified):
+    """coaction is the map the table flattens to, first leg major: the
+    (row, column) entries that Comodule took as a LinMap before it held
+    tables, in the same order and with the same scalar types, for a
+    table given from outside and for the tables the package builds."""
+    H, R, B = certified
+    for C in (induced_yd(regular_module(H), R),
+              functor_G(induced_yd(B.module, R), B)):
+        flat = LinMap(C.module.space, VectorSpace(C.over.dim * C.dim), {
+            (a * C.dim + m, j): c for j, col in C.table.items()
+            for (a, m), c in col.items()})
+        for D in (C, Comodule(C.over, C.module, C.table)):
+            assert list(D.coaction.entries.items()) == list(
+                flat.entries.items())
+            same_entries(D.coaction, flat)
+
+
+def test_each_translation_locates_its_columns_once(certified, monkeypatch):
+    """functor_G, yd_tensor and comodule_tensor take all their columns to
+    carrier coordinates in one Subspace.locate call on passing inputs."""
+    H, R, B = certified
+    Y1, Y2 = induced_yd(regular_module(H), R), induced_yd(B.module, R)
+    G1, G2 = functor_G(Y1, B), functor_G(Y2, B)
+    tt = truncated_tensor(Y1.module, Y2.module)
+    calls = []
+    locate = Subspace.locate
+
+    def counting_locate(space, t, leg, dims):
+        calls.append(space)
+        return locate(space, t, leg, dims)
+    monkeypatch.setattr(Subspace, "locate", counting_locate)
+    for run, carrier in ((lambda: functor_G(Y1, B), B.carrier),
+                         (lambda: functor_G(Y2, B), B.carrier),
+                         (lambda: yd_tensor(tt, Y1, Y2), tt.carrier),
+                         (lambda: comodule_tensor(tt, G1, G2), tt.carrier)):
+        calls.clear()
+        run()
+        assert calls == [carrier]
+
+
+def test_escape_names_the_first_column_that_leaves():
+    """Two columns of a translation leave the carrier and the first does
+    not: the raise names the first that leaves, for functor_G and for
+    the tensor coaction.  On the pair groupoid 2 x Z_2 the module basis
+    4 to 7 are the arrows with target object 1."""
+    H, R = groupoid_algebra(2, 2)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+    M = regular_module(H)
+    Y = induced_yd(M, R)
+    # m -> e_2 (x) e_m, e_2 the arrow 0 <- 1, leaves the carrier from 4 on
+    escaping = {**Y.table, 5: {(2, 5): 1}, 7: {(2, 7): 1}}
+    with pytest.raises(CoactionEscapesCarrier,
+                       match="^translated coaction of basis 5 left the "
+                             "carrier$"):
+        functor_G(Comodule(H, M, escaping), B)
+    # basis 1 and 3 coact by e_0 (x) e_(m XOR 4), which moves the target
+    # of m: carrier basis 4 to 7 and 12 to 15, whose left legs are 1 and
+    # 3, leave the truncated square
+    shifted = {**Y.table, 1: {(0, 5): 1}, 3: {(0, 7): 1}}
+    tt = truncated_tensor(M, M)
+    with pytest.raises(CoactionEscapesCarrier,
+                       match="^tensor coaction of basis 4 missed the "
+                             "truncated square$"):
+        yd_tensor(tt, Comodule(H, M, shifted), Y)
+
+
 def test_every_check_yd_check_can_fail_with_a_witness():
     """Add 1 to one coefficient of the coaction of e_0, over every
     coefficient in turn: each check fails, with a witness, on some."""
@@ -195,16 +312,16 @@ def test_every_check_yd_check_can_fail_with_a_witness():
     certify(H)
     certify_quasitriangular(H, R)
     M = regular_module(H)
-    coaction = induced_yd(M, R).coaction
+    table = induced_yd(M, R).table
     failed = {}
-    for k in range(coaction.codomain.dim):
-        entries = dict(coaction.entries)
-        entries[(k, 0)] = entries.get((k, 0), 0) + Fraction(1)
-        bent = LinMap(coaction.domain, coaction.codomain, entries)
+    for key in product(range(H.dim), range(M.dim)):
+        bent = dict(table)
+        bent[0] = dict(table[0])
+        bent[0][key] = bent[0].get(key, 0) + Fraction(1)
         for check in check_yd(Comodule(H, M, bent)).checks:
             if not check.passed:
                 assert check.witness is not None, check.name
-                failed.setdefault(check.name, k)
+                failed.setdefault(check.name, key)
     assert set(failed) == {
         "coaction_lands_in_truncated", "coaction_counital",
         "coaction_coassociative", "action_coaction_compatible",
@@ -219,7 +336,7 @@ def reference_G(Y, B):
     H, M = Y.algebra, Y.module
     S = H.antipode_map.columns()
     proj = B.carrier.projection.columns()
-    table = Y.table()
+    table = Y.table
 
     def column(j):
         pd = {(a, q, p, m): v * w for (a, m), v in table[j].items()
@@ -233,7 +350,7 @@ def reference_G(Y, B):
 def reference_F(N):
     B, H, M = N.over, N.algebra, N.module
     incl = B.carrier.inclusion.columns()
-    table = N.table()
+    table = N.table
 
     def column(j):
         t = {(a, q, p, m): v * w for (a, m), v in table[j].items()
@@ -246,10 +363,11 @@ def reference_F(N):
 
 def reference_yd_tensor(tt, Y1, Y2):
     H = Y1.algebra
-    t1, t2 = Y1.table(), Y2.table()
-    return yetter_drinfeld._tensor_coaction(tt, H.dim, lambda pd: on_leg(
-        permute(on_leg(on_leg(pd, 0, t1), 2, t2), (0, 2, 1, 3)),
-        slice(0, 2), H.mult))
+    t1, t2 = Y1.table, Y2.table
+    return Comodule(H, tt, yetter_drinfeld._tensor_coaction(
+        tt, lambda pd: on_leg(permute(on_leg(on_leg(pd, 0, t1), 2, t2),
+                                      (0, 2, 1, 3)), slice(0, 2), H.mult))
+    ).coaction
 
 
 def same_entries(f, g):
@@ -300,10 +418,14 @@ def mixed_scalar(rng, order):
     return rng.choice(values)
 
 
-def random_coaction(rng, rows, cols, order):
-    return LinMap(VectorSpace(cols), VectorSpace(rows), {
-        (r, c): mixed_scalar(rng, order) for r in range(rows)
-        for c in range(cols) if rng.random() < 0.6})
+def random_coaction(rng, over_dim, dim, order):
+    """A coaction table over a coacting leg of over_dim on a module of
+    dim, about 0.6 of its entries set to mixed_scalar values."""
+    table = {c: {} for c in range(dim)}
+    for a, m, c in product(range(over_dim), range(dim), range(dim)):
+        if rng.random() < 0.6:
+            table[c][(a, m)] = mixed_scalar(rng, order)
+    return table
 
 
 @pytest.mark.parametrize("name,order", [("z3", None), ("anyonic_z3", 3)])
@@ -320,9 +442,9 @@ def test_translations_match_on_random_mixed_coactions(name, order):
     tt = truncated_tensor(M, M)
     rng = random.Random(f"mixed {name}")
     for _ in range(12):
-        Y1, Y2 = (Comodule(H, M, random_coaction(rng, H.dim * M.dim, M.dim,
-                                                 order)) for _ in range(2))
-        N = Comodule(B, M, random_coaction(rng, B.dim * M.dim, M.dim, order))
+        Y1, Y2 = (Comodule(H, M, random_coaction(rng, H.dim, M.dim, order))
+                  for _ in range(2))
+        N = Comodule(B, M, random_coaction(rng, B.dim, M.dim, order))
         same_entries(functor_G(Y1, B).coaction, reference_G(Y1, B))
         same_entries(functor_F(N).coaction, reference_F(N))
         same_entries(yd_tensor(tt, Y1, Y2).coaction,
@@ -452,9 +574,8 @@ def test_products_reject_values_of_two_cyclotomic_fields():
 
 def shifted_coaction(M, first, shift):
     """The coaction m -> e_first (x) e_(m XOR shift) on the module M."""
-    H = M.algebra
-    return Comodule(H, M, LinMap(M.space, VectorSpace(H.dim * M.dim), {
-        (first * M.dim + (m ^ shift), m): 1 for m in range(M.dim)}))
+    return Comodule(M.algebra, M, {m: {(first, m ^ shift): 1}
+                                   for m in range(M.dim)})
 
 
 def test_translated_coaction_leaving_the_carrier_raises():
@@ -551,3 +672,57 @@ def test_tensor_coaction_leaving_an_oblique_carrier_raises():
     with pytest.raises(CoactionEscapesCarrier,
                        match="missed the truncated square"):
         yd_tensor(tt, shifted_coaction(M, 0, 1), induced_yd(M, R))
+
+
+@pytest.fixture(scope="module")
+def graded_lines():
+    """The nine Z_3-graded lines Y(a, b) over anyonic Z_3: g acts by w^a
+    and the coaction is m -> g^b (x) m.  They are neither induced nor
+    trivial, and R is not triangular."""
+    H, R = group_algebra_zn_anyonic(3)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+    assert certify_braided_hopf(B).passed
+    w = [1, omega(3), omega(3) * omega(3)]
+    lines = {}
+    for a, b in product(range(3), repeat=2):
+        M = HModule(H, VectorSpace(1), {(i, 0, 0): w[a * i % 3]
+                                        for i in range(3)})
+        lines[a, b] = Comodule(H, M, {0: {(b, 0): 1}})
+    return H, B, w, lines
+
+
+def test_graded_lines_are_yd_modules_that_round_trip(graded_lines):
+    _, B, _, lines = graded_lines
+    for Y in lines.values():
+        report = check_yd(Y)
+        assert report.passed, report.first_failure()
+        G = functor_G(Y, B)
+        report = check_rh_comodule(G)
+        assert report.passed, report.first_failure()
+        assert functor_F(G).table == Y.table
+
+
+def test_graded_lines_translate_monoidally(graded_lines):
+    """G of the YD tensor equals the comodule tensor of the G's, on all
+    81 ordered pairs of lines."""
+    _, B, _, lines = graded_lines
+    G = {ab: functor_G(Y, B) for ab, Y in lines.items()}
+    for k1, k2 in product(lines, repeat=2):
+        Y1, Y2 = lines[k1], lines[k2]
+        tt = truncated_tensor(Y1.module, Y2.module)
+        assert (functor_G(yd_tensor(tt, Y1, Y2), B).table
+                == comodule_tensor(tt, G[k1], G[k2]).table)
+
+
+def test_graded_lines_braid_by_a_root_of_unity(graded_lines):
+    """Y(a1, b1) braids past Y(a2, b2) by g^b1 acting on the line where g
+    acts by w^a2, that is by w^(a2 b1), and yd_braiding_inv inverts it."""
+    _, _, w, lines = graded_lines
+    for (a1, b1), (a2, b2) in product(lines, repeat=2):
+        Y1, Y2 = lines[a1, b1], lines[a2, b2]
+        vw = truncated_tensor(Y1.module, Y2.module)
+        wv = truncated_tensor(Y2.module, Y1.module)
+        braid = yd_braiding(Y1, vw, wv)
+        assert braid.entries == {(0, 0): w[a2 * b1 % 3]}
+        assert yd_braiding_inv(Y1, wv, vw).compose(braid).is_identity()
