@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from whakit import examples
-from whakit.linalg import (LinMap, Subspace, VectorSpace, _coordinate_split,
+from whakit.linalg import (LinMap, VectorSpace, _coordinate_split,
                            split_idempotent)
 from whakit.module_cat import (check_monoidal_coherence, regular_module,
                                triple_projector, unit_object)
@@ -34,20 +34,7 @@ from whakit.yetter_drinfeld import check_equivalence_roundtrip
 
 # the tests' change of basis, for the row on an oblique carrier
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from test_yetter_drinfeld import rebased  # noqa: E402
-
-
-def dense_basis(rng, n):
-    """A basis with a unit diagonal whose every off-diagonal entry is set,
-    with probability 0.35, to 1, -1 or 2; redrawn until it is a basis."""
-    while True:
-        basis = [{i: 1} for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j and rng.random() < 0.35:
-                    basis[i][j] = rng.choice((1, -1, 2))
-        if Subspace.from_span(VectorSpace(n), basis).dim == n:
-            return basis
+from test_yetter_drinfeld import dense_basis, rebased  # noqa: E402
 
 
 def certified(build):

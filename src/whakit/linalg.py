@@ -44,25 +44,24 @@ key order, so report witnesses depend on this order.
 
 A LinMap built with LinMap(...) takes (row, col) entries, checks each
 against its dimensions and drops zeros, since those entries come from
-outside the package; LinMap.from_function checks and drops the same way,
-building its columns directly.  LinMap._adopt takes columns the package
-computed itself, with no empty column, no zero and every index in range
-by construction, as they stand: the results of compose and identity, the
+outside the package.  LinMap._adopt takes columns the package computed
+itself, with no empty column, no zero and every index in range by
+construction, as they stand: the results of compose and identity, the
 inclusion and projection of from_span and split_idempotent (the
-inclusion's columns are the reduced rows of elimination), and in
-module_cat every module operator, carrier_map and truncation projector,
-and in weak_hopf the counit form eps(e_i e_j).  from_span checks the
-vectors it is given before eliminating them, so the maps it adopts are
-in range too.  LinMap.entries is a new {(row, col): c} dict built from
-the columns, for reading only.
+inclusion's columns are the reduced rows of elimination, and from_span
+checks the vectors it is given first), in module_cat every module
+operator, truncation projector and column_map, and in weak_hopf the
+counit form eps(e_i e_j).  LinMap.entries is a new {(row, col): c} dict
+built from the columns, for reading only.
 
 Subspace.locate takes a tensor, its ambient index on one leg or a slice
 of legs, to subspace coordinates and says whether it lay in the
-subspace; every membership test of the package asks it.  It reads the
-splice tables that Subspace.tables builds once per layout of legs.  A
-coordinate split records the ambient indices it keeps as the frozenset
-kept (None on every other subspace): its projection drops every other
-index, so locate counts the terms kept, and contains is a lookup in kept.
+subspace; every membership test of the package asks it, once for all
+the columns of a map built on a subspace.  It reads the splice tables
+that Subspace.tables builds once per layout of legs.  A coordinate split
+records the ambient indices it keeps as the frozenset kept (None on
+every other subspace): its projection drops every other index, so locate
+counts the terms kept, and contains is a lookup in kept.
 """
 
 from __future__ import annotations
@@ -285,22 +284,6 @@ class LinMap:
     @staticmethod
     def identity(space: VectorSpace) -> "LinMap":
         return LinMap._adopt(space, space, {i: {i: 1} for i in range(space.dim)})
-
-    @staticmethod
-    def from_function(domain: VectorSpace, codomain: VectorSpace, fn) -> "LinMap":
-        """Build a map from its action on basis vectors; fn(index) returns a
-        dict, checked and with its zeros dropped as LinMap(...) does."""
-        nr, nc = codomain.dim, domain.dim
-        cols = {}
-        for c in range(nc):
-            col = {r: v for r, v in fn(c).items() if v != 0}
-            for r in col:
-                if not 0 <= r < nr:
-                    raise DimensionMismatch(
-                        f"entry ({r},{c}) out of bounds {nr}x{nc}")
-            if col:
-                cols[c] = col
-        return LinMap._adopt(domain, codomain, cols)
 
     @property
     def entries(self) -> dict:
@@ -582,14 +565,6 @@ class Subspace:
             return self.kept.issuperset(vec)
         return self.locate({(i,): c for i, c in vec.items()}, 0,
                            (self.ambient.dim,))[1]
-
-    def coords(self, vec: dict) -> dict:
-        """Coordinates of an ambient vector lying in the subspace."""
-        c, inside = self.locate({(i,): v for i, v in vec.items()}, 0,
-                                (self.ambient.dim,))
-        if not inside:
-            raise DimensionMismatch("vector is not in the subspace")
-        return {j: v for (j,), v in c.items()}
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient.dim})"

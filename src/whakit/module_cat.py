@@ -29,8 +29,10 @@ tensor once.  So each function they take must let a trailing leg it does
 not name pass through untouched, as act does for a None table and
 on_leg and permute do for legs they leave in place.  carrier_map then
 projects the result onto the target carrier with one on_leg, the
-target's projection table read on the two module legs, and the column
-leg of each result key names the column of the map it belongs to.
+target's projection table read on the two module legs, and column_map,
+the inverse of column_tensor, reads each key's column leg as the map's
+column.  The unitors, unit_object and transmutation's structure maps
+are each built the same way, by one contraction.
 
 hexagon_mismatches states both hexagons through associators and
 braidings between nested truncated products, for the module category
@@ -62,8 +64,7 @@ from itertools import accumulate, product
 from operator import mul
 
 from .linalg import (_ONE, LinMap, Subspace, VectorSpace, act, add_term,
-                     check_keys, flatten, on_leg, permute, split_idempotent,
-                     unflatten)
+                     check_keys, on_leg, permute, split_idempotent, unflatten)
 from .quasitriangular import r13_r12, r13_r23
 from .weak_hopf import (VerificationReport, first_unequal, first_witness,
                         map_witness)
@@ -130,14 +131,13 @@ def unit_object(H) -> HModule:
     """
     H.require_certified()
     tgt = H.target_space()
-    action = {}
-    for j in range(tgt.dim):
-        z = tgt.inclusion.column(j)
-        for i in range(H.dim):
-            out = H.epsilon_t(H.multiply(H.basis(i), z))
-            for r, c in tgt.projection(out).items():
-                action[(i, r, j)] = c
-    M = HModule(H, VectorSpace(tgt.dim), action)
+    # e_i z_j for every i and target basis j, a copy of i riding along
+    t = {(i, p, i, j): c for j, z in tgt.inclusion.columns().items()
+         for i in range(H.dim) for p, c in z.items()}
+    eps_t, proj = H.epsilon_t_map().columns(), tgt.projection.columns()
+    t = on_leg(on_leg(on_leg(t, slice(0, 2), H.mult), 0, eps_t), 0, proj)
+    M = HModule(H, VectorSpace(tgt.dim),
+                {(i, r, j): c for (r, i, j), c in t.items()})
     M.target = tgt
     return M
 
@@ -338,10 +338,6 @@ class TruncatedTensor(HModule):
         """Carrier coordinates to a pair-keyed ambient vector."""
         return unflatten(self.carrier.inclusion(coords), self.dims)
 
-    def project_pairs(self, pd: dict) -> dict:
-        """Pair-keyed ambient vector to carrier coordinates."""
-        return self.carrier.projection(flatten(pd, self.dims))
-
     def __repr__(self):
         return (f"TruncatedTensor(dim={self.dim} inside "
                 f"{self.left.dim}x{self.right.dim}, over "
@@ -375,15 +371,22 @@ def _split_columns(t: dict, dim: int) -> list:
     return out
 
 
+def column_map(domain: VectorSpace, codomain: VectorSpace, t: dict) -> LinMap:
+    """The map whose column j is t at its trailing leg j, that leg dropped,
+    the inverse of column_tensor: columns ascending, each in t's row order,
+    empty ones dropped, and t's entries adopted unchecked."""
+    cols = _split_columns(t, domain.dim)
+    return LinMap._adopt(domain, codomain,
+                         {j: col for j, col in enumerate(cols) if col})
+
+
 def carrier_map(source: TruncatedTensor, target: TruncatedTensor, f) -> LinMap:
     """The map sending carrier basis j of source to the target carrier
     coordinates of the column j of f(x), x the inclusion tensor of source
     with its trailing column leg; f must pass that leg through.  The
     target projection acts on the module legs of f(x) with on_leg."""
-    cols = _split_columns(on_leg(f(source.inclusion_tensor()), slice(0, 2),
-                                 target.projection_table()), source.dim)
-    return LinMap._adopt(source.space, target.space,
-                         {j: col for j, col in enumerate(cols) if col})
+    return column_map(source.space, target.space, on_leg(
+        f(source.inclusion_tensor()), slice(0, 2), target.projection_table()))
 
 
 def swapped_legs(source: TruncatedTensor, target: TruncatedTensor):
@@ -412,24 +415,18 @@ def _unitor(tt: TruncatedTensor, unit_leg: int):
     acting = tgt.inclusion.columns()
     if unit_leg == 1:
         acting = {a: H.antipode(z) for a, z in acting.items()}
-    embedded = tt.inclusion_table()
+    # on every carrier column, the unit leg, read in H, acts on the M leg
+    t = on_leg(permute(tt.inclusion_tensor(), (unit_leg, m_leg, 2)), 0, acting)
+    collapse = column_map(tt.space, M.space, on_leg(t, slice(0, 2), M.action))
 
-    def collapse(j):
-        # the unit leg, moved in front and read in H, acts on the M leg
-        t = on_leg(permute(embedded[j], (unit_leg, m_leg)), 0, acting)
-        return {r: c for (r,), c in on_leg(t, slice(0, 2), M.action).items()}
-
-    eps = {k[unit_leg]: tgt.projection(H.epsilon_t(H.basis(k[unit_leg])))
-           for k in H.delta_one()}
+    eps = {a: tgt.projection(z) for a, z in H.epsilon_t_map().columns().items()}
     split = on_leg(H.delta_one(), unit_leg, eps)
-
-    def expand(m):
-        # e_m inserted after the M leg of the split unit, which acts on it
-        t = {k[:m_leg + 1] + (m,) + k[m_leg + 1:]: c for k, c in split.items()}
-        return tt.project_pairs(on_leg(t, slice(m_leg, m_leg + 2), M.action))
-
-    return (LinMap.from_function(tt.space, M.space, collapse),
-            LinMap.from_function(M.space, tt.space, expand))
+    # every e_m after the M leg of the split unit, which acts on it
+    t = {k[:m_leg + 1] + (m,) + k[m_leg + 1:] + (m,): c
+         for m in range(M.dim) for k, c in split.items()}
+    t = on_leg(on_leg(t, slice(m_leg, m_leg + 2), M.action), slice(0, 2),
+               tt.projection_table())
+    return collapse, column_map(M.space, tt.space, t)
 
 
 def left_unitor(tt: TruncatedTensor):
@@ -562,11 +559,9 @@ def _action_mismatch(tt: TruncatedTensor):
 
     def ambient(h):
         # the diagonal action on every embedded carrier column at once
-        out = {}
-        for (a, b, j), c in act(legs, tt.algebra.comult[h],
-                                tt.inclusion_tensor()).items():
-            out.setdefault(j, {})[a * n + b] = c
-        return LinMap._adopt(tt.space, tt.carrier.ambient, out)
+        return column_map(tt.space, tt.carrier.ambient, {
+            (a * n + b, j): c for (a, b, j), c in act(
+                legs, tt.algebra.comult[h], tt.inclusion_tensor()).items()})
     return first_witness(((h,), map_witness(
         tt.carrier.inclusion.compose(tt.rho(h)), ambient(h)))
         for h in tt.escaped)

@@ -11,6 +11,12 @@ action h . x = h_1 x S(h_2).  The deformed structure maps are:
   counit         the target counital map, restricted
   antipode       x  ->  R^2 R'^2 S(R^1 x S(R'^1)),  R' a second copy of R
 
+transmute builds each structure map by one contraction over all basis
+columns at once.  Broken inputs raise CarrierInvariantError at the first
+invariant they break, in this order: commuting with the source
+subalgebra, closure, the adjoint action, the coproduct (naming its
+column), the unit embedding, the antipode.
+
 check_braided_hopf verifies every braided Hopf law on the carrier.
 """
 
@@ -18,9 +24,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .linalg import (DimensionMismatch, LinMap, Subspace, VectorSpace, act,
-                     on_leg, outer, permute, split_idempotent)
-from .module_cat import (HModule, carrier_mismatch,
+from .linalg import (LinMap, Subspace, VectorSpace, act, check_keys, on_leg,
+                     outer, permute, split_idempotent)
+from .module_cat import (HModule, carrier_mismatch, column_map, column_tensor,
                          h_linear_mismatch, left_unitor, right_unitor,
                          triple_projector, truncated_tensor, unit_object)
 from .weak_hopf import (NotCertified, VerificationReport, WeakHopfAlgebra,
@@ -35,13 +41,12 @@ class ComultiplicationEscapesCarrier(CarrierInvariantError):
     """The deformed coproduct left the truncated square of the carrier."""
 
 
-def _checked_coords(carrier: Subspace, vec: dict, message: str) -> dict:
-    """Carrier coordinates of vec; CarrierInvariantError(message) when vec
-    lies outside the carrier."""
-    try:
-        return carrier.coords(vec)
-    except DimensionMismatch:
-        raise CarrierInvariantError(message) from None
+def _carrier_coords(carrier: Subspace, t: dict, message: str) -> dict:
+    """t, leg 0 in carrier coordinates; else CarrierInvariantError(message)."""
+    coords, inside = carrier.locate(t, 0, (carrier.ambient.dim,))
+    if not inside:
+        raise CarrierInvariantError(message)
+    return coords
 
 
 def centralizer_subalgebra(H) -> Subspace:
@@ -54,39 +59,33 @@ def centralizer_subalgebra(H) -> Subspace:
     carrier = Subspace.from_span(H.space, [H.fold(on_leg(
         {(x, i, y): v for (x, y), v in H.delta_one().items()}, 2, S))
         for i in range(H.dim)])
-    src = H.source_space()
-    for j in range(carrier.dim):
-        x = carrier.inclusion.column(j)
-        for k in range(src.dim):
-            y = src.inclusion.column(k)
-            if H.multiply(x, y) != H.multiply(y, x):
-                raise CarrierInvariantError(
-                    "carrier element does not commute with the source subalgebra")
+    t = outer(column_tensor(carrier.inclusion, (H.dim,)),
+              column_tensor(H.source_space().inclusion, (H.dim,)))
+    if (on_leg(permute(t, (0, 2, 1, 3)), slice(0, 2), H.mult)
+            != on_leg(permute(t, (2, 0, 1, 3)), slice(0, 2), H.mult)):
+        raise CarrierInvariantError(
+            "carrier element does not commute with the source subalgebra")
     return carrier
 
 
 def _adjoint_module(H, carrier: Subspace) -> HModule:
     """The adjoint action h . x = h_1 x S(h_2) in carrier coordinates."""
-    S = H.antipode_map.columns()
-    action = {}
-    for j in range(carrier.dim):
-        x = carrier.inclusion.column(j)
-        for i in range(H.dim):
-            t = {(a, p, b): v * c for (a, b), v in H.comult.get(i, {}).items()
-                 for p, c in x.items()}
-            coords = _checked_coords(carrier, H.fold(on_leg(t, 2, S)),
-                                     "adjoint action left the carrier")
-            for r, c in coords.items():
-                action[(i, r, j)] = c
-    return HModule(H, VectorSpace(carrier.dim), action)
+    t = {(a, p, b, i, j): v * c for j, x in carrier.inclusion.columns().items()
+         for i in range(H.dim) for (a, b), v in H.comult.get(i, {}).items()
+         for p, c in x.items()}
+    t = on_leg(on_leg(on_leg(t, 2, H.antipode_map.columns()), slice(0, 2),
+                      H.mult), slice(0, 2), H.mult)
+    coords = _carrier_coords(carrier, t, "adjoint action left the carrier")
+    return HModule(H, VectorSpace(carrier.dim),
+                   {(i, r, j): c for (r, i, j), c in coords.items()})
 
 
 class BraidedHopfAlgebra:
     """The transmuted Hopf algebra object, in carrier coordinates.
 
     mult/comult are kept as sparse structure-constant tables mirroring
-    WeakHopfAlgebra, with LinMap forms on the truncated square exposed
-    as mult_bar and comult_bar.
+    WeakHopfAlgebra, checked and rid of zeros as HModule's table is, with
+    LinMap forms on the truncated square exposed as mult_bar and comult_bar.
     """
 
     fold = WeakHopfAlgebra.fold
@@ -100,19 +99,25 @@ class BraidedHopfAlgebra:
         self.module = module
         self.square = square
         self.unit_module = unit_module
-        self.mult = mult_table
-        self.comult = comult_table
+        n = module.dim
+        for name, table, dims in (("mult", mult_table, ((n, n), (n,))),
+                                  ("comult", comult_table, ((n,), (n, n)))):
+            check_keys(table, name, dims[0])
+            for key, row in table.items():
+                check_keys(row, f"{name} {key!r}", dims[1])
+        self.mult, self.comult = ({k: {r: c for r, c in row.items() if c != 0}
+                                   for k, row in table.items()}
+                                  for table in (mult_table, comult_table))
         self.counit_bar = counit_bar
         self.antipode_bar = antipode_bar
         self.unit_bar = unit_bar
         self.space = module.space
         self.certified = False
-        embedded = square.inclusion_table()
-        self.mult_bar = LinMap.from_function(
-            square.space, self.space, lambda j: self.fold(embedded[j]))
-        self.comult_bar = LinMap.from_function(
-            self.space, square.space,
-            lambda i: square.project_pairs(comult_table.get(i, {})))
+        self.mult_bar = column_map(square.space, self.space, on_leg(
+            square.inclusion_tensor(), slice(0, 2), self.mult))
+        self.comult_bar = column_map(self.space, square.space, on_leg(
+            {k + (i,): c for i, col in self.comult.items()
+             for k, c in col.items()}, slice(0, 2), square.projection_table()))
 
     @property
     def dim(self):
@@ -134,13 +139,13 @@ def transmute(H, R) -> BraidedHopfAlgebra:
     H.require_certified()
     R.require_certified()
     carrier = centralizer_subalgebra(H)
+    cols = carrier.inclusion.columns().items()
     mult_table = {}
-    for i, j in product(range(carrier.dim), repeat=2):
-        prod = H.multiply(carrier.inclusion.column(i),
-                          carrier.inclusion.column(j))
-        if prod:
-            mult_table[(i, j)] = _checked_coords(
-                carrier, prod, "carrier is not closed under multiplication")
+    for (r, i, j), c in _carrier_coords(carrier, on_leg({
+            (a, b, i, j): u * v for i, x in cols for j, y in cols
+            for a, u in x.items() for b, v in y.items()}, slice(0, 2), H.mult),
+            "carrier is not closed under multiplication").items():
+        mult_table.setdefault((i, j), {})[r] = c
 
     module = _adjoint_module(H, carrier)
     square = truncated_tensor(module, module)
@@ -169,28 +174,23 @@ def transmute(H, R) -> BraidedHopfAlgebra:
                 f"coproduct of carrier basis {i} missed the truncated square")
         comult_table[i] = coords
 
-    counit_bar = LinMap.from_function(
-        module.space, unit_module.space,
-        lambda i: tgt.projection(H.epsilon_t(carrier.inclusion.column(i))))
-    unit_bar = LinMap.from_function(
-        unit_module.space, module.space,
-        lambda j: _checked_coords(
-            carrier, tgt.inclusion.column(j),
-            "target subalgebra does not embed in the carrier"))
+    counit_bar = column_map(module.space, unit_module.space, on_leg(on_leg(
+        column_tensor(carrier.inclusion, one), 0, H.epsilon_t_map().columns()),
+        0, tgt.projection.columns()))
+    unit_bar = column_map(unit_module.space, module.space, _carrier_coords(
+        carrier, column_tensor(tgt.inclusion, one),
+        "target subalgebra does not embed in the carrier"))
 
+    # R^2 R'^2 S(R^1 x S(R'^1)) on every column, R' a second copy of R
     pairs = permute(outer(R.r, R.r), (0, 2, 1, 3))
-
-    def antipode_column(i):
-        # R^2 R'^2 S(R^1 x S(R'^1)), with R' a second copy of R
-        t = {(p, a, p2, q, q2): c * x for (p, p2, q, q2), c in pairs.items()
-             for a, x in carrier.inclusion.column(i).items()}
-        t = on_leg(on_leg(on_leg(t, 2, S), slice(0, 2), H.mult), slice(0, 2),
-                   H.mult)
-        return _checked_coords(carrier, H.fold(permute(on_leg(t, 0, S),
-                                                       (1, 2, 0))),
-                               "deformed antipode left the carrier")
-    antipode_bar = LinMap.from_function(module.space, module.space,
-                                        antipode_column)
+    t = {(p, a, p2, q, q2, i): c * x for i, col in cols
+         for (p, p2, q, q2), c in pairs.items() for a, x in col.items()}
+    t = on_leg(on_leg(on_leg(t, 2, S), slice(0, 2), H.mult), slice(0, 2),
+               H.mult)
+    t = permute(on_leg(t, 0, S), (1, 2, 0, 3))
+    t = on_leg(on_leg(t, slice(0, 2), H.mult), slice(0, 2), H.mult)
+    antipode_bar = column_map(module.space, module.space, _carrier_coords(
+        carrier, t, "deformed antipode left the carrier"))
 
     return BraidedHopfAlgebra(H, R, carrier, module, square, unit_module,
                               mult_table, comult_table, counit_bar,
@@ -231,9 +231,9 @@ def check_braided_hopf(B: BraidedHopfAlgebra) -> VerificationReport:
     eps = B.counit_bar.columns()
     for name, tt, leg, unitor in (("unit_absorbs_left", tt_left, 0, l_map),
                                   ("unit_absorbs_right", tt_right, 1, r_map)):
-        embedded = tt.inclusion_table()
-        report.record(name, first_unequal(product(range(tt.dim)), lambda j: (
-            B.fold(on_leg(embedded[j], leg, eta)), unitor.column(j))))
+        report.record(name, carrier_mismatch(tt.carrier, tt.dims, lambda x: (
+            on_leg(on_leg(x, leg, eta), slice(0, 2), B.mult)),
+            lambda x: column_tensor(unitor, (B.dim,))))
 
     basis = list(product(range(B.dim)))
     report.record("comult_coassociative", first_unequal(basis, lambda i: (

@@ -165,9 +165,10 @@ def test_subspace_coords_roundtrip():
     assert sub.dim == 2
     v = {0: Fraction(3), 1: Fraction(6), 2: Fraction(-1)}
     assert sub.contains(v)
-    assert sub.inclusion(sub.coords(v)) == v
-    with pytest.raises(DimensionMismatch):
-        sub.coords({3: Fraction(1)})
+    coords, inside = sub.locate({(i,): c for i, c in v.items()}, 0, (4,))
+    assert inside
+    assert sub.inclusion({j: c for (j,), c in coords.items()}) == v
+    assert not sub.locate({(3,): Fraction(1)}, 0, (4,))[1]
 
 
 def test_from_span_handles_dependent_vectors():
@@ -236,19 +237,12 @@ def test_split_idempotent_and_image_leave_the_column_table_intact():
     assert cols == before
 
 
-def test_from_function_checks_and_orders_its_columns():
-    sp2, sp3 = VectorSpace(2), VectorSpace(3)
-    images = [{1: 0, 0: 1}, {0: 0, 5: 0}, {1: 2, 0: Fraction(1, 2)}]
-    f = LinMap.from_function(sp3, sp2, images.__getitem__)
-    # zeros dropped, out of range or not; columns ascending, rows in fn order
-    assert [(c, list(col.items())) for c, col in f.cols.items()] == [
-        (0, [(0, 1)]), (2, [(1, 2), (0, Fraction(1, 2))])]
-    assert all(col is not images[c] for c, col in f.cols.items())
-    assert f == LinMap(sp3, sp2, {(r, c): v for c, im in enumerate(images)
-                                  for r, v in im.items()})
-    with pytest.raises(DimensionMismatch,
-                       match=r"^entry \(2,1\) out of bounds 2x3$"):
-        LinMap.from_function(sp3, sp2, lambda c: {c + 1: 1})
+def by_columns(domain, codomain, fn):
+    """The map whose column c is the vector fn(c), through LinMap(...):
+    each entry checked, zeros dropped, columns ascending, rows in fn's
+    order."""
+    return LinMap(domain, codomain, {(r, c): v for c in range(domain.dim)
+                                     for r, v in fn(c).items()})
 
 
 def rand_value(rng):
@@ -293,7 +287,7 @@ def unit_upper(rng, n):
     U = LinMap(sp, sp, {**{(i, i): 1 for i in range(n)}, **{
         (i, j): rng.choice([-1, 1, 2]) for j in range(n) for i in range(j)
         if rng.random() < 0.5}})
-    return U, LinMap.from_function(sp, sp, lambda c: solve(U, {c: 1}))
+    return U, by_columns(sp, sp, lambda c: solve(U, {c: 1}))
 
 
 @pytest.mark.parametrize("dims, leg", [

@@ -9,6 +9,7 @@ import pytest
 
 import test_report_snapshot as snap
 from test_examples import ALL_EXAMPLES, sparse_basis
+from test_linalg import by_columns
 from test_yetter_drinfeld import rebased
 from whakit import linalg, module_cat
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
@@ -98,8 +99,8 @@ def per_column_action(tt):
     table = {}
     for i in range(H.dim):
         for j in range(tt.dim):
-            rows = tt.project_pairs(
-                act_pair(tt.left, tt.right, H.comult.get(i, {}), embedded[j]))
+            rows = tt.carrier.projection(flatten(act_pair(
+                tt.left, tt.right, H.comult.get(i, {}), embedded[j]), tt.dims))
             if rows:
                 table[(i, j)] = rows
     return table
@@ -130,12 +131,27 @@ def test_batched_action_matches_per_column(build):
                 for r, c in rows.items()}
 
 
+def test_column_map_reads_the_trailing_leg_as_the_column():
+    """column_map: columns ascending whatever order t brings them in, each
+    in t's row order, an empty column dropped, and a row of one leg keyed
+    by its bare index; on a map's column tensor it gives the map back."""
+    sp2, sp3 = VectorSpace(2), VectorSpace(3)
+    f = module_cat.column_map(sp3, sp2, {
+        (1, 2): 5, (0, 0): Fraction(1, 2), (0, 2): -1, (1, 0): 3})
+    assert (f.domain, f.codomain) == (sp3, sp2)
+    assert [(c, list(col.items())) for c, col in f.cols.items()] == [
+        (0, [(0, Fraction(1, 2)), (1, 3)]), (2, [(1, 5), (0, -1)])]
+    g = LinMap(sp3, VectorSpace(6), {(5, 0): 1, (1, 2): -2, (0, 2): 7})
+    t = module_cat.column_tensor(g, (g.codomain.dim,))
+    assert_same_map(module_cat.column_map(g.domain, g.codomain, t), g)
+
+
 def per_column_map(source, target, f):
     """carrier_map one column at a time: f, which takes no column leg,
     acts on the pair-keyed embedding of each carrier basis vector alone."""
     embedded = source.inclusion_table()
-    return LinMap.from_function(source.space, target.space, lambda j: (
-        target.project_pairs(f(embedded[j]))))
+    return by_columns(source.space, target.space, lambda j: (
+        target.carrier.projection(flatten(f(embedded[j]), target.dims))))
 
 
 def per_column_mismatch(carrier, dims, lhs, rhs):
@@ -192,7 +208,7 @@ def sample_endomorphisms(M, rng):
                     x = rng.randint(-2, 2)
                     if x:
                         vec[i] = x
-            out.append(LinMap.from_function(
+            out.append(by_columns(
                 M.space, M.space, lambda i: H.multiply({i: 1}, vec)))
     return out
 
@@ -205,7 +221,7 @@ def test_sample_endomorphisms_multiply_the_regular_module_on_the_right():
     assert len(maps) == 3 and len(sample_endomorphisms(U, random.Random(0))) == 1
     for f in maps[1:]:
         x = f({0: 1})
-        assert f == LinMap.from_function(
+        assert f == by_columns(
             M.space, M.space, lambda i: H.multiply({i: 1}, x))
 
 
@@ -505,7 +521,7 @@ def test_embed_project_roundtrip(z3_pair):
     tt = truncated_tensor(M, M)
     for j in range(tt.dim):
         pd = tt.embed_pairs({j: Fraction(1)})
-        assert tt.project_pairs(pd) == {j: Fraction(1)}
+        assert tt.carrier.projection(flatten(pd, tt.dims)) == {j: Fraction(1)}
 
 
 def test_unitors_are_mutually_inverse(h4_pair):

@@ -8,20 +8,30 @@ group-like with counit 1) and Sbar(h)g = -Sbar(g)h = -gh, hence
 Sbar(h) = h and, applying the same law to gh, Sbar(gh) = -gh.
 """
 
+import random
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import test_report_snapshot as snap
+from test_linalg import by_columns
+from test_module_cat import assert_same_map
+from test_yetter_drinfeld import dense_basis, rebased
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
-from whakit.linalg import on_leg
+from whakit.linalg import (DimensionMismatch, VectorSpace, flatten, on_leg,
+                           outer, permute)
+from whakit.module_cat import (HModule, left_unitor, regular_module,
+                               right_unitor, truncated_tensor, unit_object)
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
 from whakit.transmutation import (BraidedHopfAlgebra, CarrierInvariantError,
                                   ComultiplicationEscapesCarrier,
                                   centralizer_subalgebra,
                                   certify_braided_hopf, check_braided_hopf,
                                   transmute)
-from whakit.weak_hopf import NotCertified, certify
+from whakit.weak_hopf import NotCertified, WeakHopfAlgebra, certify
 
 ONE = Fraction(1)
 
@@ -194,3 +204,203 @@ def test_repr_mentions_certification(z3_setup):
     _, _, B = z3_setup
     assert "certified" in repr(B)
     assert isinstance(B, BraidedHopfAlgebra)
+
+
+@pytest.mark.parametrize("k, G, table, key, message", [
+    (2, 1, "mult", (0, 0, 1), "does not commute with the source subalgebra"),
+    (2, 1, "mult", (1, 0, 3), "adjoint action left the carrier"),
+    (2, 1, "comult", (0, 0, 1), "target subalgebra does not embed"),
+    (2, 2, "mult", (1, 1, 2), "not closed under multiplication"),
+], ids=["commute", "adjoint", "unit", "closure"])
+def test_transmute_raises_at_the_first_broken_invariant(k, G, table, key,
+                                                        message):
+    """A groupoid algebra rebuilt with 1 added to one entry of one table,
+    H and its own R marked certified as if they had passed: transmute
+    raises CarrierInvariantError itself, for the first invariant the
+    entry breaks.  No single entry reaches the antipode's raise, since
+    the coproduct's fires first."""
+    H, R = groupoid_algebra(k, G)
+    t = snap._tables(H, R)
+    t[table] = {**t[table], key: t[table].get(key, 0) + 1}
+    r, r_bar = t.pop("r"), t.pop("r_bar")
+    H2 = WeakHopfAlgebra(name=f"{H.name}~{table}{key}", field=H.field,
+                         labels=H.labels, **t)
+    R2 = RMatrix(H2, r, r_bar)
+    H2.certified = R2.certified = True
+    with pytest.raises(CarrierInvariantError, match=message) as info:
+        transmute(H2, R2)
+    assert type(info.value) is CarrierInvariantError
+
+
+def with_tables(B, mult=None, comult=None):
+    return BraidedHopfAlgebra(B.algebra, B.rmatrix, B.carrier, B.module,
+                              B.square, B.unit_module, mult or B.mult,
+                              comult or B.comult, B.counit_bar,
+                              B.antipode_bar, B.unit_bar)
+
+
+@pytest.mark.parametrize("table, bad, named", [
+    ("comult", {1: {(7, 0): 1}}, "comult 1: key (7, 0)"),
+    ("comult", {3: {(0, 0): 1}}, "comult: key 3"),
+    ("mult", {(0, 1): {5: 1}}, "mult (0, 1): key 5"),
+    ("mult", {(0, 3): {0: 1}}, "mult: key (0, 3)"),
+], ids=["comult_pair", "comult_column", "mult_row", "mult_pair"])
+def test_braided_hopf_algebra_checks_its_tables(z3_setup, table, bad, named):
+    """A key out of range in either table raises DimensionMismatch naming
+    the table and the key; without the check, comult_bar would drop it
+    silently.  Zeros are dropped, and in-range tables construct."""
+    _, _, B = z3_setup
+    own = getattr(B, table)
+    with pytest.raises(DimensionMismatch, match=re.escape(named)):
+        with_tables(B, **{table: {**own, **bad}})
+    zeroed = with_tables(B, comult={**B.comult, 0: {**B.comult[0], (2, 2): 0}})
+    assert zeroed.comult == B.comult and zeroed.comult_bar == B.comult_bar
+    doubled = {**B.mult, (1, 1): {k: 2 * c for k, c in B.mult[(1, 1)].items()}}
+    assert with_tables(B, mult=doubled).mult == doubled
+
+
+# Per-basis references: each structure map of transmute, the unit object
+# and the unitors built one basis vector at a time, as the package did
+# before it built each by one contraction over all columns.
+
+def coords(sub, vec):
+    """The subspace coordinates of one vector lying in sub."""
+    c, inside = sub.locate({(i,): v for i, v in vec.items()}, 0,
+                           (sub.ambient.dim,))
+    assert inside
+    return {j: v for (j,), v in c.items()}
+
+
+def reference_unit_action(H):
+    tgt = H.target_space()
+    action = {}
+    for j in range(tgt.dim):
+        z = tgt.inclusion.column(j)
+        for i in range(H.dim):
+            out = H.epsilon_t(H.multiply(H.basis(i), z))
+            for r, c in tgt.projection(out).items():
+                action[(i, r, j)] = c
+    return HModule(H, VectorSpace(tgt.dim), action).action
+
+
+def reference_unitor(tt, unit_leg):
+    m_leg = 1 - unit_leg
+    M, unit = (tt.right, tt.left) if unit_leg == 0 else (tt.left, tt.right)
+    H, tgt = M.algebra, unit.target
+    acting = tgt.inclusion.columns()
+    if unit_leg == 1:
+        acting = {a: H.antipode(z) for a, z in acting.items()}
+    embedded = tt.inclusion_table()
+
+    def collapse(j):
+        t = on_leg(permute(embedded[j], (unit_leg, m_leg)), 0, acting)
+        return {r: c for (r,), c in on_leg(t, slice(0, 2), M.action).items()}
+
+    eps = {k[unit_leg]: tgt.projection(H.epsilon_t(H.basis(k[unit_leg])))
+           for k in H.delta_one()}
+    split = on_leg(H.delta_one(), unit_leg, eps)
+
+    def expand(m):
+        t = {k[:m_leg + 1] + (m,) + k[m_leg + 1:]: c for k, c in split.items()}
+        return tt.carrier.projection(flatten(
+            on_leg(t, slice(m_leg, m_leg + 2), M.action), tt.dims))
+    return (by_columns(tt.space, M.space, collapse),
+            by_columns(M.space, tt.space, expand))
+
+
+def reference_transmute(H, R, B):
+    """The adjoint action, the product and coproduct tables and the five
+    bar maps of B, each built per basis vector on B's own carrier."""
+    carrier, square, U = B.carrier, B.square, B.unit_module
+    tgt, S = U.target, H.antipode_map.columns()
+    col = carrier.inclusion.column
+    adjoint = {}
+    for j in range(carrier.dim):
+        for i in range(H.dim):
+            t = {(a, p, b): v * c for (a, b), v in H.comult.get(i, {}).items()
+                 for p, c in col(j).items()}
+            for r, c in coords(carrier, H.fold(on_leg(t, 2, S))).items():
+                adjoint[(i, r, j)] = c
+    mult = {}
+    for i, j in product(range(carrier.dim), repeat=2):
+        if prod := H.multiply(col(i), col(j)):
+            mult[(i, j)] = coords(carrier, prod)
+    comult = {}
+    for i in range(carrier.dim):
+        t = permute(outer(H.comultiply(col(i)), R.r), (0, 3, 2, 1))
+        t = on_leg(on_leg(t, 1, S), slice(0, 2), H.mult)
+        t = on_leg(permute(on_leg(t, 1, H.comult), (0, 1, 3, 2)), 3, S)
+        pd = on_leg(on_leg(t, slice(1, 3), H.mult), slice(1, 3), H.mult)
+        pd, first = carrier.locate(pd, 0, (H.dim,))
+        comult[i], second = carrier.locate(pd, 1, (H.dim,))
+        assert first and second
+    embedded = square.inclusion_table()
+    pairs = permute(outer(R.r, R.r), (0, 2, 1, 3))
+
+    def antipode_column(i):
+        t = {(p, a, p2, q, q2): c * x for (p, p2, q, q2), c in pairs.items()
+             for a, x in col(i).items()}
+        t = on_leg(on_leg(on_leg(t, 2, S), slice(0, 2), H.mult), slice(0, 2),
+                   H.mult)
+        return coords(carrier, H.fold(permute(on_leg(t, 0, S), (1, 2, 0))))
+    return {
+        "adjoint": HModule(H, VectorSpace(carrier.dim), adjoint).action,
+        "mult": mult, "comult": comult,
+        "mult_bar": by_columns(square.space, B.space,
+                               lambda j: B.fold(embedded[j])),
+        "comult_bar": by_columns(B.space, square.space, lambda i: (
+            square.carrier.projection(flatten(comult[i], square.dims)))),
+        "counit_bar": by_columns(B.space, U.space, lambda i: tgt.projection(
+            H.epsilon_t(col(i)))),
+        "unit_bar": by_columns(U.space, B.space, lambda j: coords(
+            carrier, tgt.inclusion.column(j))),
+        "antipode_bar": by_columns(B.space, B.space, antipode_column)}
+
+
+def typed(table):
+    """The entries of a nested table in order, each with its scalar type:
+    an int 1 and Fraction(1) compare equal, so == alone would not tell
+    them apart."""
+    return [(k, r, c, type(c)) for k, row in table.items()
+            for r, c in row.items()]
+
+
+IDENTITY_ALGEBRAS = {
+    "sweedler": sweedler,
+    "z3": lambda: group_algebra_zn(3),
+    "z8": lambda: group_algebra_zn(8),
+    "anyonic_z3": lambda: group_algebra_zn_anyonic(3),
+    "anyonic_z4": lambda: group_algebra_zn_anyonic(4),
+    "groupoid_2x2": lambda: groupoid_algebra(2, 2),
+    "groupoid_3x2": lambda: groupoid_algebra(3, 2),
+    "rebased_sweedler": lambda: rebased(
+        *sweedler(), dense_basis(random.Random(1), 4)),
+    "rebased_groupoid_2x1": lambda: rebased(
+        *groupoid_algebra(2, 1), dense_basis(random.Random(0), 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_ALGEBRAS))
+def test_contracted_builders_match_per_basis(name):
+    """Every table and map that transmute, unit_object and the unitors
+    build by one contraction over all columns equals its per-basis
+    reference, key order and scalar types included."""
+    H, R = IDENTITY_ALGEBRAS[name]()
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+    ref = reference_transmute(H, R, B)
+    for got, want in ((B.module.action, ref["adjoint"]), (B.mult, ref["mult"]),
+                      (B.comult, ref["comult"]),
+                      (unit_object(H).action, reference_unit_action(H))):
+        assert typed(got) == typed(want)
+    for attr in ("mult_bar", "comult_bar", "counit_bar", "unit_bar",
+                 "antipode_bar"):
+        assert_same_map(getattr(B, attr), ref[attr])
+        assert typed(getattr(B, attr).columns()) == typed(ref[attr].columns())
+    unit = unit_object(H)
+    for M in (regular_module(H), unit, B.module):
+        for unitor, tt, leg in ((left_unitor, truncated_tensor(unit, M), 0),
+                                (right_unitor, truncated_tensor(M, unit), 1)):
+            for got, want in zip(unitor(tt), reference_unitor(tt, leg)):
+                assert_same_map(got, want)
+                assert typed(got.columns()) == typed(want.columns())

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
+from test_linalg import by_columns
 from test_module_cat import counted_act, nested_by_on_leg
 from test_yetter_drinfeld import rebased
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
@@ -309,8 +310,7 @@ def in_basis(M, H2, basis):
     """The module M over H, with H2 the rebasing of H by basis and the
     space of M, of the dimension of H, rebased by basis as well: the same
     action as an HModule over H2."""
-    change = LinMap.from_function(VectorSpace(len(basis)), M.space,
-                                  basis.__getitem__)
+    change = by_columns(VectorSpace(len(basis)), M.space, basis.__getitem__)
     action = {}
     for k, x in enumerate(basis):
         for c, y in enumerate(basis):
@@ -332,7 +332,7 @@ def action_witness_by_composing(modules):
         tt = truncated_tensor(M, N)
         dims = (M.dim, N.dim)
         for h in range(H.dim):
-            ambient = LinMap.from_function(
+            ambient = by_columns(
                 tt.space, tt.carrier.ambient, lambda c: flatten(act_pair(
                     M, N, H.comult.get(h, {}),
                     unflatten(tt.carrier.inclusion.column(c), dims)), dims))

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from test_linalg import by_columns
 from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
                              groupoid_algebra, sweedler)
 from whakit.linalg import (DimensionMismatch, LinMap, Subspace, VectorSpace,
@@ -219,9 +220,9 @@ def test_comodule_drops_zeros_and_fills_missing_columns():
 
 
 def test_regular_comodule_checks_the_deformed_coproduct():
-    """BraidedHopfAlgebra(...) takes its tables unchecked, so
-    regular_rh_comodule checks the columns it coacts by: a zero is
-    dropped, and a key out of range raises DimensionMismatch."""
+    """The columns regular_rh_comodule coacts by are checked: a zero is
+    dropped, and a key out of range raises DimensionMismatch, now as
+    BraidedHopfAlgebra(...) takes the table."""
     H, R = EXAMPLES["z3"]()
     assert certify(H).passed and certify_quasitriangular(H, R).passed
     B = transmute(H, R)
@@ -253,6 +254,18 @@ def test_coaction_is_the_flattened_table(certified):
             assert list(D.coaction.entries.items()) == list(
                 flat.entries.items())
             same_entries(D.coaction, flat)
+
+
+def test_coaction_follows_an_edit_to_the_table():
+    """coaction is flattened from table on every read: an edit to table
+    after a read shows in the next one."""
+    H, R = group_algebra_zn(3)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    Y = induced_yd(regular_module(H), R)
+    before = Y.coaction.entries
+    assert before.get((1 * Y.dim + 1, 0)) != 5
+    Y.table[0][(1, 1)] = 5
+    assert Y.coaction.entries == {**before, (1 * Y.dim + 1, 0): 5}
 
 
 def test_each_translation_locates_its_columns_once(certified, monkeypatch):
@@ -344,7 +357,7 @@ def reference_G(Y, B):
         pd = on_leg(on_leg(on_leg(pd, 1, S), slice(0, 2), H.mult),
                     slice(1, 3), M.action)
         return flatten(on_leg(pd, 0, proj), (B.dim, M.dim))
-    return LinMap.from_function(M.space, VectorSpace(B.dim * M.dim), column)
+    return by_columns(M.space, VectorSpace(B.dim * M.dim), column)
 
 
 def reference_F(N):
@@ -358,7 +371,7 @@ def reference_F(N):
         t = on_leg(on_leg(on_leg(t, 0, incl), slice(0, 2), H.mult),
                    slice(1, 3), M.action)
         return flatten(t, (H.dim, M.dim))
-    return LinMap.from_function(M.space, VectorSpace(H.dim * M.dim), column)
+    return by_columns(M.space, VectorSpace(H.dim * M.dim), column)
 
 
 def reference_yd_tensor(tt, Y1, Y2):
@@ -592,8 +605,7 @@ def test_translated_coaction_leaving_the_carrier_raises():
 def rebased(H, R, basis):
     """H and R rewritten in the basis whose i-th vector is basis[i], a
     vector over the basis of H."""
-    change = LinMap.from_function(VectorSpace(H.dim), H.space,
-                                  basis.__getitem__)
+    change = by_columns(VectorSpace(H.dim), H.space, basis.__getitem__)
 
     def coords(v):
         return solve(change, v)
@@ -621,6 +633,19 @@ def rebased(H, R, basis):
         antipode_inverse=table(
             lambda x: coords(H.antipode_inverse_map(x))))
     return H2, RMatrix(H2, pairs(R.r), pairs(R.r_bar))
+
+
+def dense_basis(rng, n):
+    """A basis with a unit diagonal whose every off-diagonal entry is set,
+    with probability 0.35, to 1, -1 or 2; redrawn until it is a basis."""
+    while True:
+        basis = [{i: 1} for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < 0.35:
+                    basis[i][j] = rng.choice((1, -1, 2))
+        if Subspace.from_span(VectorSpace(n), basis).dim == n:
+            return basis
 
 
 def test_carrier_not_spanned_by_basis_vectors_passes_every_stage():
