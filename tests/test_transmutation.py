@@ -259,9 +259,9 @@ def test_braided_hopf_algebra_checks_its_tables(z3_setup, table, bad, named):
     assert with_tables(B, mult=doubled).mult == doubled
 
 
-# Per-basis references: each structure map of transmute, the unit object
-# and the unitors built one basis vector at a time, as the package did
-# before it built each by one contraction over all columns.
+# Per-basis references: each map that transmute, unit_object and the
+# unitors build by one contraction over all columns, built here one basis
+# vector at a time.
 
 def coords(sub, vec):
     """The subspace coordinates of one vector lying in sub."""
