@@ -15,8 +15,8 @@ from itertools import product
 
 from .linalg import (LinMap, VectorSpace, check_keys, flatten, on_leg,
                      outer, permute, solve, unflatten)
-from .weak_hopf import (NotCertified, VerificationReport, first_unequal,
-                        pair_mult, scalar_table_mismatch)
+from .weak_hopf import (Certifiable, VerificationReport, certified_by,
+                        first_unequal, pair_mult, scalar_table_mismatch)
 
 
 def flip_pairs(pd: dict) -> dict:
@@ -24,13 +24,15 @@ def flip_pairs(pd: dict) -> dict:
     return {(b, a): v for (a, b), v in pd.items()}
 
 
-class RMatrix:
+class RMatrix(Certifiable):
     """A universal R-matrix candidate with its weak inverse.
 
     r and r_bar are pair-keyed coefficient dicts on H tensor H.  The
     value starts unverified; certify_quasitriangular flips the flag
     once every check passes.
     """
+
+    _uncertified = "R-matrix on {0.algebra.name!r} has not been certified"
 
     def __init__(self, algebra, r, r_bar):
         co = algebra.field.coerce
@@ -45,17 +47,10 @@ class RMatrix:
                     coerced[key] = c
             tables.append(coerced)
         self.r, self.r_bar = tables
-        self.certified = False
-
-    def require_certified(self):
-        if not self.certified:
-            raise NotCertified(
-                f"R-matrix on {self.algebra.name!r} has not been certified")
 
     def __repr__(self):
-        flag = "certified" if self.certified else "unverified"
         return (f"RMatrix(on {self.algebra.name!r}, {len(self.r)} terms, "
-                f"{flag})")
+                f"{self._flag})")
 
 
 def r13_r23(H, r):
@@ -128,15 +123,13 @@ def check_quasitriangular(H, R: RMatrix) -> VerificationReport:
 
     report.record("yang_baxter", _yang_baxter_mismatch(H, r))
 
-    report.add("triangular", rb == flip_pairs(r), severity="info")
+    report.add("triangular", is_triangular(R), severity="info")
     return report
 
 
 def certify_quasitriangular(H, R: RMatrix) -> VerificationReport:
     """Run check_quasitriangular and mark R usable downstream on success."""
-    report = check_quasitriangular(H, R)
-    R.certified = report.passed
-    return report
+    return certified_by(R, check_quasitriangular(H, R))
 
 
 def is_triangular(R: RMatrix) -> bool:

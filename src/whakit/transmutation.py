@@ -29,8 +29,9 @@ from .linalg import (LinMap, Subspace, VectorSpace, act, check_keys, on_leg,
 from .module_cat import (HModule, carrier_mismatch, column_map, column_tensor,
                          h_linear_mismatch, left_unitor, right_unitor,
                          triple_projector, truncated_tensor, unit_object)
-from .weak_hopf import (NotCertified, VerificationReport, WeakHopfAlgebra,
-                        first_unequal, first_witness, map_witness)
+from .weak_hopf import (Certifiable, VerificationReport, WeakHopfAlgebra,
+                        certified_by, coassociative_mismatch, first_unequal,
+                        first_witness, map_witness)
 
 
 class CarrierInvariantError(RuntimeError):
@@ -80,15 +81,17 @@ def _adjoint_module(H, carrier: Subspace) -> HModule:
                    {(i, r, j): c for (r, i, j), c in coords.items()})
 
 
-class BraidedHopfAlgebra:
+class BraidedHopfAlgebra(Certifiable):
     """The transmuted Hopf algebra object, in carrier coordinates.
 
     mult/comult are kept as sparse structure-constant tables mirroring
-    WeakHopfAlgebra, checked and rid of zeros as HModule's table is, with
-    LinMap forms on the truncated square exposed as mult_bar and comult_bar.
+    WeakHopfAlgebra, checked and rid of zeros as HModule's table is, each
+    value kept as given, with LinMap forms on the truncated square exposed
+    as mult_bar and comult_bar.
     """
 
     fold = WeakHopfAlgebra.fold
+    _uncertified = "braided Hopf algebra has not been certified"
 
     def __init__(self, algebra, rmatrix, carrier, module, square,
                  unit_module, mult_table, comult_table, counit_bar,
@@ -105,14 +108,14 @@ class BraidedHopfAlgebra:
             check_keys(table, name, dims[0])
             for key, row in table.items():
                 check_keys(row, f"{name} {key!r}", dims[1])
-        self.mult, self.comult = ({k: {r: c for r, c in row.items() if c != 0}
+        co = algebra.field.coerce
+        self.mult, self.comult = ({k: {r: c for r, c in row.items() if co(c)}
                                    for k, row in table.items()}
                                   for table in (mult_table, comult_table))
         self.counit_bar = counit_bar
         self.antipode_bar = antipode_bar
         self.unit_bar = unit_bar
         self.space = module.space
-        self.certified = False
         self.mult_bar = column_map(square.space, self.space, on_leg(
             square.inclusion_tensor(), slice(0, 2), self.mult))
         self.comult_bar = column_map(self.space, square.space, on_leg(
@@ -123,15 +126,9 @@ class BraidedHopfAlgebra:
     def dim(self):
         return self.space.dim
 
-    def require_certified(self):
-        if not self.certified:
-            raise NotCertified(
-                "braided Hopf algebra has not been certified")
-
     def __repr__(self):
-        flag = "certified" if self.certified else "unverified"
         return (f"BraidedHopfAlgebra(over {self.algebra.name!r}, "
-                f"dim={self.dim}, {flag})")
+                f"dim={self.dim}, {self._flag})")
 
 
 def transmute(H, R) -> BraidedHopfAlgebra:
@@ -236,9 +233,8 @@ def check_braided_hopf(B: BraidedHopfAlgebra) -> VerificationReport:
             lambda x: column_tensor(unitor, (B.dim,))))
 
     basis = list(product(range(B.dim)))
-    report.record("comult_coassociative", first_unequal(basis, lambda i: (
-        on_leg(B.comult.get(i, {}), 0, B.comult),
-        on_leg(B.comult.get(i, {}), 1, B.comult))))
+    report.record("comult_coassociative",
+                  coassociative_mismatch(B.comult, B.comult, B.dim))
     for name, tt, leg, inverse in (
             ("counit_collapses_left", tt_left, 0, l_inv),
             ("counit_collapses_right", tt_right, 1, r_inv)):
@@ -282,7 +278,5 @@ def check_braided_hopf(B: BraidedHopfAlgebra) -> VerificationReport:
 
 
 def certify_braided_hopf(B: BraidedHopfAlgebra) -> VerificationReport:
-    report = check_braided_hopf(B)
-    B.certified = report.passed
-    return report
+    return certified_by(B, check_braided_hopf(B))
 

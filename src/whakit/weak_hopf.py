@@ -7,7 +7,8 @@ constants and reports each identity separately, with a witness on
 failure: VerificationReport.record takes a name and None (pass) or a
 (key, lhs, rhs) witness.  Only add sets a severity, for a flag such as
 "triangular"; an "info" entry never gates.  Constructors return
-unverified values; certify() gates downstream use.
+unverified values, certified_by marks them, require_certified gates
+their use, and WeakHopfAlgebra._cached builds derived values once.
 """
 
 from __future__ import annotations
@@ -16,11 +17,31 @@ from collections import Counter
 from itertools import product
 
 from .linalg import (DimensionMismatch, LinMap, Subspace, VectorSpace, act,
-                     add_term, check_keys, image, on_leg, outer, permute)
+                     check_keys, image, on_leg, outer, permute)
 
 
 class NotCertified(RuntimeError):
     """A construction received an algebra that has not passed its checks."""
+
+
+class Certifiable:
+    """State that certified_by sets and require_certified gates on."""
+
+    certified = False
+
+    def require_certified(self):
+        if not self.certified:
+            raise NotCertified(self._uncertified.format(self))
+
+    @property
+    def _flag(self):
+        return "certified" if self.certified else "unverified"
+
+
+def certified_by(obj: Certifiable, report):
+    """Mark obj certified exactly when report passed; return the report."""
+    obj.certified = report.passed
+    return report
 
 
 class CheckResult:
@@ -108,6 +129,15 @@ def first_witness(cases):
     return None
 
 
+def coassociative_mismatch(table: dict, comult: dict, dim: int):
+    """The witness of (Delta (x) id) rho against (id (x) rho) rho for a
+    coaction table rho = {j: {(a, m): c}}, j < dim, a missing column read
+    as {}, over the coproduct comult; a coalgebra passes table = comult."""
+    return first_unequal(product(range(dim)), lambda j: (
+        on_leg(table.get(j, {}), 0, comult),
+        on_leg(table.get(j, {}), 1, table)))
+
+
 def scalar_table_mismatch(lhs, rhs):
     """first_mismatch on dicts of scalars, each nonzero scalar v read as
     the vector {0: v}."""
@@ -117,7 +147,7 @@ def scalar_table_mismatch(lhs, rhs):
                             for t in (lhs, rhs)))
 
 
-class WeakHopfAlgebra:
+class WeakHopfAlgebra(Certifiable):
     """A finite dimensional weak Hopf algebra given by structure constants.
 
     mult maps (i, j, k) to the coefficient of e_k in e_i e_j; comult maps
@@ -125,6 +155,8 @@ class WeakHopfAlgebra:
     e_i; antipode maps (i, j) to the coefficient of e_j in S(e_i).
     labels names the basis vectors, distinct, one per dimension.
     """
+
+    _uncertified = "algebra {0.name!r} has not been certified"
 
     def __init__(self, name, field, labels, mult, unit, comult, counit,
                  antipode, antipode_inverse=None):
@@ -160,7 +192,6 @@ class WeakHopfAlgebra:
         self.antipode_inverse_map = None if antipode_inverse is None else LinMap(
             self.space, self.space,
             {(j, i): co(c) for (i, j), c in antipode_inverse.items()})
-        self.certified = False
         self._cache = {}
 
     @property
@@ -170,22 +201,11 @@ class WeakHopfAlgebra:
     def basis(self, i):
         return {i: 1}
 
-    def require_certified(self):
-        if not self.certified:
-            raise NotCertified(f"algebra {self.name!r} has not been certified")
-
     # structure-constant evaluation
 
     def multiply(self, a, b):
-        out = {}
-        for i, x in a.items():
-            for j, y in b.items():
-                prod = self.mult.get((i, j))
-                if prod:
-                    xy = x * y
-                    for k, c in prod.items():
-                        add_term(out, k, c * xy)
-        return out
+        return self.fold(outer({(i,): x for i, x in a.items()},
+                               {(j,): y for j, y in b.items()}))
 
     def comultiply(self, a):
         """Coproduct as a dict keyed by index pairs."""
@@ -203,17 +223,20 @@ class WeakHopfAlgebra:
 
     # cached derived data
 
+    def _cached(self, key, build):
+        """The derived value under key, built by build() on first request."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def delta_one(self):
         """Coproduct of the unit, as a pair-keyed dict."""
-        if "delta_one" not in self._cache:
-            self._cache["delta_one"] = self.comultiply(self.unit)
-        return self._cache["delta_one"]
+        return self._cached("delta_one", lambda: self.comultiply(self.unit))
 
     def delta2_one(self):
         """Twice-iterated coproduct of the unit, keyed by index triples."""
-        if "delta2_one" not in self._cache:
-            self._cache["delta2_one"] = on_leg(self.delta_one(), 0, self.comult)
-        return self._cache["delta2_one"]
+        return self._cached("delta2_one", lambda: on_leg(
+            self.delta_one(), 0, self.comult))
 
     def comult2(self, i):
         """Index-triple expansion of the twice-iterated coproduct of e_i."""
@@ -224,35 +247,30 @@ class WeakHopfAlgebra:
 
     def epsilon_t_map(self):
         """The target counital map sending h to eps(1_1 h) 1_2."""
-        return self._counital_map("eps_t", True)
+        return self._cached("eps_t", lambda: self._counital_map(True))
 
     def epsilon_s_map(self):
         """The source counital map sending h to 1_1 eps(h 1_2)."""
-        return self._counital_map("eps_s", False)
+        return self._cached("eps_s", lambda: self._counital_map(False))
 
-    def _counital_map(self, key, target):
-        if key not in self._cache:
-            # eps(1_1 e_j) 1_2 at (1_2, j), or 1_1 eps(e_j 1_2) at (1_1, j)
-            rows, cols = _counit_form(self)
-            d1 = self.delta_one()
-            self._cache[key] = LinMap(self.space, self.space, on_leg(
-                {(b, a): v for (a, b), v in d1.items()}, 1, rows) if target
-                else on_leg(d1, 1, cols))
-        return self._cache[key]
+    def _counital_map(self, target):
+        # eps(1_1 e_j) 1_2 at (1_2, j), or 1_1 eps(e_j 1_2) at (1_1, j)
+        rows, cols = _counit_form(self)
+        d1 = self.delta_one()
+        return LinMap(self.space, self.space, on_leg(
+            {(b, a): v for (a, b), v in d1.items()}, 1, rows) if target
+            else on_leg(d1, 1, cols))
 
     def target_space(self):
-        if "target_space" not in self._cache:
-            self._cache["target_space"] = image(self.epsilon_t_map())
-        return self._cache["target_space"]
+        return self._cached("target_space",
+                            lambda: image(self.epsilon_t_map()))
 
     def source_space(self):
-        if "source_space" not in self._cache:
-            self._cache["source_space"] = image(self.epsilon_s_map())
-        return self._cache["source_space"]
+        return self._cached("source_space",
+                            lambda: image(self.epsilon_s_map()))
 
     def __repr__(self):
-        flag = "certified" if self.certified else "unverified"
-        return f"WeakHopfAlgebra({self.name!r}, dim={self.dim}, {flag})"
+        return f"WeakHopfAlgebra({self.name!r}, dim={self.dim}, {self._flag})"
 
 
 def pair_mult(H, lhs, rhs):
@@ -280,12 +298,6 @@ def _check_unit(H, report):
         li = H.multiply(H.unit, e)
         return (li if li != e else H.multiply(e, H.unit)), e
     report.record("algebra_unit", first_unequal(product(range(H.dim)), sides))
-
-
-def _check_coassociativity(H, report):
-    report.record("coalgebra_coassociative", first_unequal(
-        product(range(H.dim)), lambda i: (
-            H.comult2(i), on_leg(H.comult.get(i, {}), 1, H.comult))))
 
 
 def _check_counit_axiom(H, report):
@@ -327,14 +339,14 @@ def _mult_tensor(H):
 def _counit_form(H):
     """The form eps(e_i e_j) as the tables {i: {j: c}} and {j: {i: c}},
     inner keys ascending, the order the counital maps' entries take."""
-    if "counit_form" not in H._cache:
+    def build():
         eps = {k: {(): c} for k, c in H.counit.items()}
         rows, cols = {}, {}
         for (i, j), c in sorted(on_leg(_mult_tensor(H), 2, eps).items()):
             rows.setdefault(i, {})[j] = c
             cols.setdefault(j, {})[i] = c
-        H._cache["counit_form"] = rows, cols
-    return H._cache["counit_form"]
+        return rows, cols
+    return H._cached("counit_form", build)
 
 
 def _check_weak_counit(H, report):
@@ -441,7 +453,8 @@ def check_weak_hopf(H: WeakHopfAlgebra) -> VerificationReport:
     _check_unit(H, report)
     _check_associativity(H, report)
     _check_counit_axiom(H, report)
-    _check_coassociativity(H, report)
+    report.record("coalgebra_coassociative",
+                  coassociative_mismatch(H.comult, H.comult, H.dim))
     _check_comult_multiplicative(H, report)
     _check_unit_comult(H, report)
     _check_weak_counit(H, report)
@@ -460,9 +473,7 @@ def check_weak_hopf(H: WeakHopfAlgebra) -> VerificationReport:
 
 def certify(H: WeakHopfAlgebra) -> VerificationReport:
     """Run check_weak_hopf and mark the algebra usable downstream on success."""
-    report = check_weak_hopf(H)
-    H.certified = report.passed
-    return report
+    return certified_by(H, check_weak_hopf(H))
 
 
 def is_hopf(H: WeakHopfAlgebra) -> bool:

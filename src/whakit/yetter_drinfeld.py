@@ -14,11 +14,11 @@ given a comodule over the other.
 A coaction m -> m_(-1) (x) m_(0) is held as its splice table
 {j: {(a, m): c}}, a column per module basis j keyed by the coacting leg
 and the module leg, the shape every law here reads through on_leg; no
-other module knows this format.  Comodule(...) checks the keys of a
-table from outside the package and drops its zeros.  Comodule._adopt
-takes the tables that the functors, the tensors, induced_yd and
-trivial_comodule build, complete, zero-free and in range by
-construction, unchecked, by the rule LinMap._adopt follows.
+other module knows this format.  Comodule(...) checks the keys and
+values of a table from outside the package and drops its zeros.
+Comodule._adopt takes the tables that the functors, the tensors,
+induced_yd and trivial_comodule build, complete, zero-free and in range
+by construction, unchecked, by the rule LinMap._adopt follows.
 
 Both functors and yd_tensor run one kernel, made by _products once per
 translation or tensor.  Its by_value groups a table's terms by distinct
@@ -59,8 +59,9 @@ from .module_cat import (HModule, _inverse_mismatch, _split_columns,
                          unit_object)
 from .scalars import Cyclo, FieldMismatch, _canon
 from .transmutation import BraidedHopfAlgebra
-from .weak_hopf import (VerificationReport, entries_witness, first_unequal,
-                        first_witness, map_witness)
+from .weak_hopf import (VerificationReport, coassociative_mismatch,
+                        entries_witness, first_unequal, first_witness,
+                        map_witness)
 
 
 class CoactionEscapesCarrier(RuntimeError):
@@ -77,9 +78,10 @@ class Comodule:
     coaction landing in its carrier (x) M.
 
     table is the coaction {j: {(a, m): c}}, a in the coordinates of
-    over; a missing column reads as {}, and a key out of range or not an
-    int (a pair of ints in a column) raises DimensionMismatch naming it.
-    coaction is that map flattened, first leg major, anew on every read.
+    over; a missing column reads as {}, a key out of range or not an int
+    (a pair of ints in a column) raises DimensionMismatch naming it, and a
+    value outside the field TypeError, as in HModule, or else is kept as
+    given.  coaction is that map flattened, first leg major, on each read.
     """
 
     def __init__(self, over, module: HModule, table: dict):
@@ -90,7 +92,8 @@ class Comodule:
                 raise DimensionMismatch(f"coaction: column {j!r} out of range")
             check_keys(col, f"coaction column {j}", (over.dim, module.dim))
         self.over, self.module, self.algebra = over, module, module.algebra
-        self.table = {j: {k: c for k, c in table.get(j, {}).items() if c != 0}
+        co = module.algebra.field.coerce
+        self.table = {j: {k: c for k, c in table.get(j, {}).items() if co(c)}
                       for j in range(module.dim)}
 
     @classmethod
@@ -122,10 +125,11 @@ def _over(C: Comodule, braided: bool):
     return C.over
 
 
-def _coassociative(table: dict, comult: dict, dim: int):
-    """The coassociativity witness of a coaction table over comult."""
-    return first_unequal(product(range(dim)), lambda j: (
-        on_leg(table[j], 0, comult), on_leg(table[j], 1, table)))
+def coaction_lands_in_truncated(C: Comodule, over_module: HModule):
+    """Where C's coaction leaves the truncated tensor of over_module and M."""
+    coaction = C.coaction
+    P = truncation_projector(over_module, C.module)
+    return map_witness(P.compose(coaction), coaction)
 
 
 def check_yd(Y: Comodule) -> VerificationReport:
@@ -135,9 +139,8 @@ def check_yd(Y: Comodule) -> VerificationReport:
     H.require_certified()
     report = VerificationReport(subject=f"{H.name} compatible coaction")
 
-    P = truncation_projector(regular_module(H), M)
     report.record("coaction_lands_in_truncated",
-                  map_witness(P.compose(Y.coaction), Y.coaction))
+                  coaction_lands_in_truncated(Y, regular_module(H)))
 
     table = Y.table
     eps = {i: {(): c} for i, c in H.counit.items()}
@@ -145,7 +148,7 @@ def check_yd(Y: Comodule) -> VerificationReport:
         product(range(M.dim)), lambda j: (
             {m: c for (m,), c in on_leg(table[j], 0, eps).items()}, {j: 1})))
     report.record("coaction_coassociative",
-                  _coassociative(table, H.comult, M.dim))
+                  coassociative_mismatch(table, H.comult, M.dim))
 
     # rho(i . m) = i_1 m_(-1) S(i_3) (x) i_2 . m_(0)
     S = H.antipode_map.columns()
@@ -186,13 +189,12 @@ def check_rh_comodule(N: Comodule) -> VerificationReport:
     M = N.module
     report = VerificationReport(subject=f"{H.name} carrier comodule")
 
-    P = truncation_projector(B.module, M)
     report.record("coaction_lands_in_truncated",
-                  map_witness(P.compose(N.coaction), N.coaction))
+                  coaction_lands_in_truncated(N, B.module))
 
     table = N.table
     report.record("coaction_coassociative_deformed",
-                  _coassociative(table, B.comult, M.dim))
+                  coassociative_mismatch(table, B.comult, M.dim))
 
     eps_t = {a: H.epsilon_t(z) for a, z in B.carrier.inclusion.columns().items()}
 

@@ -1,6 +1,7 @@
 """Out-of-range basis indices are rejected when a structure is built, and
 the checks reject inputs that belong to other algebras."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,10 @@ from whakit.linalg import DimensionMismatch
 from whakit.module_cat import (HModule, check_monoidal_coherence,
                                regular_module)
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
-from whakit.scalars import Field
-from whakit.transmutation import transmute
+from whakit.scalars import Field, FieldMismatch, omega
+from whakit.transmutation import BraidedHopfAlgebra, transmute
 from whakit.weak_hopf import WeakHopfAlgebra, certify
-from whakit.yetter_drinfeld import check_equivalence_roundtrip
+from whakit.yetter_drinfeld import Comodule, check_equivalence_roundtrip
 
 ONE = Fraction(1)
 
@@ -113,3 +114,32 @@ def test_roundtrip_rejects_a_braided_algebra_of_another_r_matrix():
     assert certify_quasitriangular(H, Rb).passed
     with pytest.raises(ValueError, match="not transmuted from H and R"):
         check_equivalence_roundtrip(H, Rb, braided=transmute(H, R))
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (1.0, TypeError, "not a scalar: 1.0"),
+    (omega(5), FieldMismatch, "scalar of order 5 does not live in Field(Q)"),
+    ("1", TypeError, "not a scalar: '1'"),
+], ids=["float", "cyclo_of_another_order", "str"])
+@pytest.mark.parametrize("construct", ["comodule", "braided_hopf_algebra"])
+def test_constructors_check_their_values(construct, value, error, message):
+    """Comodule(...) and BraidedHopfAlgebra(...) pass each value through
+    the field of the algebra, over Z_3 the rationals, and raise as HModule
+    does; a value the field takes is kept as given, Fraction(1) staying a
+    Fraction."""
+    H, R = group_algebra_zn(3)
+    assert certify(H).passed and certify_quasitriangular(H, R).passed
+    B = transmute(H, R)
+    M = regular_module(H)
+    build, read = {
+        "comodule": (lambda v: Comodule(H, M, {0: {(0, 0): v}}),
+                     lambda C: C.table[0][(0, 0)]),
+        "braided_hopf_algebra": (lambda v: BraidedHopfAlgebra(
+            H, R, B.carrier, B.module, B.square, B.unit_module,
+            {**B.mult, (0, 0): {0: v}}, B.comult, B.counit_bar,
+            B.antipode_bar, B.unit_bar), lambda C: C.mult[(0, 0)][0]),
+    }[construct]
+    with pytest.raises(error, match=re.escape(message)):
+        build(value)
+    kept = read(build(Fraction(1)))
+    assert kept == 1 and type(kept) is Fraction

@@ -1,20 +1,23 @@
 """Axiom checker tests on the built-in Hopf examples and corrupted variants."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from whakit.examples import group_algebra_zn, sweedler
+from whakit.examples import (group_algebra_zn, group_algebra_zn_anyonic,
+                             groupoid_algebra, sweedler)
 from whakit.linalg import DimensionMismatch, LinMap, VectorSpace, add_term
 from whakit.module_cat import truncated_tensor
 from whakit.quasitriangular import RMatrix, certify_quasitriangular
-from whakit.transmutation import transmute
+from whakit.scalars import omega
+from whakit.transmutation import certify_braided_hopf, transmute
 from whakit.weak_hopf import (NotCertified, VerificationReport,
                               WeakHopfAlgebra, certify, check_weak_hopf,
-                              first_mismatch, first_witness, is_hopf,
-                              is_regular, map_witness, pair_mult,
-                              scalar_table_mismatch)
+                              coassociative_mismatch, first_mismatch,
+                              first_witness, is_hopf, is_regular, map_witness,
+                              pair_mult, scalar_table_mismatch)
 from whakit.yetter_drinfeld import (AntipodeNotInvertible, functor_F,
                                     regular_rh_comodule, yd_braiding_inv)
 
@@ -164,6 +167,31 @@ def test_certify_gates_and_flags():
     H.require_certified()
 
 
+def test_certification_messages_and_repr_flags():
+    """The algebra, its R-matrix and the transmuted algebra each raise
+    NotCertified with their own message, and show their flag in their
+    repr, before and after certification."""
+    H, R = group_algebra_zn(3)
+
+    def states(obj, certify_it, message, shown):
+        with pytest.raises(NotCertified, match=f"^{re.escape(message)}$"):
+            obj.require_certified()
+        assert not obj.certified
+        assert repr(obj) == shown.format("unverified")
+        assert certify_it(obj).passed
+        assert obj.certified
+        obj.require_certified()
+        assert repr(obj) == shown.format("certified")
+    states(H, certify, "algebra 'group_algebra_z3' has not been certified",
+           "WeakHopfAlgebra('group_algebra_z3', dim=3, {})")
+    states(R, lambda R: certify_quasitriangular(H, R),
+           "R-matrix on 'group_algebra_z3' has not been certified",
+           "RMatrix(on 'group_algebra_z3', 1 terms, {})")
+    states(transmute(H, R), certify_braided_hopf,
+           "braided Hopf algebra has not been certified",
+           "BraidedHopfAlgebra(over 'group_algebra_z3', dim=3, {})")
+
+
 def test_report_info_entries_do_not_gate():
     report = VerificationReport(subject="demo")
     report.add("hard_check", True)
@@ -189,6 +217,68 @@ def _random_vector(rng, H, density=0.7):
             if num:
                 out[i] = Fraction(num, den)
     return out
+
+
+def per_term_multiply(H, a, b):
+    """The product a b as multiply formed it term by term before it
+    became a fold of the outer product: the reference for key order and
+    scalar types."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            prod = H.mult.get((i, j))
+            if prod:
+                xy = x * y
+                for k, c in prod.items():
+                    add_term(out, k, c * xy)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    sweedler, lambda: groupoid_algebra(2, 2),
+    lambda: group_algebra_zn_anyonic(3)], ids=["sweedler", "groupoid_2x2",
+                                               "anyonic_z3"])
+def test_multiply_matches_the_per_term_loop(make):
+    """multiply gives the per-term loop's keys, in its order, with its
+    values and scalar types, on seeded random sparse vectors over Q and,
+    on the anyonic algebra, over Q(w_3), sums that cancel included."""
+    H, _ = make()
+    rng = random.Random(5)
+    w = omega(3) if H.field.order == 3 else 0
+
+    def scalar():
+        return rng.choice((rng.randint(-2, 2), Fraction(rng.randint(-3, 3), 2),
+                           rng.randint(-1, 1) + rng.randint(-1, 1) * w))
+
+    def vector():
+        return {i: c for i in range(H.dim)
+                if rng.random() < 0.6 and (c := scalar()) != 0}
+    cancelled = 0
+    for _ in range(300):
+        a, b = vector(), vector()
+        got, want = H.multiply(a, b), per_term_multiply(H, a, b)
+        assert list(got.items()) == list(want.items())
+        assert [type(c) for c in got.values()] == [
+            type(c) for c in want.values()]
+        cancelled += len(got) < len({k for (i, j), p in H.mult.items()
+                                     if i in a and j in b for k in p})
+    assert cancelled
+
+
+def test_coassociative_mismatch_reads_a_missing_column_as_empty():
+    """A column missing from the coaction table, as B.comult may omit
+    one, reads as {}: Sweedler's coproduct without the column of 1 is
+    coassociative on 1, g and h, and fails first on gh, whose coproduct
+    g (x) gh + gh (x) 1 reads the missing rho(1) on the right side."""
+    H, _ = sweedler()
+    assert coassociative_mismatch(H.comult, H.comult, H.dim) is None
+    dropped = {i: col for i, col in H.comult.items() if i != 0}
+    witness = coassociative_mismatch(dropped, H.comult, H.dim)
+    assert witness == coassociative_mismatch({**dropped, 0: {}}, H.comult,
+                                             H.dim)
+    key, lhs, rhs = witness
+    assert key == (3,)
+    assert lhs == {**rhs, (3, 0, 0): 1}
 
 
 def test_multilinear_identities_on_random_vectors(h4, z3):
